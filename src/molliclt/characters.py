@@ -12,16 +12,17 @@ label to ``q - 1 - a``, and chi_a(-1) = (-1)^a fixes the parity.
 
 The workhorse is :func:`batch_character_sums`, which evaluates a sparse
 coefficient sum against every character at once: after reindexing
-n = g^k it is a single length-(q-1) discrete Fourier transform, done
-either as a direct chunked matrix product (small q) or by a Bluestein
-chirp transform (large q).
+n = g^k it is one length-(q-1) discrete Fourier transform over the
+character group.  Since ind(-1) = (q-1)/2, that transform splits into
+two numpy FFTs of half length, one per parity class, and each parity
+class may carry its own coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "root_numbers",
 ]
 
-# Below this modulus the direct O(m * nnz) path beats FFT setup costs.
-_DIRECT_DEFAULT_CUTOFF = 20_000
 _MAX_MODULUS = 10_000_000
 
 
@@ -107,13 +106,23 @@ class CharacterTable:
         res[nz] = self.roots[(a * self.index[ns[nz]]) % self.m]
         return res
 
+    @cached_property
+    def eps(self) -> np.ndarray:
+        """Root numbers, from one Gauss-sum transform on first use; read-only."""
+        eps = gauss_sums_all(self) / math.sqrt(self.q)
+        eps[1::2] /= 1j
+        eps.flags.writeable = False
+        return eps
+
 
 @lru_cache(maxsize=8)
 def build_table(q: int) -> CharacterTable:
     """Build (and cache) the character table for prime ``3 <= q <= 10^7``.
 
-    Smallest primitive root, then one pass filling the discrete-log and
-    power tables.
+    Smallest primitive root, then the power table in blocks,
+    g^(iB + j) = g^(iB) * g^j mod q with B about sqrt(q), as one int64
+    outer product (entries below q^2 <= 10^14); the discrete-log table
+    is its inverse permutation.
     """
     if q < 3 or q > _MAX_MODULUS:
         raise ValueError(f"modulus must lie in [3, {_MAX_MODULUS}], got {q}")
@@ -121,14 +130,14 @@ def build_table(q: int) -> CharacterTable:
     if f.primes != (q,):
         raise ValueError(f"modulus {q} is not prime")
     g = primitive_root(q)
+    m = q - 1
+    block = math.isqrt(m) + 1
+    low = np.array([pow(g, j, q) for j in range(block)], dtype=np.int64)
+    high = np.array([pow(g, i, q) for i in range(0, m, block)], dtype=np.int64)
+    power = (high[:, None] * low[None, :] % q).ravel()[:m]
     index = np.full(q, -1, dtype=np.int64)
-    power = np.empty(q - 1, dtype=np.int64)
-    value = 1
-    for i in range(q - 1):
-        index[value] = i
-        power[i] = value
-        value = value * g % q
-    return CharacterTable(q, g, index, power, roots_of_unity(q - 1))
+    index[power] = np.arange(m, dtype=np.int64)
+    return CharacterTable(q, g, index, power, roots_of_unity(m))
 
 
 def chi(table: CharacterTable, a: int, n: int) -> complex:
@@ -169,61 +178,40 @@ def _fold_support(table: CharacterTable, support: np.ndarray, coeffs: np.ndarray
         raise ValueError("support and coeffs must have matching shapes")
     residues = support % table.q
     keep = residues != 0
-    z = np.zeros(table.m, dtype=np.complex128)
-    np.add.at(z, table.index[residues[keep]], coeffs[keep])
+    logs = table.index[residues[keep]]
+    kept = coeffs[keep]
+    z = np.empty(table.m, dtype=np.complex128)
+    z.real = np.bincount(logs, weights=kept.real, minlength=table.m)
+    z.imag = np.bincount(logs, weights=kept.imag, minlength=table.m)
     return z
-
-
-def _bluestein_dft(z: np.ndarray, sign: int) -> np.ndarray:
-    """Exact-length DFT  S[a] = sum_k z[k] e(sign * a k / m)  via chirp-z.
-
-    The quadratic phases are reduced mod 2m in integer arithmetic before
-    the complex exponential, which keeps them accurate for large m.
-    """
-    m = len(z)
-    k = np.arange(m, dtype=np.int64)
-    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * m)) / m)
-    u = z * chirp
-    j = np.arange(-(m - 1), m, dtype=np.int64)
-    v = np.exp(-sign * 1j * np.pi * ((j * j) % (2 * m)) / m)
-    L = 1 << (2 * m - 1).bit_length()
-    conv = np.fft.ifft(np.fft.fft(u, L) * np.fft.fft(v, L))
-    return chirp * conv[m - 1 : 2 * m - 1]
 
 
 def batch_character_sums(
     table: CharacterTable,
     support: np.ndarray,
     coeffs: np.ndarray,
-    method: str = "auto",
+    odd_coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """S[a] = sum over the support of coeffs[i] * chi_a(support[i]), for every a.
+    """S[a] = sum over the support of c[i] * chi_a(support[i]), for every a.
 
-    Support entries divisible by q contribute nothing (chi vanishes
-    there).  ``method`` is ``"direct"``, ``"bluestein"``, or ``"auto"``
-    (direct below a modulus cutoff, Bluestein above).  Both paths agree
-    to near machine precision; Bluestein costs O(m log m) independent of
-    support size and is the default only where the direct product gets
-    expensive.
+    ``c`` is ``coeffs`` on even labels and ``odd_coeffs`` (default: the
+    same ``coeffs``) on odd labels.  Support entries divisible by q
+    contribute nothing (chi vanishes there).
+
+    With z the coefficients folded onto log classes, S[a] is the DFT
+    sum_k z[k] e(a k / m), m = q - 1.  Because e(a (k + h) / m) =
+    (-1)^a e(a k / m) for h = m / 2, the even labels need only the
+    half-length transform of z[:h] + z[h:], and the odd labels that of
+    (z[:h] - z[h:]) e(k / m): two numpy FFTs of length h in all.
     """
-    z = _fold_support(table, support, coeffs)
     m = table.m
-    if method == "auto":
-        method = "direct" if table.q < _DIRECT_DEFAULT_CUTOFF else "bluestein"
-    if method == "bluestein":
-        return _bluestein_dft(z, sign=+1)
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    nz = np.nonzero(z)[0]
-    if len(nz) == 0:
-        return np.zeros(m, dtype=np.complex128)
-    zv = z[nz]
+    h = m // 2
+    z = _fold_support(table, support, coeffs)
+    z_odd = z if odd_coeffs is None else _fold_support(table, support, odd_coeffs)
     out = np.empty(m, dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(len(nz), 1))
-    for start in range(0, m, chunk):
-        a = np.arange(start, min(start + chunk, m), dtype=np.int64)
-        phase = (a[:, None] * nz[None, :]) % m
-        out[start : start + len(a)] = table.roots[phase] @ zv
+    # norm="forward" leaves the inverse transform unscaled: a plain sum of e(+bk/h) terms
+    out[0::2] = np.fft.ifft(z[:h] + z[h:], norm="forward")
+    out[1::2] = np.fft.ifft((z_odd[:h] - z_odd[h:]) * table.roots[:h], norm="forward")
     return out
 
 
@@ -237,25 +225,21 @@ def gauss_sum(table: CharacterTable, a: int) -> complex:
     return complex(np.sum(values * np.exp(2j * np.pi * n / q)))
 
 
-def gauss_sums_all(table: CharacterTable, method: str = "auto") -> np.ndarray:
+def gauss_sums_all(table: CharacterTable) -> np.ndarray:
     """Gauss sums for every label at once (one batch character sum).
 
     The principal entry S[0] equals -1 (it is not a primitive Gauss sum).
     """
     q = table.q
     n = np.arange(1, q, dtype=np.int64)
-    return batch_character_sums(table, n, np.exp(2j * np.pi * n / q), method=method)
+    return batch_character_sums(table, n, np.exp(2j * np.pi * n / q))
 
 
-def root_numbers(table: CharacterTable, gauss: np.ndarray | None = None) -> np.ndarray:
+def root_numbers(table: CharacterTable) -> np.ndarray:
     """Functional-equation root numbers eps[a] = tau(chi_a) / (i^delta sqrt(q)).
 
-    For primitive labels these lie on the unit circle; the principal
-    slot is meaningless and left as computed.
+    Computed once per table and kept there, read-only.  For primitive
+    labels they lie on the unit circle; the principal slot is
+    meaningless and left as computed.
     """
-    if gauss is None:
-        gauss = gauss_sums_all(table)
-    eps = np.array(gauss) / math.sqrt(table.q)
-    odd = (np.arange(table.m) & 1) == 1
-    eps[odd] /= 1j
-    return eps
+    return table.eps

@@ -148,42 +148,45 @@ class CentralValueSet:
         return complex(self.values[a % (self.q - 1)])
 
 
-def _oracle_values(table: CharacterTable, s: complex, method: str) -> np.ndarray:
+def _oracle_values(table: CharacterTable, s: complex) -> np.ndarray:
     q = table.q
     r = np.arange(1, q, dtype=np.int64)
     hz = hurwitz_zeta(s, r / q)
-    out = np.exp(-s * math.log(q)) * batch_character_sums(table, r, hz, method=method)
+    out = np.exp(-s * math.log(q)) * batch_character_sums(table, r, hz)
     out[0] = complex("nan")
     return out
 
 
-def _afe_values(table: CharacterTable, s: complex, tail_cut: float, method: str) -> np.ndarray:
+def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarray:
     s = complex(s)
     q, m = table.q, table.m
     n_max = math.isqrt(int(tail_cut * q / math.pi)) + 2
     n = np.arange(1, n_max + 1, dtype=np.int64)
     xs = math.pi * n.astype(np.float64) ** 2 / q
     log_n = np.log(n.astype(np.float64))
+    power_first = np.exp(-s * log_n)
+    power_dual = np.exp((s - 1.0) * log_n)
 
-    first = {}
-    dual = {}
-    prefac = {}
+    first, dual, prefac = [], [], []
     for delta in (0, 1):
         a1 = (s + delta) / 2.0
         a2 = (1.0 - s + delta) / 2.0
         q1 = np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
-        q2 = np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
-        first[delta] = batch_character_sums(table, n, np.exp(-s * log_n) * q1, method=method)
-        dual[delta] = batch_character_sums(table, n, np.exp((s - 1.0) * log_n) * q2, method=method)
-        prefac[delta] = (math.pi / q) ** (s - 0.5) * gamma(a2) / gamma(a1)
+        # at s = 1/2 the orders coincide and the gamma loop runs once
+        q2 = q1 if a2 == a1 else np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
+        first.append(power_first * q1)
+        dual.append(power_dual * q2)
+        prefac.append((math.pi / q) ** (s - 0.5) * gamma(a2) / gamma(a1))
 
-    eps = root_numbers(table)
-    labels = np.arange(m)
-    flip = (m - labels) % m  # conjugate label; parity is preserved
-    odd = (labels & 1) == 1
-    out = np.where(odd, first[1], first[0])
-    dual_term = np.where(odd, prefac[1] * dual[1][flip], prefac[0] * dual[0][flip])
-    out = out + eps * dual_term
+    # one transform per sum, each parity class with its own coefficients;
+    # at s = 1/2 the dual sum equals the first and is not transformed again
+    first_sums = batch_character_sums(table, n, *first)
+    same = all(np.array_equal(f, d) for f, d in zip(first, dual))
+    dual_sums = first_sums if same else batch_character_sums(table, n, *dual)
+
+    flip = (m - np.arange(m)) % m  # conjugate label; parity is preserved
+    dual_term = np.tile(prefac, m // 2) * dual_sums[flip]  # prefac by label parity
+    out = first_sums + root_numbers(table) * dual_term
     out[0] = complex("nan")
     return out
 
@@ -235,9 +238,7 @@ def fe_residual_stats(
     return {"max": float(res.max()), "mean": float(res.mean())}
 
 
-def l_values_oracle(
-    table: CharacterTable, s: complex, method: str = "auto", residuals: bool = False
-) -> CentralValueSet:
+def l_values_oracle(table: CharacterTable, s: complex, residuals: bool = False) -> CentralValueSet:
     """Central value set by the Hurwitz zeta route.
 
     One zeta vector of length q - 1 plus one batch character transform;
@@ -248,10 +249,10 @@ def l_values_oracle(
     if table.q > 100_000:
         raise ValueError(f"oracle route is quadratic in q; {table.q} exceeds the 1e5 cap")
     s = complex(s)
-    values = _oracle_values(table, s, method)
+    values = _oracle_values(table, s)
     stats = None
     if residuals:
-        dual = None if abs(s - 0.5) <= 1e-12 else _oracle_values(table, 1.0 - s, method)
+        dual = None if abs(s - 0.5) <= 1e-12 else _oracle_values(table, 1.0 - s)
         stats = fe_residual_stats(table, s, values, dual)
     return CentralValueSet(q=table.q, s=s, values=values, method="oracle", residual_stats=stats)
 
@@ -260,24 +261,25 @@ def l_values_afe(
     table: CharacterTable,
     s: complex,
     tail_cut: float = 40.0,
-    method: str = "auto",
     residuals: bool = False,
 ) -> CentralValueSet:
     """Central value set by the smoothed approximate functional equation.
 
     Both sums run to the first n with pi n^2 / q >= ``tail_cut``; beyond
     that the incomplete-gamma weights are below 1e-16 and the tail is
-    dropped.  Four batch transforms in total (two sums times two
-    parities); the chi-bar sum is read off by the label flip a -> m - a.
-    Valid in a small disc around the central point.
+    dropped.  One batch transform per sum, the parity-0 and parity-1
+    weights riding as one pair; at s = 1/2 the two sums coincide and one
+    transform serves both.  The chi-bar sum is read off by the label flip
+    a -> m - a, and the root numbers come from the table.  Valid in a
+    small disc around the central point.
     """
     s = complex(s)
     if abs(s - 0.5) > 0.1:
         raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
-    values = _afe_values(table, s, tail_cut, method)
+    values = _afe_values(table, s, tail_cut)
     stats = None
     if residuals:
-        dual = None if abs(s - 0.5) <= 1e-12 else _afe_values(table, 1.0 - s, tail_cut, method)
+        dual = None if abs(s - 0.5) <= 1e-12 else _afe_values(table, 1.0 - s, tail_cut)
         stats = fe_residual_stats(table, s, values, dual)
     return CentralValueSet(q=table.q, s=s, values=values, method="afe", residual_stats=stats)
 

@@ -214,10 +214,10 @@ class DirichletPolynomial:
         values = table.chi_values(a, self.support)
         return complex(np.sum(self.coeff * values / np.sqrt(self.support.astype(np.float64))))
 
-    def evaluate_all(self, table: CharacterTable, method: str = "auto") -> np.ndarray:
+    def evaluate_all(self, table: CharacterTable) -> np.ndarray:
         """The same sum for every label at once (batch transform)."""
         w = self.coeff / np.sqrt(self.support.astype(np.float64))
-        return batch_character_sums(table, self.support, w, method=method)
+        return batch_character_sums(table, self.support, w)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -358,15 +358,13 @@ def prime_sum_S(table: CharacterTable, a: int, params: MollifierParams, weights=
     return complex(np.sum(w * values / np.sqrt(primes.astype(np.float64))))
 
 
-def prime_sums_all(
-    table: CharacterTable, params: MollifierParams, weights=None, method: str = "auto"
-) -> np.ndarray:
+def prime_sums_all(table: CharacterTable, params: MollifierParams, weights=None) -> np.ndarray:
     """The same prime sum for every character label (batch transform)."""
     primes = params.intervals[0].primes
     if len(primes) == 0:
         return np.zeros(table.m, dtype=np.complex128)
     w = _resolve_weights(primes, weights)
-    return batch_character_sums(table, primes, w / np.sqrt(primes.astype(np.float64)), method=method)
+    return batch_character_sums(table, primes, w / np.sqrt(primes.astype(np.float64)))
 
 
 def weight_W(table: CharacterTable, a: int, l_values, mol: DirichletPolynomial) -> complex:
@@ -380,12 +378,10 @@ def weight_W(table: CharacterTable, a: int, l_values, mol: DirichletPolynomial) 
     return complex(values[a]) * mol.evaluate(table, a)
 
 
-def weights_all(
-    table: CharacterTable, l_values, mol: DirichletPolynomial, method: str = "auto"
-) -> np.ndarray:
+def weights_all(table: CharacterTable, l_values, mol: DirichletPolynomial) -> np.ndarray:
     """W(chi) for every label; the principal slot is set to 0."""
     values = np.asarray(getattr(l_values, "values", l_values), dtype=np.complex128)
-    out = values * mol.evaluate_all(table, method=method)
+    out = values * mol.evaluate_all(table)
     out[0] = 0.0
     return out
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molliclt.arith import primes_up_to
 from molliclt.characters import (
     batch_character_sums,
     build_table,
@@ -19,6 +20,28 @@ from molliclt.characters import (
     root_numbers,
     roots_of_unity,
 )
+
+
+def naive_character_sums(table, support, coeffs):
+    """Reference transform: the O(m * nnz) product of exact root phases."""
+    residues = np.asarray(support, dtype=np.int64) % table.q
+    keep = residues != 0
+    logs = table.index[residues[keep]]
+    labels = np.arange(table.m, dtype=np.int64)
+    phases = table.roots[(labels[:, None] * logs[None, :]) % table.m]
+    return phases @ np.asarray(coeffs, dtype=np.complex128)[keep]
+
+
+def loop_table(q, g):
+    """Reference discrete-log and power tables, one multiplication per step."""
+    index = np.full(q, -1, dtype=np.int64)
+    power = np.empty(q - 1, dtype=np.int64)
+    value = 1
+    for i in range(q - 1):
+        index[value] = i
+        power[i] = value
+        value = value * g % q
+    return index, power
 
 
 def test_primitive_root_anchors():
@@ -37,6 +60,14 @@ def test_index_power_inverse(table101):
     for n in range(1, t.q):
         assert t.power[t.index[n]] == n
     assert t.index[0] == -1
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 1009, 10007])
+def test_blocked_tables_match_loop(q):
+    t = build_table(q)
+    index, power = loop_table(q, t.g)
+    assert np.array_equal(t.index, index)
+    assert np.array_equal(t.power, power)
 
 
 def test_roots_of_unity_closure():
@@ -130,14 +161,62 @@ def test_gauss_sums_all_matches_singletons(table101):
         assert abs(batch[a] - gauss_sum(t, a)) < 1e-11
 
 
-def test_batch_sums_direct_vs_bluestein(table1009):
+def test_batch_sums_fft_vs_naive(table1009):
     t = table1009
     rng = np.random.default_rng(3)
     support = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29], dtype=np.int64)
     coeffs = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-    a = batch_character_sums(t, support, coeffs, method="direct")
-    b = batch_character_sums(t, support, coeffs, method="bluestein")
-    assert np.max(np.abs(a - b)) < 1e-10
+    got = batch_character_sums(t, support, coeffs)
+    assert np.max(np.abs(got - naive_character_sums(t, support, coeffs))) < 1e-10
+
+
+def test_batch_sums_parity_pair(table1009):
+    """Even labels see the first coefficient vector, odd labels the second."""
+    t = table1009
+    rng = np.random.default_rng(5)
+    support = rng.integers(1, 3 * t.q, 40)
+    c0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    c1 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    got = batch_character_sums(t, support, c0, c1)
+    assert np.max(np.abs(got[0::2] - naive_character_sums(t, support, c0)[0::2])) < 1e-10
+    assert np.max(np.abs(got[1::2] - naive_character_sums(t, support, c1)[1::2])) < 1e-10
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_batch_sums_smallest_moduli(q):
+    t = build_table(q)
+    support = np.array([1, 2, q - 1, q, q + 1, 3 * q + 2], dtype=np.int64)
+    coeffs = np.array([1.0, -2.0j, 0.5, 9.0, 1 + 1j, -3.0])
+    got = batch_character_sums(t, support, coeffs)
+    assert got.shape == (q - 1,)
+    assert np.max(np.abs(got - naive_character_sums(t, support, coeffs))) < 1e-12
+
+
+def test_batch_sums_empty_support(table101):
+    empty = np.array([], dtype=np.int64)
+    got = batch_character_sums(table101, empty, np.array([], dtype=np.complex128))
+    assert got.shape == (table101.m,)
+    assert not np.any(got)
+
+
+@st.composite
+def transform_cases(draw):
+    q = draw(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
+    support = draw(st.lists(st.integers(min_value=0, max_value=4 * q), min_size=0, max_size=30))
+    support += [q * k for k in draw(st.lists(st.integers(0, 3), max_size=3))]
+    parts = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    coeffs = [complex(draw(parts), draw(parts)) for _ in support]
+    return q, np.array(support, dtype=np.int64), np.array(coeffs, dtype=np.complex128)
+
+
+@given(transform_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_batch_sums_property_fft_vs_naive(case):
+    q, support, coeffs = case
+    t = build_table(q)
+    got = batch_character_sums(t, support, coeffs)
+    bound = 1e-10 * (1.0 + np.sum(np.abs(coeffs)))
+    assert np.max(np.abs(got - naive_character_sums(t, support, coeffs))) <= bound
 
 
 def test_batch_sums_match_naive(table101):
@@ -159,14 +238,11 @@ def test_batch_sums_drop_multiples_of_q(table101):
     assert np.max(np.abs(batch - only2)) < 1e-12
 
 
-def test_batch_sums_unknown_method(table101):
-    with pytest.raises(ValueError):
-        batch_character_sums(table101, np.array([2]), np.array([1.0]), method="fft")
-
-
 def test_root_numbers_unimodular(table101):
     eps = root_numbers(table101)
     assert np.max(np.abs(np.abs(eps[1:]) - 1.0)) < 1e-12
+    assert root_numbers(table101) is eps
+    assert not eps.flags.writeable
 
 
 def test_root_number_quadratic_q5_is_plus_one():

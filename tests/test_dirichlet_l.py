@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from molliclt import characters
 from molliclt.characters import build_table
 from molliclt.dirichlet_l import (
     CentralValueSet,
@@ -20,6 +21,8 @@ from molliclt.dirichlet_l import (
     twisted_second_moment_empirical,
     zeta,
 )
+from molliclt.mollifier import params_desk
+from molliclt.stats import clt_experiment
 
 
 def test_hurwitz_zeta_classical_anchors():
@@ -77,6 +80,30 @@ def test_afe_singleton_matches_batch(table101):
     batch = l_values_afe(table101, 0.5)
     for a in (1, 2, 50, 99):
         assert abs(afe_l_value(table101, a, 0.5) - batch.values[a]) < 1e-10
+
+
+def test_root_numbers_computed_once_per_table(monkeypatch):
+    """The AFE, the residuals and the CLT pipeline share one Gauss-sum transform."""
+    calls = []
+    real = characters.gauss_sums_all
+
+    def counted(table):
+        calls.append(table.q)
+        return real(table)
+
+    monkeypatch.setattr(characters, "gauss_sums_all", counted)
+    t = build_table.__wrapped__(1009)  # a fresh table, outside the build cache
+    vals = l_values_afe(t, 0.5)
+    stats = fe_residual_stats(t, 0.5, vals.values)
+    clt_experiment(t, params_desk(1009, [0.5], c0=1.0))
+    assert calls == [1009]
+    assert stats["max"] < 1e-8
+    assert not characters.root_numbers(t).flags.writeable
+
+    oracle = l_values_oracle(t, 0.5)
+    assert np.max(np.abs(vals.values[1:] - oracle.values[1:])) < 1e-8
+    for a in (1, 2, 503, 1007):
+        assert abs(afe_l_value(t, a, 0.5) - vals.values[a]) < 1e-10
 
 
 def test_central_values_nonzero_at_desk_scale(table101):
