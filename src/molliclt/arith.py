@@ -2,8 +2,8 @@
 multiplicative weights used throughout the mollifier machinery.
 
 Everything here is exact.  Weights that are rational numbers are returned
-as :class:`fractions.Fraction`; callers that want floats convert at the
-call site.
+as :class:`fractions.Fraction`, or for a whole smooth support as exact
+integer denominators beside correctly rounded floats.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "FactoredInteger",
+    "FactoredSupport",
     "PrimeInterval",
     "primes_up_to",
     "sieve_primes",
@@ -51,10 +52,6 @@ class FactoredInteger:
     @property
     def big_omega(self) -> int:
         return sum(self.exponents)
-
-    @property
-    def little_omega(self) -> int:
-        return len(self.primes)
 
     def divisors(self) -> list[int]:
         """All positive divisors, in increasing order."""
@@ -347,19 +344,69 @@ def _nu_k_ell_rec(key: tuple[tuple[int, int], ...], k: int, ell: int) -> Fractio
     return total
 
 
+@dataclass(frozen=True)
+class FactoredSupport:
+    """Ascending smooth integers with their exponent vectors.
+
+    Row i of ``exponents`` is the exponent vector of ``values[i]`` over
+    ``primes``.  Multiplicative functions are products over the nonzero
+    entries of that matrix, so no element is ever factorized again.
+    """
+
+    primes: np.ndarray  # int64, ascending
+    values: np.ndarray  # int64, ascending
+    exponents: np.ndarray  # uint8, shape (len(values), len(primes))
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.exponents.sum(axis=1, dtype=np.int64)
+
+    @property
+    def liouville(self) -> np.ndarray:
+        return 1 - 2 * (self.omega & 1)
+
+    @property
+    def max_exponent(self) -> int:
+        return int(self.exponents.max(initial=0))
+
+    def multiplicative(self, local: np.ndarray) -> np.ndarray:
+        """prod over p^e || n of local[i, e], p = primes[i], for every element n.
+
+        ``local`` broadcasts to (len(primes), max_exponent + 1).  An
+        element's factors multiply in ascending prime order, from 1.
+        """
+        rows, cols = np.nonzero(self.exponents)
+        table = np.broadcast_to(local, (len(self.primes), self.max_exponent + 1))
+        out = np.ones(len(self.values), dtype=table.dtype)
+        np.multiply.at(out, rows, table[cols, self.exponents[rows, cols]])
+        return out
+
+    @property
+    def nu_denominators(self) -> np.ndarray:
+        """prod of e! over p^e || n as Python ints, so nu(n) = 1 / this."""
+        factorials = [math.factorial(e) for e in range(self.max_exponent + 1)]
+        return self.multiplicative(np.array([factorials], dtype=object))
+
+    @property
+    def nu(self) -> np.ndarray:
+        """:func:`nu` as correctly rounded floats."""
+        return (1 / self.nu_denominators).astype(np.float64)
+
+
 def smooth_integers(
     interval: PrimeInterval | np.ndarray | list[int],
     ell: int | None,
     cap: float,
     max_count: int = 2_000_000,
-) -> list[tuple[int, int]]:
+) -> FactoredSupport:
     """Integers ``n <= cap`` whose prime factors all lie in the interval.
 
-    Returns ``(n, Omega(n))`` pairs in ascending order of n, starting
-    with ``(1, 0)``.  ``ell`` caps Omega(n) (``None`` for no cap);
-    ``cap`` may be ``math.inf`` when the Omega cap alone bounds the
-    search.  Depth-first over the prime list, so nothing in ``[1, cap]``
-    is ever scanned.  Enumerations larger than ``max_count`` raise
+    Returns them ascending, starting with 1, with the exponent vector of
+    each over the interval's primes (see :class:`FactoredSupport`).
+    ``ell`` caps Omega(n) (``None`` for no cap); ``cap`` may be
+    ``math.inf`` when the Omega cap alone bounds the search.
+    Depth-first over the prime list, so nothing in ``[1, cap]`` is ever
+    scanned.  Enumerations larger than ``max_count`` raise
     :class:`RuntimeError`.
     """
     if cap < 1:
@@ -368,11 +415,14 @@ def smooth_integers(
         raise ValueError("need a finite cap or an Omega cap to terminate")
     primes = interval.primes if isinstance(interval, PrimeInterval) else interval
     plist = sorted(int(p) for p in np.asarray(primes, dtype=np.int64))
-    out: list[tuple[int, int]] = []
+    exps = bytearray(len(plist))
+    values: list[int] = []
+    rows = bytearray()  # the exponent vectors, one after another
 
     def dfs(idx: int, value: int, omega: int) -> None:
-        out.append((value, omega))
-        if len(out) > max_count:
+        values.append(value)
+        rows.extend(exps)
+        if len(values) > max_count:
             raise RuntimeError(
                 f"smooth enumeration exceeded {max_count} values below {cap}"
             )
@@ -382,8 +432,12 @@ def smooth_integers(
             p = plist[j]
             if value * p > cap:
                 break
+            exps[j] += 1
             dfs(j, value * p, omega + 1)
+            exps[j] -= 1
 
     dfs(0, 1, 0)
-    out.sort()
-    return out
+    ints = np.array(values, dtype=np.int64)
+    order = np.argsort(ints)
+    matrix = np.frombuffer(rows, dtype=np.uint8).reshape(len(values), len(plist))
+    return FactoredSupport(np.array(plist, dtype=np.int64), ints[order], matrix[order])

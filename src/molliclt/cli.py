@@ -71,7 +71,6 @@ class RunConfig:
     seed: int = 1
     mc_samples: int = 2000
     out: str = "."
-    threads: int = 1
 
     def validate(self) -> None:
         if self.q is None:
@@ -84,8 +83,6 @@ class RunConfig:
             raise ValueError("desk mode needs at least one theta value")
         if self.mc_samples < 100:
             raise ValueError("mc_samples must be at least 100")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
     def mollifier_params(self) -> MollifierParams:
         if self.mode == "paper":
@@ -136,7 +133,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, float(val))
             elif key == "theta":
                 cfg.theta = _theta_tuple(val)
-            elif key in ("seed", "mc_samples", "threads"):
+            elif key in ("seed", "mc_samples"):
                 setattr(cfg, key, int(val))
             elif key == "out":
                 cfg.out = val
@@ -144,7 +141,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key: {key}")
     for name, attr in (
         ("q", "q"), ("mode", "mode"), ("eta", "eta"), ("c0", "c0"),
-        ("seed", "seed"), ("mc", "mc_samples"), ("out", "out"), ("threads", "threads"),
+        ("seed", "seed"), ("mc", "mc_samples"), ("out", "out"),
     ):
         val = getattr(args, name, None)
         if val is not None:
@@ -381,7 +378,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="random-model seed")
     parser.add_argument("--mc", type=int, help="Monte Carlo sample count")
     parser.add_argument("--out", type=str, help="output directory")
-    parser.add_argument("--threads", type=int, help="advisory thread count")
     parser.add_argument("--config", type=str, help="key=value config file")
 
 

@@ -5,10 +5,10 @@ random weight.
 
 The two shipped forms are the discriminant cusp form (weight 12) and
 the weight-16 level-1 form; their integer q-expansions are recomputed
-from scratch at import of the form, by squaring the cube of the Dedekind
-eta q-series under a CRT stack of word-sized prime moduli (direct int64
-convolutions stay exact; the lifted integers do not fit in 64 bits and
-are kept as Python ints).
+from scratch at import of the form, as the eighth power of the sparse
+cube of the Dedekind eta q-series under a CRT stack of word-sized prime
+moduli (int64 products stay exact; the lifted integers do not fit in 64
+bits and are kept as Python ints).
 """
 
 from __future__ import annotations
@@ -80,6 +80,22 @@ def _eta_cube(length: int, mod: int) -> np.ndarray:
     return out
 
 
+def _eta_24(length: int, mod: int) -> np.ndarray:
+    """Series of prod (1 - q^n)^24 mod ``mod`` as (eta^3)^8: seven products
+    by the about sqrt(2 length) Jacobi terms of eta^3, each one adding at
+    most that many int64 products below mod^2 per coefficient.
+    """
+    e3 = _eta_cube(length, mod)
+    shifts = np.flatnonzero(e3)
+    out = e3.copy()
+    for _ in range(7):
+        acc = np.zeros(length, dtype=np.int64)
+        for t in shifts:
+            acc[t:] += e3[t] * out[: length - t]
+        out = acc % mod
+    return out
+
+
 def _sigma3(length: int) -> np.ndarray:
     out = np.zeros(length, dtype=np.int64)
     for d in range(1, length):
@@ -103,12 +119,8 @@ def _integer_coefficients(limit: int) -> dict[str, list[int]]:
     e4_int[1:] = 240 * _sigma3(length)[1:]
     e4_int[0] = 1
     for m in moduli:
-        e3 = _eta_cube(length, m)
-        e6 = np.convolve(e3, e3)[:length] % m
-        e12 = np.convolve(e6, e6)[:length] % m
-        e24 = np.convolve(e12, e12)[:length] % m  # prod (1-q^n)^24
         delta = np.zeros(length + 1, dtype=np.int64)
-        delta[1:] = e24  # leading q factor shifts by one
+        delta[1:] = _eta_24(length, m)  # leading q factor shifts by one
         w16 = np.convolve(e4_int % m, delta)[: length + 1] % m
         residues_delta.append(delta)
         residues_w16.append(w16)
@@ -697,26 +709,16 @@ def expected_weight_euler(
 
     fg_total, gf_total = outer, outer
     for j in range(params.J + 1):
-        members = smooth_integers(params.intervals[j], None, float(d_cap))
-        values = np.array([n for n, _ in members], dtype=np.int64)
-        interval_primes = [int(p) for p in params.intervals[j].primes]
+        support = smooth_integers(params.intervals[j], None, float(d_cap))
+        values = support.values
+        exponents = range(support.max_exponent + 1)
         lam_cache: dict[str, np.ndarray] = {}
         for form in (pair.f, pair.g):
             if form.label not in lam_cache:
-                lam = np.empty(len(values))
-                for i, n in enumerate(values):
-                    acc, m = 1.0, int(n)
-                    for p in interval_primes:
-                        if m == 1:
-                            break
-                        e = 0
-                        while m % p == 0:
-                            m //= p
-                            e += 1
-                        if e:
-                            acc *= lambda_prime_power(form, p, e)
-                    lam[i] = acc
-                lam_cache[form.label] = lam
+                local = [[lambda_prime_power(form, int(p), e) for e in exponents] for p in support.primes]
+                lam_cache[form.label] = support.multiplicative(
+                    np.array(local).reshape(len(support.primes), len(exponents))
+                )
 
         gamma_f = hecke_interval_factor(params, j, pair.f, weight_fn)
         gamma_g = hecke_interval_factor(params, j, pair.g, weight_fn)

@@ -12,6 +12,7 @@ form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeInterval, factorize, liouville, nu, sieve_primes, smooth_integers
+from .arith import PrimeInterval, factorize, sieve_primes, smooth_integers
 from .characters import CharacterTable, batch_character_sums
 
 __all__ = [
@@ -235,11 +236,22 @@ def _from_map(coeffs: Mapping[int, complex], exact: Mapping[int, Fraction] | Non
 
 def _interval_factor_exact(params: MollifierParams, j: int, max_count: int) -> dict[int, Fraction]:
     """lambda(n) nu(n) on the interval-j smooth support, as exact rationals."""
-    out: dict[int, Fraction] = {}
-    for n, omega in smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count):
-        sign = -1 if omega & 1 else 1
-        out[n] = sign * nu(n)
-    return out
+    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count)
+    return {
+        n: Fraction(sign, den)
+        for n, sign, den in zip(support.values.tolist(), support.liouville.tolist(), support.nu_denominators)
+    }
+
+
+def _interval_product(factors: Iterable[Mapping[int, object]], one, max_support: int) -> dict:
+    """Multiply per-interval coefficient maps; the interval primes are
+    disjoint, so every product n1 * n2 is a distinct support element."""
+    acc = {1: one}
+    for factor in factors:
+        if len(acc) * len(factor) > max_support:
+            raise RuntimeError("mollifier support enumeration budget exceeded")
+        acc = {n1 * n2: c1 * c2 for n1, c1 in acc.items() for n2, c2 in factor.items()}
+    return acc
 
 
 def build_dirichlet_mollifier(params: MollifierParams, max_support: int = _SUPPORT_CAP) -> DirichletPolynomial:
@@ -250,20 +262,9 @@ def build_dirichlet_mollifier(params: MollifierParams, max_support: int = _SUPPO
     coefficient of n is the product of the factors' coefficients, exact
     rationals throughout.  Raises when the support budget is hit.
     """
-    acc: dict[int, Fraction] = {1: Fraction(1)}
-    for j in range(params.J + 1):
-        factor = _interval_factor_exact(params, j, max_support)
-        if len(acc) * len(factor) > 20 * max_support:
-            raise RuntimeError("mollifier support enumeration budget exceeded")
-        nxt: dict[int, Fraction] = {}
-        for n1, c1 in acc.items():
-            for n2, c2 in factor.items():
-                nxt[n1 * n2] = c1 * c2  # products unique: interval primes disjoint
-        if len(nxt) > max_support:
-            raise RuntimeError("mollifier support enumeration budget exceeded")
-        acc = nxt
-    floats = {n: complex(c) for n, c in acc.items()}
-    return _from_map(floats, acc)
+    factors = (_interval_factor_exact(params, j, max_support) for j in range(params.J + 1))
+    acc = _interval_product(factors, Fraction(1), max_support)
+    return _from_map({n: complex(c) for n, c in acc.items()}, acc)
 
 
 def dirichlet_interval_piece(
@@ -298,16 +299,12 @@ def hecke_interval_factor(
     """
     if weight_fn is None:
         weight_fn = lambda p: w_weight(p, params.J, params)
-    a_p = {int(p): form.lambda_p(int(p)) * weight_fn(int(p)) for p in params.intervals[j].primes}
-    factor: dict[int, float] = {}
-    for n, omega in smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count):
-        f = factorize(n)
-        a_val = 1.0
-        for p, e in zip(f.primes, f.exponents):
-            a_val *= a_p[p] ** e
-        sign = -1 if omega & 1 else 1
-        factor[n] = sign * a_val * float(nu(n))
-    return factor
+    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count)
+    a_p = [form.lambda_p(int(p)) * weight_fn(int(p)) for p in support.primes]
+    exponents = range(support.max_exponent + 1)
+    powers = np.array([[a ** e for e in exponents] for a in a_p]).reshape(len(a_p), len(exponents))
+    coeff = support.liouville * support.multiplicative(powers) * support.nu
+    return dict(zip(support.values.tolist(), coeff.tolist()))
 
 
 def build_hecke_mollifier(
@@ -317,19 +314,8 @@ def build_hecke_mollifier(
     weight_fn: Callable[[int], float] | None = None,
 ) -> DirichletPolynomial:
     """Product over intervals of the Hecke-weighted pieces (float coefficients)."""
-    acc: dict[int, complex] = {1: 1.0 + 0.0j}
-    for j in range(params.J + 1):
-        factor = hecke_interval_factor(params, j, form, weight_fn, max_support)
-        if len(acc) * len(factor) > 20 * max_support:
-            raise RuntimeError("mollifier support enumeration budget exceeded")
-        nxt: dict[int, complex] = {}
-        for n1, c1 in acc.items():
-            for n2, c2 in factor.items():
-                nxt[n1 * n2] = c1 * c2  # products unique: interval primes disjoint
-        if len(nxt) > max_support:
-            raise RuntimeError("mollifier support enumeration budget exceeded")
-        acc = nxt
-    return _from_map(acc, None)
+    factors = (hecke_interval_factor(params, j, form, weight_fn, max_support) for j in range(params.J + 1))
+    return _from_map(_interval_product(factors, 1.0 + 0.0j, max_support), None)
 
 
 def _resolve_weights(primes: np.ndarray, weights) -> np.ndarray:
@@ -392,38 +378,38 @@ def _pair_budget_check(n: int) -> None:
 
 
 def _m_direct(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
-    """Coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd."""
+    """Coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd.
+
+    Each term is [gamma(A) A^(-1-a)] [gamma(B) B^(-1-b)] h^(1+a+b); the
+    h-power array is symmetric, so each row is computed from the diagonal
+    on and copied into the matching column.
+    """
     _pair_budget_check(len(support))
     s = support.astype(np.int64)
-    g = np.gcd.outer(s, s).astype(np.float64)
-    a_over = s.astype(np.float64)[:, None] / g  # m = A/h
-    b_over = s.astype(np.float64)[None, :] / g  # n = B/h
-    terms = (
-        gamma[:, None]
-        * gamma[None, :]
-        * np.exp(-(1.0 + alpha) * np.log(a_over) - (1.0 + beta) * np.log(b_over))
-        / g
-    )
-    return complex(terms.sum())
+    log_s = np.log(s.astype(np.float64))
+    x = gamma * np.exp((-1.0 - alpha) * log_s)
+    y = gamma * np.exp((-1.0 - beta) * log_s)
+    h_pow = np.empty((len(s), len(s)), dtype=np.complex128)
+    for i in range(len(s)):
+        h_pow[i, i:] = h_pow[i:, i] = np.exp((1.0 + alpha + beta) * np.log(np.gcd(s[i], s[i:]).astype(np.float64)))
+    return complex(x @ h_pow @ y)
 
 
 def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
     """Quadruple sum over (h, d, m, n), regrouped by v = hd.
 
     sum_{hd=v} mu(d)/(h d^(2+a+b)) = (1/v) sum_{d|v} mu(d) d^(-1-a-b),
-    and the m- and n-sums factor per v.  The support is divisor-closed,
-    so v ranges over the support itself.
+    where the squarefree d are the products of subsets of the primes of
+    v, and the m- and n-sums factor per v.  The support is
+    divisor-closed, so v ranges over the support itself.
     """
     total = 0.0j
     for v in (int(t) for t in support):
-        f = factorize(v)
+        primes = factorize(v).primes
         c_v = 0.0j
-        for d in f.divisors():
-            fd = factorize(d)
-            if any(e > 1 for e in fd.exponents):
-                continue
-            mu = -1 if len(fd.primes) & 1 else 1
-            c_v += mu * d ** complex(-1.0 - alpha - beta)
+        for r in range(len(primes) + 1):
+            for subset in itertools.combinations(primes, r):
+                c_v += (-1) ** r * math.prod(subset) ** complex(-1.0 - alpha - beta)
         c_v /= v
         # divisor-closed support: every multiple of v carrying a nonzero
         # coefficient is itself a support element, so scan the support
@@ -456,46 +442,28 @@ def m_alpha_beta_general(
 
 
 def _m_euler_interval(params: MollifierParams, j: int, alpha: complex, beta: complex) -> complex:
-    """One interval's factor: the (h, d, m, n) sum with Omega caps on hdm, hdn."""
-    members = smooth_integers(params.intervals[j], params.ell[j], math.inf)
-    values = [n for n, _ in members]
-    if len(values) ** 2 > 40_000_000:
-        raise RuntimeError(f"interval {j} support of {len(values)} is too large for the quadruple sum")
-    multiples: dict[int, list[int]] = {n: [] for n in values}
-    for base in values:
-        for v in values:
-            if v % base == 0:
-                multiples[base].append(v // base)
-    # gamma(hdm) gamma(hdn) = lambda(m) nu(hdm) lambda(n) nu(hdn): the
-    # lambda(h) lambda(d) factors square away between the two sides.
-    total = 0.0j
-    for u in values:  # u = h*d*m
-        fu = factorize(u)
-        nu_u = float(nu(u))
-        for d in fu.divisors():
-            fd = factorize(d)
-            if any(e > 1 for e in fd.exponents):
-                continue
-            mu = -1 if len(fd.primes) & 1 else 1
-            for h in factorize(u // d).divisors():
-                hd = h * d
-                m = u // hd
-                pref = (
-                    mu
-                    * liouville(m)
-                    * nu_u
-                    / h
-                    * d ** complex(-2.0 - alpha - beta)
-                    * m ** complex(-1.0 - alpha)
-                )
-                for n in multiples[hd]:
-                    total += (
-                        pref
-                        * liouville(n)
-                        * float(nu(hd * n))
-                        * n ** complex(-1.0 - beta)
-                    )
-    return complex(total)
+    """One interval's factor: the (h, d, m, n) sum with Omega caps on hdm, hdn.
+
+    gamma(hdm) gamma(hdn) = lambda(m) nu(hdm) lambda(n) nu(hdn): the
+    lambda(h) lambda(d) factors square away between the two sides.
+    Grouped by v = hd, the (h, d) sum  sum_{hd=v} mu(d) / (h d^(2+a+b))
+    is multiplicative, p^-e (1 - p^(-1-a-b)) at p^e, so it is a product
+    over the exponent matrix; the m- and n-sums run over the pairs
+    (v, vm) of the support's divisibility relation.
+    """
+    support = smooth_integers(params.intervals[j], params.ell[j], math.inf)
+    values = support.values
+    _pair_budget_check(len(values))
+    v_idx, k_idx = np.nonzero(values[None, :] % values[:, None] == 0)  # values[v_idx] | values[k_idx]
+    log_m = np.log((values[k_idx] // values[v_idx]).astype(np.float64))
+    lam = support.liouville
+    g = lam[v_idx] * lam[k_idx] * support.nu[k_idx]  # lambda(m) nu(vm)
+    starts = np.searchsorted(v_idx, np.arange(len(values)))  # v | v: no row is empty
+    s_alpha = np.add.reduceat(g * np.exp((-1.0 - alpha) * log_m), starts)
+    s_beta = np.add.reduceat(g * np.exp((-1.0 - beta) * log_m), starts)
+    c_p = 1.0 - support.primes.astype(np.float64) ** complex(-1.0 - alpha - beta)
+    c_v = support.multiplicative(c_p[:, None]) / values
+    return complex(np.sum(c_v * s_alpha * s_beta))
 
 
 def m_alpha_beta(params: MollifierParams, alpha: complex, beta: complex, variant: str = "direct") -> complex:

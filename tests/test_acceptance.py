@@ -224,7 +224,7 @@ def test_criterion_09_truncated_exponential_apparatus():
     for k in range(1, 5):
         left = sum(weights.values()) ** k / math.factorial(k)
         right = Fraction(0)
-        for n, omega in members:
+        for n, omega in zip(members.values.tolist(), members.omega.tolist()):
             if omega != k:
                 continue
             fact = factorize(n)

@@ -1,6 +1,7 @@
 """Integer machinery: sieves, factorization, the nu weight family, smooth supports."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,18 +165,18 @@ def test_nu_k_ell_validates():
 
 def test_smooth_integers_omega_capped():
     members = smooth_integers(sieve_primes(1, 10), 2, math.inf)
-    values = [n for n, _ in members]
+    values = members.values.tolist()
     assert values == [1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 25, 35, 49]
-    assert all(om == big_omega(n) for n, om in members)
+    assert all(om == big_omega(n) for n, om in zip(values, members.omega.tolist()))
 
 
 def test_smooth_integers_value_capped():
     members = smooth_integers(sieve_primes(1, 10), None, 10)
-    assert [n for n, _ in members] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert members.values.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 
 
 def test_smooth_integers_support_is_divisor_closed():
-    values = {n for n, _ in smooth_integers(sieve_primes(1, 14), 3, math.inf)}
+    values = set(smooth_integers(sieve_primes(1, 14), 3, math.inf).values.tolist())
     for n in values:
         for d in factorize(n).divisors():
             assert d in values
@@ -190,9 +191,43 @@ def test_smooth_integers_guards():
         smooth_integers(sieve_primes(1, 100), None, 10**6, max_count=100)
 
 
+def _factored_support_cases():
+    from molliclt.mollifier import params_desk
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        configs = [params_desk(10007, theta, c0=1.0) for theta in ([0.25], [0.5], [0.2, 0.3])]
+    cases = [(iv, ell) for params in configs for iv, ell in zip(params.intervals, params.ell)]
+    return cases + [(sieve_primes(1, 1000), 2)]
+
+
+@pytest.mark.parametrize(
+    "interval, ell",
+    _factored_support_cases(),
+    ids=["desk_quarter", "desk_half", "two_interval_0", "two_interval_1", "primes_to_1000"],
+)
+def test_factored_support_matches_arith_oracles(interval, ell):
+    support = smooth_integers(interval, ell, math.inf)
+    assert support.exponents.dtype == np.uint8
+    assert list(support.primes) == list(interval.primes)
+    rebuilt = np.prod(support.primes ** support.exponents.astype(np.int64), axis=1)
+    assert np.array_equal(rebuilt, support.values)
+    values = support.values.tolist()
+    assert values == sorted(set(values)) and values[0] == 1
+    assert support.omega.tolist() == [big_omega(n) for n in values]
+    assert max(support.omega) <= ell
+    assert support.liouville.tolist() == [liouville(n) for n in values]
+    exact = [Fraction(1, d) for d in support.nu_denominators]
+    assert exact == [nu(n) for n in values]
+    assert support.nu.tolist() == [float(x) for x in exact]
+    members = set(values)
+    for n in values:
+        assert all(d in members for d in factorize(n).divisors())
+
+
 def test_prime_interval_accepts_plain_list():
     members = smooth_integers([2, 5], 2, math.inf)
-    assert [n for n, _ in members] == [1, 2, 4, 5, 10, 25]
+    assert members.values.tolist() == [1, 2, 4, 5, 10, 25]
 
 
 def test_prime_interval_attributes():

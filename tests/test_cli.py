@@ -78,8 +78,6 @@ def test_validate_guards():
         RunConfig(q=101, theta=()).validate()
     with pytest.raises(ValueError, match="mc_samples"):
         RunConfig(q=101, mc_samples=10).validate()
-    with pytest.raises(ValueError, match="threads"):
-        RunConfig(q=101, threads=0).validate()
 
 
 def test_digest_tracks_every_field():

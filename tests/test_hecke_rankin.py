@@ -27,7 +27,7 @@ from molliclt.hecke_rankin import (
     weight16_form,
     write_eigenvalue_csv,
 )
-from molliclt.hecke_rankin import _cutoff_eval, _integer_coefficients
+from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _integer_coefficients
 from molliclt.mollifier import params_desk, w_weight
 from molliclt.random_model import sample
 
@@ -57,6 +57,17 @@ def test_ramanujan_tau_anchors():
     assert tau[5] == 4830
     assert tau[6] == -6048
     assert tau[7] == -16744
+
+
+def test_eta_24_sparse_products_match_dense_squarings():
+    """(eta^3)^8 by sparse shift-and-add equals three dense squarings, per CRT modulus."""
+    length = 600
+    for m in _crt_moduli():
+        e3 = _eta_cube(length, m)
+        e6 = np.convolve(e3, e3)[:length] % m
+        e12 = np.convolve(e6, e6)[:length] % m
+        e24 = np.convolve(e12, e12)[:length] % m
+        assert np.array_equal(_eta_24(length, m), e24)
 
 
 def test_tau_multiplicative():

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from molliclt.arith import big_omega, factorize, nu, sieve_primes, smooth_integers
+from molliclt.arith import PrimeInterval, big_omega, factorize, nu, primes_up_to, sieve_primes, smooth_integers
 from molliclt.characters import chi
 from molliclt.dirichlet_l import l_values_afe
 from molliclt.mollifier import (
@@ -151,7 +153,8 @@ def test_exact_coefficients_match_brute_force_convolution():
     maps = []
     for j in range(p.J + 1):
         piece: dict[int, Fraction] = {}
-        for n, om in smooth_integers(p.intervals[j], p.ell[j], math.inf):
+        support = smooth_integers(p.intervals[j], p.ell[j], math.inf)
+        for n, om in zip(support.values.tolist(), support.omega.tolist()):
             piece[n] = Fraction(-1 if om & 1 else 1) * nu(n)
         maps.append(piece)
     brute: dict[int, Fraction] = {1: Fraction(1)}
@@ -216,6 +219,33 @@ def test_m_alpha_beta_variants_agree_multi_interval():
     ref = vals["direct"]
     for v, x in vals.items():
         assert abs(x - ref) <= 1e-12 * abs(ref), v
+
+
+@st.composite
+def interval_configs(draw):
+    """Random primes <= 60 split into one or two intervals, caps 2..4, small complex shifts."""
+    chosen = sorted(draw(st.sets(st.sampled_from(primes_up_to(60).tolist()), min_size=1, max_size=6)))
+    cut = draw(st.integers(1, len(chosen)))
+    groups = [chosen[:cut], chosen[cut:]] if cut < len(chosen) else [chosen]
+    ell = tuple(draw(st.integers(2, 4)) for _ in groups)
+    intervals = tuple(PrimeInterval(g[0] - 0.5, g[-1], np.array(g, dtype=np.int64)) for g in groups)
+    theta = tuple(0.1 * (j + 1) for j in range(len(groups)))
+    params = MollifierParams(
+        q=10007, mode="desk", eta=None, c0=1.0, J=len(groups) - 1, theta=theta, ell=ell,
+        y=float(groups[0][-1]), x=float(groups[-1][-1]), intervals=intervals,
+    )
+    shift = st.complex_numbers(max_magnitude=0.05, allow_nan=False, allow_infinity=False)
+    return params, draw(shift), draw(shift)
+
+
+@given(interval_configs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_m_alpha_beta_routes_agree_property(case):
+    params, alpha, beta = case
+    direct = m_alpha_beta(params, alpha, beta, "direct")
+    for variant in ("moebius", "euler"):
+        got = m_alpha_beta(params, alpha, beta, variant)
+        assert abs(got - direct) <= 1e-12 * abs(direct), variant
 
 
 def test_m_alpha_beta_general_hand_case():

@@ -196,7 +196,8 @@ def test_power_identity_prime_sum_vs_smooth_enumeration():
     for ell in (1, 2, 3, 4):
         lhs = sum(c.values()) ** ell
         rhs = Fraction(0)
-        for n, om in smooth_integers(list(c), ell, math.inf):
+        support = smooth_integers(list(c), ell, math.inf)
+        for n, om in zip(support.values.tolist(), support.omega.tolist()):
             if om != ell:
                 continue
             term = nu(n)
