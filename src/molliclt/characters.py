@@ -15,7 +15,8 @@ coefficient sum against every character at once: after reindexing
 n = g^k it is one length-(q-1) discrete Fourier transform over the
 character group.  Since ind(-1) = (q-1)/2, that transform splits into
 two numpy FFTs of half length, one per parity class, and each parity
-class may carry its own coefficients.
+class may carry its own coefficients.  :func:`real_sum_pair` packs two
+real-coefficient sums into one transform as x + iy.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ __all__ = [
     "build_table",
     "primitive_root",
     "roots_of_unity",
-    "chi",
-    "parity",
     "batch_character_sums",
+    "real_sum_pair",
     "gauss_sum",
     "gauss_sums_all",
     "root_numbers",
@@ -140,19 +140,6 @@ def build_table(q: int) -> CharacterTable:
     return CharacterTable(q, g, index, power, roots_of_unity(m))
 
 
-def chi(table: CharacterTable, a: int, n: int) -> complex:
-    """chi_a(n); 0 when q divides n, 1 on the principal character otherwise."""
-    return table.chi(a, n)
-
-
-def parity(table: CharacterTable, a: int) -> str:
-    """``"even"`` when chi_a(-1) = +1, else ``"odd"``.
-
-    Since ind(-1) = (q-1)/2, the sign is exactly (-1)^a.
-    """
-    return "odd" if a & 1 else "even"
-
-
 def roots_of_unity(m: int) -> np.ndarray:
     """e(k/m) for k = 0..m-1.
 
@@ -186,6 +173,22 @@ def _fold_support(table: CharacterTable, support: np.ndarray, coeffs: np.ndarray
     return z
 
 
+def _parity_split_transform(table: CharacterTable, z: np.ndarray, z_odd: np.ndarray) -> np.ndarray:
+    """S[a] = sum_k z[k] e(a k / m) on even labels, the same with z_odd on odd ones.
+
+    Because e(a (k + h) / m) = (-1)^a e(a k / m) for h = m / 2, the even
+    labels need only the half-length transform of z[:h] + z[h:], and the
+    odd labels that of (z_odd[:h] - z_odd[h:]) e(k / m): two numpy FFTs
+    of length h in all.
+    """
+    h = table.m // 2
+    out = np.empty(table.m, dtype=np.complex128)
+    # norm="forward" leaves the inverse transform unscaled: a plain sum of e(+bk/h) terms
+    out[0::2] = np.fft.ifft(z[:h] + z[h:], norm="forward")
+    out[1::2] = np.fft.ifft((z_odd[:h] - z_odd[h:]) * table.roots[:h], norm="forward")
+    return out
+
+
 def batch_character_sums(
     table: CharacterTable,
     support: np.ndarray,
@@ -199,20 +202,48 @@ def batch_character_sums(
     contribute nothing (chi vanishes there).
 
     With z the coefficients folded onto log classes, S[a] is the DFT
-    sum_k z[k] e(a k / m), m = q - 1.  Because e(a (k + h) / m) =
-    (-1)^a e(a k / m) for h = m / 2, the even labels need only the
-    half-length transform of z[:h] + z[h:], and the odd labels that of
-    (z[:h] - z[h:]) e(k / m): two numpy FFTs of length h in all.
+    sum_k z[k] e(a k / m), m = q - 1, evaluated by the parity-split
+    transform.
     """
-    m = table.m
-    h = m // 2
     z = _fold_support(table, support, coeffs)
     z_odd = z if odd_coeffs is None else _fold_support(table, support, odd_coeffs)
-    out = np.empty(m, dtype=np.complex128)
-    # norm="forward" leaves the inverse transform unscaled: a plain sum of e(+bk/h) terms
-    out[0::2] = np.fft.ifft(z[:h] + z[h:], norm="forward")
-    out[1::2] = np.fft.ifft((z_odd[:h] - z_odd[h:]) * table.roots[:h], norm="forward")
-    return out
+    return _parity_split_transform(table, z, z_odd)
+
+
+def _real_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(coeffs) and np.any(np.imag(coeffs)):
+        raise ValueError("real_sum_pair needs real coefficients")
+    return np.real(coeffs).astype(np.float64)
+
+
+def real_sum_pair(
+    table: CharacterTable,
+    support_x: np.ndarray,
+    coeffs_x: np.ndarray,
+    support_y: np.ndarray,
+    coeffs_y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two real-coefficient batch character sums (S_x, S_y) from one transform.
+
+    T is the batch sum of x + iy over the concatenated supports.  A sum
+    with real coefficients satisfies conj S(a) = S(m - a), because
+    conj chi_a = chi_(m-a), so with M[a] = conj T[m - a] the pair comes
+    back as S_x = (T + M) / 2 and S_y = (T - M) / 2i.
+    """
+    t = batch_character_sums(
+        table,
+        np.concatenate([np.asarray(support_x, dtype=np.int64), np.asarray(support_y, dtype=np.int64)]),
+        np.concatenate([_real_coeffs(coeffs_x), 1j * _real_coeffs(coeffs_y)]),
+    )
+    d = np.empty_like(t)  # M, then (T - M) / 2, then S_y
+    d[0] = t[0]
+    d[1:] = t[:0:-1]
+    np.conjugate(d, out=d)
+    np.subtract(t, d, out=d)
+    d *= 0.5
+    t -= d
+    d *= -1j
+    return t, d
 
 
 def gauss_sum(table: CharacterTable, a: int) -> complex:
@@ -226,13 +257,14 @@ def gauss_sum(table: CharacterTable, a: int) -> complex:
 
 
 def gauss_sums_all(table: CharacterTable) -> np.ndarray:
-    """Gauss sums for every label at once (one batch character sum).
+    """Gauss sums for every label at once (one parity-split transform).
 
-    The principal entry S[0] equals -1 (it is not a primitive Gauss sum).
+    Indexed by log class the Gauss-sum coefficients are already folded:
+    z[k] = e(g^k / q).  The principal entry S[0] equals -1 (it is not a
+    primitive Gauss sum).
     """
-    q = table.q
-    n = np.arange(1, q, dtype=np.int64)
-    return batch_character_sums(table, n, np.exp(2j * np.pi * n / q))
+    z = np.exp(2j * np.pi * table.power / table.q)
+    return _parity_split_transform(table, z, z)
 
 
 def root_numbers(table: CharacterTable) -> np.ndarray:

@@ -340,8 +340,9 @@ def cmd_second_moment(cfg: RunConfig) -> int:
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
     alpha, beta = 0.02, 0.015
+    mol = build_dirichlet_mollifier(params)
     variants = {
-        name: m_alpha_beta(params, alpha, beta, variant=name)
+        name: m_alpha_beta(params, alpha, beta, variant=name, mol=mol)
         for name in ("direct", "moebius", "euler")
     }
     vals = list(variants.values())
@@ -349,7 +350,6 @@ def cmd_second_moment(cfg: RunConfig) -> int:
     spread = max(abs(v - vals[0]) for v in vals[1:]) / scale
     ok = spread < 1e-12
 
-    mol = build_dirichlet_mollifier(params)
     moment = twisted_second_moment(table, alpha, beta, mol.support, mol.coeff)
     path = _write_report(cfg, "second-moment", {
         "alpha": alpha,

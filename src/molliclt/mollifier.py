@@ -35,6 +35,7 @@ __all__ = [
     "dirichlet_interval_piece",
     "hecke_interval_factor",
     "build_hecke_mollifier",
+    "prime_sum_polynomial",
     "prime_sum_S",
     "prime_sums_all",
     "weight_W",
@@ -215,10 +216,14 @@ class DirichletPolynomial:
         values = table.chi_values(a, self.support)
         return complex(np.sum(self.coeff * values / np.sqrt(self.support.astype(np.float64))))
 
+    @property
+    def scaled_coeff(self) -> np.ndarray:
+        """c(n) / sqrt(n): the coefficient each character value is weighted by."""
+        return self.coeff / np.sqrt(self.support.astype(np.float64))
+
     def evaluate_all(self, table: CharacterTable) -> np.ndarray:
         """The same sum for every label at once (batch transform)."""
-        w = self.coeff / np.sqrt(self.support.astype(np.float64))
-        return batch_character_sums(table, self.support, w)
+        return batch_character_sums(table, self.support, self.scaled_coeff)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -329,28 +334,27 @@ def _resolve_weights(primes: np.ndarray, weights) -> np.ndarray:
     return w
 
 
+def prime_sum_polynomial(params: MollifierParams, weights=None) -> DirichletPolynomial:
+    """First-interval prime sum as a polynomial: c(p) = weight(p) on c0 < p <= y.
+
+    ``weights`` is None (all ones), a callable p -> real, or an array
+    parallel to the interval's prime list.
+    """
+    primes = params.intervals[0].primes
+    return DirichletPolynomial(primes, _resolve_weights(primes, weights).astype(np.complex128))
+
+
 def prime_sum_S(table: CharacterTable, a: int, params: MollifierParams, weights=None) -> complex:
     """First-interval prime sum: sum over c0 < p <= y of weight(p) chi_a(p)/sqrt(p).
 
-    ``weights`` is None (all ones), a callable p -> real, or an array
-    parallel to the interval's prime list.  Callers wanting the real-part
-    observable take Re afterwards.
+    Callers wanting the real-part observable take Re afterwards.
     """
-    primes = params.intervals[0].primes
-    if len(primes) == 0:
-        return 0.0j
-    w = _resolve_weights(primes, weights)
-    values = table.chi_values(a, primes)
-    return complex(np.sum(w * values / np.sqrt(primes.astype(np.float64))))
+    return prime_sum_polynomial(params, weights).evaluate(table, a)
 
 
 def prime_sums_all(table: CharacterTable, params: MollifierParams, weights=None) -> np.ndarray:
     """The same prime sum for every character label (batch transform)."""
-    primes = params.intervals[0].primes
-    if len(primes) == 0:
-        return np.zeros(table.m, dtype=np.complex128)
-    w = _resolve_weights(primes, weights)
-    return batch_character_sums(table, primes, w / np.sqrt(primes.astype(np.float64)))
+    return prime_sum_polynomial(params, weights).evaluate_all(table)
 
 
 def weight_W(table: CharacterTable, a: int, l_values, mol: DirichletPolynomial) -> complex:
@@ -466,17 +470,27 @@ def _m_euler_interval(params: MollifierParams, j: int, alpha: complex, beta: com
     return complex(np.sum(c_v * s_alpha * s_beta))
 
 
-def m_alpha_beta(params: MollifierParams, alpha: complex, beta: complex, variant: str = "direct") -> complex:
+def m_alpha_beta(
+    params: MollifierParams,
+    alpha: complex,
+    beta: complex,
+    variant: str = "direct",
+    *,
+    mol: DirichletPolynomial | None = None,
+) -> complex:
     """Second-moment main term M(alpha, beta) of the built mollifier.
 
     Three algebraically identical routes: ``direct`` (coprime double
     sum via gcd), ``moebius`` (the expanded (h,d,m,n) sum), ``euler``
     (per-interval product of capped quadruple sums).  They must agree
     to near machine precision; the test-suite holds them to 1e-12
-    relative.
+    relative.  The direct and Moebius routes take the mollifier
+    ``build_dirichlet_mollifier(params)`` as ``mol`` when the caller
+    already has it, and build it otherwise.
     """
     if variant in ("direct", "moebius"):
-        mol = build_dirichlet_mollifier(params)
+        if mol is None:
+            mol = build_dirichlet_mollifier(params)
         return m_alpha_beta_general(mol.support, mol.coeff, alpha, beta, variant)
     if variant == "euler":
         out = 1.0 + 0.0j

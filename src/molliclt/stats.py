@@ -13,22 +13,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ._special import trigamma
-from .characters import CharacterTable
+from .characters import CharacterTable, real_sum_pair
 from .dirichlet_l import CentralValueSet, l_values_afe
 from .mollifier import (
     MollifierParams,
     dirichlet_interval_piece,
-    prime_sums_all,
+    prime_sum_polynomial,
 )
 
 __all__ = [
     "WeightedEmpiricalMeasure",
-    "measure_of_interval",
     "gauss_cdf",
     "ks_distance",
     "normalized_log_values",
@@ -62,53 +62,68 @@ def gauss_cdf(t):
 
 @dataclass(frozen=True)
 class WeightedEmpiricalMeasure:
-    """Complex-weighted point masses: one observation per character."""
+    """Complex-weighted point masses: one observation per character.
+
+    ``wt`` is one weight per observation, or a (k, n) stack of k
+    weightings of the same n observations; every query then answers
+    once per row, each row normalized by its own total.
+    """
 
     obs: np.ndarray
     wt: np.ndarray
 
     def __post_init__(self):
-        if len(self.obs) != len(self.wt):
+        if np.shape(self.wt)[-1:] != (len(self.obs),):
             raise ValueError("observation and weight sequences differ in length")
 
-    @property
-    def total(self) -> complex:
-        return complex(np.sum(self.wt))
+    @cached_property
+    def total(self) -> complex | np.ndarray:
+        total = np.sum(self.wt, axis=-1)
+        return complex(total) if np.ndim(total) == 0 else total
 
-    def interval(self, lo: float, hi: float) -> complex:
+    def _normalize(self, sums):
         total = self.total
-        if total == 0:
+        if np.any(total == 0):
             raise ValueError("zero total weight")
+        out = sums / total
+        return complex(out) if np.ndim(out) == 0 else out
+
+    def interval(self, lo: float, hi: float) -> complex | np.ndarray:
         mask = (self.obs > lo) & (self.obs < hi)
-        return complex(np.sum(self.wt[mask])) / total
+        return self._normalize(np.sum(self.wt[..., mask], axis=-1))
 
-    def cdf(self, t: float) -> complex:
-        total = self.total
-        if total == 0:
-            raise ValueError("zero total weight")
-        return complex(np.sum(self.wt[self.obs <= t])) / total
+    def cdf(self, t: float) -> complex | np.ndarray:
+        return self._normalize(np.sum(self.wt[..., self.obs <= t], axis=-1))
 
 
-def measure_of_interval(measure: WeightedEmpiricalMeasure, interval: tuple[float, float]) -> complex:
-    return measure.interval(interval[0], interval[1])
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("KS grid must be a nonempty, finite, strictly ascending 1-d array")
+    return grid
 
 
-def ks_distance(measure: WeightedEmpiricalMeasure, grid: np.ndarray | None = None) -> float:
+def ks_distance(measure: WeightedEmpiricalMeasure, grid: np.ndarray | None = None) -> float | np.ndarray:
     """Sup over a fixed grid of |weighted CDF - standard normal CDF|.
 
     The weighted CDF is complex in general; the distance uses the
     complex modulus directly, so a drifting imaginary part shows up here
-    rather than being silently discarded.
+    rather than being silently discarded.  The observations are binned
+    onto the grid once (obs <= grid[j] exactly when its cell is <= j),
+    so each weighting costs one bincount and a cumulative sum over
+    len(grid) + 1 cells; a stacked measure gives one distance per row.
     """
-    total = measure.total
-    if total == 0:
-        raise ValueError("zero total weight")
-    if grid is None:
-        grid = _KS_GRID
-    order = np.argsort(measure.obs, kind="stable")
-    cum = np.concatenate([[0.0 + 0.0j], np.cumsum(measure.wt[order])]) / total
-    idx = np.searchsorted(measure.obs[order], grid, side="right")
-    return float(np.max(np.abs(cum[idx] - gauss_cdf(grid))))
+    grid = _KS_GRID if grid is None else _checked_grid(grid)
+    cell = np.searchsorted(grid, measure.obs, side="left")
+    wt = np.atleast_2d(measure.wt)
+    mass = np.zeros((len(wt), len(grid) + 1), dtype=np.complex128)
+    for row, out in zip(wt, mass):
+        out.real = np.bincount(cell, weights=row.real, minlength=len(grid) + 1)
+        if np.iscomplexobj(row):
+            out.imag = np.bincount(cell, weights=row.imag, minlength=len(grid) + 1)
+    cdf = measure._normalize(np.cumsum(mass[:, :-1], axis=1).T)  # (len(grid), rows)
+    dist = np.max(np.abs(cdf - gauss_cdf(grid)[:, None]), axis=0)
+    return float(dist[0]) if np.ndim(measure.wt) == 1 else dist
 
 
 def normalized_log_values(
@@ -148,20 +163,54 @@ def normalized_log_values(
     return out, excluded
 
 
-def char_fn_plain(obs: np.ndarray, u: float, v: float = 0.0) -> complex:
-    """Unweighted empirical characteristic function at frequency (u, v)."""
-    obs = np.asarray(obs)
-    return complex(np.mean(np.exp(1j * (u * obs.real + v * obs.imag))))
+def char_fn_plain(obs: np.ndarray, u: float | np.ndarray, v: float = 0.0) -> complex | np.ndarray:
+    """Unweighted empirical characteristic function at frequencies (u, v).
+
+    ``u`` is a scalar or an array; the result has its shape.
+    """
+    return char_fn_weighted(np.ones(len(obs)), obs, u, v)
 
 
-def char_fn_weighted(wt: np.ndarray, obs: np.ndarray, u: float, v: float = 0.0) -> complex:
-    """Weight-normalized characteristic function at frequency (u, v)."""
-    total = complex(np.sum(wt))
-    if total == 0:
+def char_fn_weighted(
+    wt: np.ndarray, obs: np.ndarray, u: float | np.ndarray, v: float = 0.0
+) -> complex | np.ndarray:
+    """Weight-normalized characteristic function at frequencies (u, v).
+
+    ``u`` is a scalar or an array, and ``wt`` one weight per observation
+    or a (k, n) stack of weightings of the same observations, each
+    normalized by its own total; the result has shape
+    ``wt.shape[:-1] + np.shape(u)``.  Each phase e^(i(u x + v y)) is
+    evaluated once per frequency from real arguments (the v y term only
+    for complex observations) and shared by every row.
+    """
+    wt = np.asarray(wt, dtype=np.complex128)
+    total = np.sum(wt, axis=-1)
+    if np.any(total == 0):
         raise ValueError("zero total weight")
     obs = np.asarray(obs)
-    phases = np.exp(1j * (u * obs.real + v * obs.imag))
-    return complex(np.sum(np.asarray(wt) * phases)) / total
+    x = np.asarray(obs.real, dtype=np.float64)
+    y = np.asarray(obs.imag, dtype=np.float64) if np.iscomplexobj(obs) and v != 0 else None
+    us = np.asarray(u, dtype=np.float64).ravel()
+    sums = np.empty(wt.shape[:-1] + us.shape, dtype=np.complex128)
+    t, denom = np.empty(len(x)), np.empty(len(x))
+    phase = np.empty(len(x), dtype=np.complex128)
+    re, im = phase.real, phase.imag
+    for k, uk in enumerate(us):
+        np.multiply(x, 0.5 * uk, out=t)
+        if y is not None:
+            t += 0.5 * v * y
+        # e^(i theta) = (1 - t^2 + 2 i t) / (1 + t^2) with t = tan(theta / 2):
+        # one vectorized tan per frequency costs a fraction of cos plus sin
+        np.tan(t, out=t)
+        np.multiply(t, t, out=denom)
+        np.subtract(1.0, denom, out=re)
+        denom += 1.0
+        np.divide(re, denom, out=re)
+        np.multiply(t, 2.0, out=im)
+        np.divide(im, denom, out=im)
+        sums[..., k] = wt @ phase
+    out = (sums / np.asarray(total)[..., None]).reshape(wt.shape[:-1] + np.shape(u))
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -393,43 +442,49 @@ def clt_experiment(
         l_values = l_values_afe(table, 0.5)
 
     pieces = [dirichlet_interval_piece(params, j) for j in range(params.J + 1)]
-    piece_vals = [piece.evaluate_all(table)[1:] for piece in pieces]
-    mol = piece_vals[0].copy()
-    for extra in piece_vals[1:]:
-        mol *= extra
-    l_arr = np.asarray(l_values.values[1:])
-    w = l_arr * mol
-
-    p_raw = prime_sums_all(table, params)[1:]
+    lead, primes = pieces[0], prime_sum_polynomial(params)
+    # the leading piece and the prime sum have real coefficients and share
+    # one transform; each tail piece (j >= 1) gets its own
+    lead_all, p_all = real_sum_pair(table, lead.support, lead.scaled_coeff, primes.support, primes.scaled_coeff)
+    piece_vals = [lead_all[1:]] + [piece.evaluate_all(table)[1:] for piece in pieces[1:]]
     sigma_sq = 0.5 * sum(iv.reciprocal_sum() for iv in params.intervals)
     sigma_hat = math.sqrt(sigma_sq)
-    obs = p_raw.real / sigma_hat
+    obs = p_all[1:].real / sigma_hat
+    del p_all
 
-    psi = tuple(char_fn_plain(obs, u) for u in u_grid)
-    phi = tuple(char_fn_weighted(w, obs, u) for u in u_grid)
+    # the three weightings of the observations, stacked so every pass
+    # over them (phases, grid cells, interval masks) is made once:
+    # raw W = L M, unit (plain), and W on the typical set only
+    l_arr = np.asarray(l_values.values[1:])
+    stack = np.empty((3, len(l_arr)), dtype=np.complex128)
+    w = np.multiply(l_arr, piece_vals[0], out=stack[0])
+    for extra in piece_vals[1:]:
+        w *= extra
+    stack[1] = 1.0
+
+    phi, psi = char_fn_weighted(stack[:2], obs, u_grid)
 
     filt = typical_set_filter(
         table, w, piece_vals, obs,
         weight_band=weight_band, tail_exponent=tail_exponent,
         prime_sum_limit=p_sigma_factor,
     )
-
-    raw_measure = WeightedEmpiricalMeasure(obs=obs, wt=w)
-    kept_measure = WeightedEmpiricalMeasure(obs=obs[filt.kept], wt=w[filt.kept])
-    plain_measure = WeightedEmpiricalMeasure(obs=obs, wt=np.ones(len(obs), dtype=np.complex128))
+    stack[2] = w
+    stack[2][~filt.kept] = 0.0
+    measure = WeightedEmpiricalMeasure(obs=obs, wt=stack)
 
     rows = []
     for lo, hi in intervals:
-        gauss = gauss_cdf(hi) - gauss_cdf(lo)
+        mu, _, mu_filtered = measure.interval(lo, hi)
         rows.append(
             IntervalRow(
                 lo=float(lo), hi=float(hi),
-                mu=raw_measure.interval(lo, hi),
-                mu_filtered=kept_measure.interval(lo, hi),
-                gauss=gauss,
+                mu=complex(mu), mu_filtered=complex(mu_filtered),
+                gauss=gauss_cdf(hi) - gauss_cdf(lo),
             )
         )
 
+    ks_weighted, ks_plain, ks_weighted_filtered = (float(d) for d in ks_distance(measure))
     exclusions = int(np.sum(~(np.abs(l_arr) >= _ZERO_CUTOFF)))
     report = CLTReport(
         q=table.q,
@@ -437,13 +492,13 @@ def clt_experiment(
         exclusion_count=exclusions,
         rows=tuple(rows),
         u_grid=tuple(float(u) for u in u_grid),
-        psi=psi,
-        phi=phi,
-        ks_weighted=ks_distance(raw_measure),
-        ks_weighted_filtered=ks_distance(kept_measure),
-        ks_plain=ks_distance(plain_measure),
+        psi=tuple(complex(p) for p in psi),
+        phi=tuple(complex(p) for p in phi),
+        ks_weighted=ks_weighted,
+        ks_weighted_filtered=ks_weighted_filtered,
+        ks_plain=ks_plain,
         filter_report=filt,
-        total_weight=raw_measure.total,
+        total_weight=complex(measure.total[0]),
         wall_time=time.perf_counter() - t0,
     )
     return report

@@ -12,11 +12,10 @@ from molliclt.arith import primes_up_to
 from molliclt.characters import (
     batch_character_sums,
     build_table,
-    chi,
     gauss_sum,
     gauss_sums_all,
-    parity,
     primitive_root,
+    real_sum_pair,
     root_numbers,
     roots_of_unity,
 )
@@ -78,14 +77,14 @@ def test_roots_of_unity_closure():
 
 def test_chi_principal_is_one_on_units(table101):
     t = table101
-    vals = [chi(t, 0, n) for n in range(1, t.q)]
+    vals = [t.chi(0, n) for n in range(1, t.q)]
     assert np.allclose(vals, 1.0, atol=1e-15)
 
 
 def test_chi_vanishes_on_multiples_of_q(table101):
-    assert chi(table101, 3, 0) == 0
-    assert chi(table101, 3, 101) == 0
-    assert chi(table101, 3, 2 * 101) == 0
+    assert table101.chi(3, 0) == 0
+    assert table101.chi(3, 101) == 0
+    assert table101.chi(3, 2 * 101) == 0
 
 
 @given(
@@ -96,8 +95,8 @@ def test_chi_vanishes_on_multiples_of_q(table101):
 @settings(max_examples=120, deadline=None)
 def test_chi_multiplicative(table101, a, m, n):
     t = table101
-    lhs = chi(t, a, (m * n) % t.q) if (m * n) % t.q else 0.0
-    assert abs(lhs - chi(t, a, m) * chi(t, a, n)) < 1e-12
+    lhs = t.chi(a, (m * n) % t.q) if (m * n) % t.q else 0.0
+    assert abs(lhs - t.chi(a, m) * t.chi(a, n)) < 1e-12
 
 
 def test_conjugate_label_conjugates(table101):
@@ -105,15 +104,16 @@ def test_conjugate_label_conjugates(table101):
     for a in (1, 7, 50, 99):
         b = t.conjugate_label(a)
         for n in (2, 3, 17, 100):
-            assert abs(chi(t, b, n) - chi(t, a, n).conjugate()) < 1e-14
+            assert abs(t.chi(b, n) - t.chi(a, n).conjugate()) < 1e-14
 
 
 def test_parity_matches_chi_at_minus_one(table101):
     t = table101
     for a in range(0, t.m):
         want = 1.0 if a % 2 == 0 else -1.0
-        assert abs(chi(t, a, t.q - 1) - want) < 1e-12
-        assert parity(t, a) == ("even" if a % 2 == 0 else "odd")
+        assert abs(t.chi(a, t.q - 1) - want) < 1e-12
+        assert (-1) ** (a & 1) == want
+        assert t.delta(a) == (a & 1)
 
 
 def test_orthogonality_exhaustive_q31():
@@ -122,9 +122,9 @@ def test_orthogonality_exhaustive_q31():
     m = t.m
     worst = 0.0
     for n1 in range(1, t.q):
-        v1 = np.array([chi(t, a, n1) for a in range(m)])
+        v1 = np.array([t.chi(a, n1) for a in range(m)])
         for n2 in range(1, t.q):
-            v2 = np.array([chi(t, a, n2) for a in range(m)])
+            v2 = np.array([t.chi(a, n2) for a in range(m)])
             avg = np.sum(v1 * v2.conjugate()) / m
             target = 1.0 if n1 == n2 else 0.0
             worst = max(worst, abs(avg - target))
@@ -159,6 +159,16 @@ def test_gauss_sums_all_matches_singletons(table101):
     batch = gauss_sums_all(t)
     for a in (1, 2, 17, 63, 99):
         assert abs(batch[a] - gauss_sum(t, a)) < 1e-11
+
+
+@pytest.mark.parametrize("q", [3, 101, 10007])
+def test_gauss_sums_all_equals_folded_batch_sum(q):
+    """The log-class coefficients e(g^k / q) are exactly what folding the
+    support 1..q-1 with coefficients e(n / q) produces."""
+    t = build_table(q)
+    n = np.arange(1, q, dtype=np.int64)
+    folded = batch_character_sums(t, n, np.exp(2j * np.pi * n / q))
+    assert np.array_equal(gauss_sums_all(t), folded)
 
 
 def test_batch_sums_fft_vs_naive(table1009):
@@ -219,13 +229,46 @@ def test_batch_sums_property_fft_vs_naive(case):
     assert np.max(np.abs(got - naive_character_sums(t, support, coeffs))) <= bound
 
 
+@st.composite
+def real_pair_cases(draw):
+    q = draw(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
+    parts = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+    def terms():
+        support = draw(st.lists(st.integers(min_value=0, max_value=4 * q), min_size=0, max_size=20))
+        support += [q * k for k in draw(st.lists(st.integers(0, 3), max_size=2))]
+        return np.array(support, dtype=np.int64), np.array([draw(parts) for _ in support], dtype=np.float64)
+
+    return q, terms(), terms()
+
+
+@given(real_pair_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_real_sum_pair_matches_two_batch_sums(case):
+    q, (sx, cx), (sy, cy) = case
+    t = build_table(q)
+    got_x, got_y = real_sum_pair(t, sx, cx, sy, cy)
+    bound = 1e-10 * (1.0 + np.sum(np.abs(cx)) + np.sum(np.abs(cy)))
+    assert np.max(np.abs(got_x - batch_character_sums(t, sx, cx))) <= bound
+    assert np.max(np.abs(got_y - batch_character_sums(t, sy, cy))) <= bound
+
+
+def test_real_sum_pair_rejects_complex_coefficients(table101):
+    support = np.array([2, 3], dtype=np.int64)
+    with pytest.raises(ValueError, match="real coefficients"):
+        real_sum_pair(table101, support, np.array([1.0, 1j]), support, np.ones(2))
+    # complex dtype with zero imaginary parts is real data and is accepted
+    got_x, _ = real_sum_pair(table101, support, np.array([1.0 + 0j, 2.0 + 0j]), support, np.ones(2))
+    assert np.max(np.abs(got_x - batch_character_sums(table101, support, np.array([1.0, 2.0])))) < 1e-12
+
+
 def test_batch_sums_match_naive(table101):
     t = table101
     support = np.array([2, 3, 4, 7, 30, 99], dtype=np.int64)
     coeffs = np.array([1.0, -2.0, 0.5, 1j, 3.0, -1.5j])
     batch = batch_character_sums(t, support, coeffs)
     for a in range(0, t.m, 9):
-        naive = sum(c * chi(t, a, int(n)) for n, c in zip(support, coeffs))
+        naive = sum(c * t.chi(a, int(n)) for n, c in zip(support, coeffs))
         assert abs(batch[a] - naive) < 1e-11
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molliclt.arith import PrimeInterval, big_omega, factorize, nu, primes_up_to, sieve_primes, smooth_integers
-from molliclt.characters import chi
+from molliclt import mollifier
 from molliclt.dirichlet_l import l_values_afe
 from molliclt.mollifier import (
     DirichletPolynomial,
@@ -195,7 +195,7 @@ def test_evaluate_matches_direct_character_sum(table101):
     mol = build_dirichlet_mollifier(p)
     for a in (1, 17, 60):
         direct = sum(
-            mol.coefficient(int(n)) * chi(table101, a, int(n)) / math.sqrt(int(n))
+            mol.coefficient(int(n)) * table101.chi(a, int(n)) / math.sqrt(int(n))
             for n in mol.support
         )
         assert abs(mol.evaluate(table101, a) - direct) < 1e-13
@@ -211,6 +211,18 @@ def test_m_alpha_beta_variants_agree(desk_quarter):
     ref = vals["direct"]
     for v, x in vals.items():
         assert abs(x - ref) <= 1e-12 * abs(ref), v
+
+
+def test_m_alpha_beta_takes_a_built_mollifier(desk_quarter, monkeypatch):
+    want = {v: m_alpha_beta(desk_quarter, 0.02, 0.015, v) for v in ("direct", "moebius", "euler")}
+    mol = build_dirichlet_mollifier(desk_quarter)
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("mollifier rebuilt although one was passed")
+
+    monkeypatch.setattr(mollifier, "build_dirichlet_mollifier", rebuild)
+    for v, x in want.items():
+        assert m_alpha_beta(desk_quarter, 0.02, 0.015, v, mol=mol) == x, v
 
 
 def test_m_alpha_beta_variants_agree_multi_interval():
@@ -278,7 +290,7 @@ def test_prime_sum_matches_naive(table101):
     primes = [int(v) for v in p.intervals[0].primes]
     assert primes == [2, 3]
     for a in (1, 9, 42):
-        naive = sum(chi(table101, a, v) / math.sqrt(v) for v in primes)
+        naive = sum(table101.chi(a, v) / math.sqrt(v) for v in primes)
         assert abs(prime_sum_S(table101, a, p) - naive) < 1e-14
 
 

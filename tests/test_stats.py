@@ -22,7 +22,6 @@ from molliclt.stats import (
     fejer_hat,
     gauss_cdf,
     ks_distance,
-    measure_of_interval,
     normalized_log_values,
     selberg_minorant,
     typical_set_filter,
@@ -58,7 +57,7 @@ def test_measure_total_and_interval():
     m = WeightedEmpiricalMeasure(obs=np.array([-1.0, 0.0, 1.0]), wt=np.array([1.0, 1.0j, 1.0]))
     assert m.total == 2.0 + 1.0j
     assert m.cdf(0.0) == pytest.approx((1.0 + 1.0j) / (2.0 + 1.0j))
-    assert measure_of_interval(m, (-0.5, 0.5)) == pytest.approx(1.0j / (2.0 + 1.0j))
+    assert m.interval(-0.5, 0.5) == pytest.approx(1.0j / (2.0 + 1.0j))
 
 
 def test_measure_interval_endpoints_are_open():
@@ -104,6 +103,62 @@ def test_ks_distance_custom_grid():
     # a grid strictly left of the atom sees cdf 0, so the sup is Phi(grid max)
     grid = np.array([-1.0, 0.0, 2.0])
     assert ks_distance(m, grid=grid) == pytest.approx(gauss_cdf(2.0), abs=1e-15)
+
+
+def sorted_ks_distance(obs, wt, grid):
+    """Reference KS distance: cumulative weights over a stable sort of the
+    observations, read at the right insertion point of each grid value."""
+    order = np.argsort(obs, kind="stable")
+    cum = np.concatenate([[0.0 + 0.0j], np.cumsum(wt[order])]) / np.sum(wt)
+    idx = np.searchsorted(obs[order], grid, side="right")
+    return float(np.max(np.abs(cum[idx] - gauss_cdf(grid))))
+
+
+@pytest.mark.parametrize("grid", [None, np.array([-1.0, 0.0, 0.25, 2.0]), np.linspace(-2.0, 3.0, 41)])
+def test_ks_distance_binned_matches_sorted_oracle(grid):
+    rng = np.random.default_rng(11)
+    ref_grid = KS_GRID if grid is None else grid
+    n = 4000
+    obs = rng.standard_normal(n)
+    # atoms exactly on grid points pin the <= side of the cdf
+    obs[:200] = rng.choice(ref_grid, 200)
+    wt = rng.uniform(0.2, 1.0, n) * np.exp(0.3j * rng.standard_normal(n))
+    wt[rng.random(n) < 0.1] = 0.0  # zero-weight rows, as the typical-set filter leaves them
+    kept = wt != 0
+    stack = np.stack([wt, np.ones(n), np.where(kept, wt, 0.0)])
+    dists = ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=stack), grid=grid)
+    want = [
+        sorted_ks_distance(obs, wt, ref_grid),
+        sorted_ks_distance(obs, np.ones(n, dtype=complex), ref_grid),
+        sorted_ks_distance(obs[kept], wt[kept], ref_grid),
+    ]
+    assert np.max(np.abs(dists - want)) < 1e-12
+    for row, expect in zip(stack, want):
+        assert abs(ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=row), grid=grid) - expect) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.array([0.0, -1.0, 2.0]), np.array([0.0, 0.0, 1.0]), np.array([0.0, np.nan]), np.array([-np.inf, 0.0]),
+     np.array([])],
+)
+def test_ks_distance_rejects_bad_grid(grid):
+    m = WeightedEmpiricalMeasure(obs=np.array([0.0, 1.0]), wt=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        ks_distance(m, grid=grid)
+
+
+def test_stacked_measure_answers_per_row():
+    obs = np.array([-1.0, 0.0, 0.5, 2.0])
+    rows = np.array([[1.0, 1.0j, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0j, 2.0, 0.0]])
+    stacked = WeightedEmpiricalMeasure(obs=obs, wt=rows)
+    for k, row in enumerate(rows):
+        single = WeightedEmpiricalMeasure(obs=obs, wt=row)
+        assert stacked.total[k] == single.total
+        assert stacked.interval(-0.5, 1.0)[k] == pytest.approx(single.interval(-0.5, 1.0), abs=1e-15)
+        assert stacked.cdf(0.0)[k] == pytest.approx(single.cdf(0.0), abs=1e-15)
+    with pytest.raises(ValueError, match="differ in length"):
+        WeightedEmpiricalMeasure(obs=obs, wt=rows[:, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +229,32 @@ def test_char_fn_imaginary_frequency_axis():
     obs = np.array([0.25 + 0.5j])
     val = char_fn_plain(obs, 0.0, v=2.0)
     assert val == pytest.approx(np.exp(1.0j), abs=1e-15)
+
+
+def test_char_fns_array_u_match_scalar_formula():
+    rng = np.random.default_rng(5)
+    n = 3000
+    obs = rng.standard_normal(n)
+    wt = rng.uniform(0.1, 2.0, n) * np.exp(0.4j * rng.standard_normal(n))
+    us = np.array([0.0, 0.25, 0.5, 1.3, 3.0, -2.0])
+    plain = char_fn_plain(obs, us)
+    weighted = char_fn_weighted(wt, obs, us)
+    stacked = char_fn_weighted(np.stack([wt, np.ones(n)]), obs, us)
+    assert plain.shape == weighted.shape == us.shape and stacked.shape == (2, len(us))
+    for k, u in enumerate(us):
+        phases = np.exp(1j * u * obs)
+        want_plain = np.mean(phases)
+        want_weighted = np.sum(wt * phases) / np.sum(wt)
+        assert abs(plain[k] - want_plain) < 1e-14
+        assert abs(weighted[k] - want_weighted) < 1e-14
+        assert abs(stacked[0, k] - want_weighted) < 1e-14
+        assert abs(stacked[1, k] - want_plain) < 1e-14
+    # complex observations with a v frequency take the same per-u formula
+    zobs = obs + 1j * rng.standard_normal(n)
+    got = char_fn_weighted(wt, zobs, us, v=0.7)
+    for k, u in enumerate(us):
+        want = np.sum(wt * np.exp(1j * (u * zobs.real + 0.7 * zobs.imag))) / np.sum(wt)
+        assert abs(got[k] - want) < 1e-14
 
 
 # ---------------------------------------------------------------------------
