@@ -80,10 +80,6 @@ class CharacterTable:
         """Group order q - 1."""
         return self.q - 1
 
-    @property
-    def primitive_count(self) -> int:
-        return self.q - 2
-
     def delta(self, a: int) -> int:
         """Parity exponent: 0 for even characters (chi(-1)=+1), 1 for odd."""
         return a & 1

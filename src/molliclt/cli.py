@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -23,10 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from ._io import atomic_write
 from .arith import is_prime
 from .characters import batch_character_sums, build_table, gauss_sums_all
 from .dirichlet_l import (
-    fe_residual_stats,
+    CentralValueSet,
+    cached_afe_values,
     l_values_afe,
     l_values_oracle,
     save_l_values,
@@ -57,6 +58,7 @@ EXIT_SUITE = 1
 EXIT_CONFIG = 2
 
 _COMMANDS = ("characters", "lvalues", "clt", "random", "second-moment")
+_TAIL_CUT = 40.0  # AFE tail cut of the central values lvalues caches and clt uses
 
 
 @dataclass
@@ -154,24 +156,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-molliclt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
-
-
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> str:
     """JSON report with standard metadata; volatile fields get their own lines."""
     body = {
@@ -184,12 +168,29 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> str:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     path = os.path.join(cfg.out, f"{name}_q{cfg.q}.json")
-    _atomic_write_text(path, json.dumps(body, indent=2, default=repr) + "\n")
+    atomic_write(path, (json.dumps(body, indent=2, default=repr) + "\n").encode("utf-8"))
     return path
 
 
-def _cache_dir(cfg: RunConfig) -> str:
-    return os.environ.get("MOLLICLT_CACHE_DIR", os.path.join(cfg.out, "cache"))
+def _cache_path(cfg: RunConfig) -> str:
+    directory = os.environ.get("MOLLICLT_CACHE_DIR", os.path.join(cfg.out, "cache"))
+    return os.path.join(directory, f"lvalues_q{cfg.q}.bin")
+
+
+def _central_values(cfg: RunConfig, table) -> tuple[CentralValueSet, str]:
+    """L(1/2, chi) for every label, and where they came from: "cache" or "computed".
+
+    The ``lvalues`` cache is used only when it holds exactly the values
+    this run would compute (see :func:`cached_afe_values`); an unreadable
+    or mismatched file is ignored.  Nothing here writes the cache.
+    """
+    try:
+        cached = cached_afe_values(_cache_path(cfg), table, 0.5, _TAIL_CUT)
+    except (OSError, ValueError):
+        cached = None
+    if cached is not None:
+        return cached, "cache"
+    return l_values_afe(table, 0.5, tail_cut=_TAIL_CUT, residuals=True), "computed"
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +221,10 @@ def cmd_characters(cfg: RunConfig) -> int:
 
 def cmd_lvalues(cfg: RunConfig) -> int:
     table = build_table(cfg.q)
-    values = l_values_afe(table, 0.5)
-    stats = fe_residual_stats(table, 0.5, values.values)
-    cache = os.path.join(_cache_dir(cfg), f"lvalues_q{cfg.q}.bin")
-    os.makedirs(os.path.dirname(cache), exist_ok=True)
-    save_l_values(cache, cfg.q, 0.5, values.values)
+    values = l_values_afe(table, 0.5, tail_cut=_TAIL_CUT, residuals=True)
+    stats = values.residual_stats
+    cache = _cache_path(cfg)
+    save_l_values(cache, cfg.q, 0.5, values.values, tail_cut=_TAIL_CUT, residual_stats=stats)
     oracle_max = None
     if cfg.q <= 2000:
         oracle = l_values_oracle(table, 0.5)
@@ -244,7 +244,8 @@ def cmd_lvalues(cfg: RunConfig) -> int:
 def cmd_clt(cfg: RunConfig) -> int:
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
-    report = clt_experiment(table, params)
+    l_values, source = _central_values(cfg, table)
+    report = clt_experiment(table, params, l_values=l_values)
     base = os.path.join(cfg.out, f"clt_q{cfg.q}")
     os.makedirs(cfg.out, exist_ok=True)
     write_interval_csv(report, base + "_intervals.csv")
@@ -260,6 +261,10 @@ def cmd_clt(cfg: RunConfig) -> int:
         "ks_plain": report.ks_plain,
         "max_interval_im": worst_im,
         "typical_set_kept": report.filter_report.kept_count,
+        # health of the central values, reported but not gated
+        "fe_residual_max": l_values.residual_stats["max"],
+        "fe_residual_mean": l_values.residual_stats["mean"],
+        "l_values_source": source,
         "intervals_csv": base + "_intervals.csv",
         "passed": ok,
         "wall_time": report.wall_time,

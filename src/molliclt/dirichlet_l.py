@@ -19,12 +19,14 @@ with its two-term asymptotic prediction.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._io import atomic_write
 from ._special import gamma, upper_regularized_gamma
 from .characters import CharacterTable, batch_character_sums, gauss_sum, root_numbers
 
@@ -38,8 +40,11 @@ __all__ = [
     "root_number",
     "completed_l_values",
     "fe_residual_stats",
+    "CacheHeader",
     "save_l_values",
+    "read_cache_header",
     "load_l_values",
+    "cached_afe_values",
     "TwistedSecondMoment",
     "twisted_second_moment_empirical",
     "twisted_second_moment",
@@ -325,9 +330,26 @@ def root_number(table: CharacterTable, a: int) -> complex:
 
 
 _CACHE_MAGIC = b"LCHI"
-_CACHE_VERSION = 1
-_HEADER = struct.Struct("<4sIQdd")  # magic, version, q, Re s, Im s
+_CACHE_VERSION = 2
+# Bump whenever the AFE arithmetic changes: caches written before then no
+# longer hold the values this code computes, and are not reused.
+_AFE_VERSION = 1
+# magic, version, q, Re s, Im s, tail cut, AFE version, FE residual max, mean
+_HEADER = struct.Struct("<4sIQdddIdd")
 _RECORD_DTYPE = np.dtype([("label", "<u4"), ("re", "<f8"), ("im", "<f8")])
+
+
+@dataclass(frozen=True)
+class CacheHeader:
+    """Header fields of an L-value cache, plus its record count."""
+
+    q: int
+    s: complex
+    tail_cut: float
+    afe_version: int
+    fe_residual_max: float
+    fe_residual_mean: float
+    count: int
 
 
 def save_l_values(
@@ -336,12 +358,18 @@ def save_l_values(
     s: complex,
     values: np.ndarray,
     labels: np.ndarray | None = None,
+    *,
+    tail_cut: float,
+    residual_stats: dict[str, float],
 ) -> None:
-    """Write a binary L-value cache: fixed header, then packed records.
+    """Write a binary cache of AFE values atomically: fixed header, then packed records.
 
-    Header layout: magic ``LCHI``, format version (u32), modulus (u64),
-    and s as two little-endian doubles.  Each record is a u32 label and
-    the value's real and imaginary parts as doubles.
+    Header layout (little-endian, unpadded): magic ``LCHI``, format
+    version (u32), modulus (u64), s as two doubles, the AFE tail cut
+    (double), the AFE format version (u32), and the FE residual max and
+    mean (doubles).  Each record is a u32 label and the value's real and
+    imaginary parts as doubles.  The file is written under a temporary
+    name in the same directory and renamed into place.
     """
     values = np.asarray(values, dtype=np.complex128)
     if labels is None:
@@ -354,32 +382,70 @@ def save_l_values(
     records["re"] = values.real
     records["im"] = values.imag
     s = complex(s)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, q, s.real, s.imag))
-        fh.write(records.tobytes())
+    header = _HEADER.pack(
+        _CACHE_MAGIC, _CACHE_VERSION, q, s.real, s.imag,
+        tail_cut, _AFE_VERSION, residual_stats["max"], residual_stats["mean"],
+    )
+    atomic_write(path, header + records.tobytes())
+
+
+def _parse_header(path: str, head: bytes, size: int) -> CacheHeader:
+    if len(head) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    magic, version, q, s_re, s_im, tail_cut, afe_version, res_max, res_mean = _HEADER.unpack_from(head)
+    if magic != _CACHE_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    if version != _CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    count, stray = divmod(size - _HEADER.size, _RECORD_DTYPE.itemsize)
+    if stray:
+        raise ValueError(f"{path}: record section has stray bytes")
+    return CacheHeader(q, complex(s_re, s_im), tail_cut, afe_version, res_max, res_mean, count)
+
+
+def read_cache_header(path: str) -> CacheHeader:
+    """The header of a cache written by :func:`save_l_values`, without its records."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+    return _parse_header(path, head, size)
 
 
 def load_l_values(path: str) -> tuple[int, complex, np.ndarray, np.ndarray]:
     """Read a cache written by :func:`save_l_values`.
 
-    Returns ``(q, s, labels, values)``.  Rejects wrong magic, unknown
-    versions, and trailing garbage.
+    Returns ``(q, s, labels, values)``, the values bit for bit as saved.
+    Rejects wrong magic, unknown versions, and trailing garbage.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, q, s_re, s_im = _HEADER.unpack_from(raw)
-    if magic != _CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != _CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    body = raw[_HEADER.size :]
-    if len(body) % _RECORD_DTYPE.itemsize:
-        raise ValueError(f"{path}: record section has stray bytes")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    values = records["re"] + 1j * records["im"]
-    return q, complex(s_re, s_im), records["label"].astype(np.int64), values
+    header = _parse_header(path, raw, len(raw))
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+    values = np.empty(header.count, dtype=np.complex128)
+    values.real = records["re"]
+    values.imag = records["im"]
+    return header.q, header.s, records["label"].astype(np.int64), values
+
+
+def cached_afe_values(path: str, table: CharacterTable, s: complex, tail_cut: float) -> CentralValueSet | None:
+    """The AFE value set at ``s`` with ``tail_cut`` from a cache, or None if the cache holds other values.
+
+    A hit needs the cache's modulus, s, tail cut, AFE version and record
+    count to match, and its labels to run 0..m-1; the gate outcome of
+    the run that wrote it plays no part.  The result is bit for bit what
+    ``l_values_afe(table, s, tail_cut, residuals=True)`` computes, with
+    the residual statistics read from the header.  An unreadable file
+    raises OSError or ValueError.
+    """
+    head = read_cache_header(path)
+    want = (table.q, complex(s), tail_cut, _AFE_VERSION, table.m)
+    if (head.q, head.s, head.tail_cut, head.afe_version, head.count) != want:
+        return None
+    _, _, labels, values = load_l_values(path)
+    if not np.array_equal(labels, np.arange(table.m)):
+        return None
+    stats = {"max": head.fe_residual_max, "mean": head.fe_residual_mean}
+    return CentralValueSet(q=table.q, s=head.s, values=values, method="afe", residual_stats=stats)
 
 
 @dataclass(frozen=True)

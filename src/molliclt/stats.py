@@ -435,11 +435,22 @@ def clt_experiment(
     mollifier, evaluated per character.  The report carries the weighted
     interval measures raw and typical-set-filtered, both characteristic
     function tables against the Gaussian target, and grid KS distances.
-    Deterministic: no sampling anywhere.
+    Deterministic: no sampling anywhere.  A supplied ``l_values`` must
+    hold L(1/2, chi) for this modulus, one value per label.
     """
     t0 = time.perf_counter()
     if l_values is None:
         l_values = l_values_afe(table, 0.5)
+    else:
+        wrong = [
+            f"{name} {got} where the run needs {want}"
+            for name, got, want in (
+                ("q", l_values.q, table.q), ("s", l_values.s, 0.5), ("length", len(l_values.values), table.m)
+            )
+            if got != want
+        ]
+        if wrong:
+            raise ValueError("l_values do not fit this run: " + "; ".join(wrong))
 
     pieces = [dirichlet_interval_piece(params, j) for j in range(params.J + 1)]
     lead, primes = pieces[0], prime_sum_polynomial(params)

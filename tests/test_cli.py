@@ -4,10 +4,13 @@ and rerun determinism."""
 import json
 import os
 import shutil
+import struct
 import subprocess
 
+import numpy as np
 import pytest
 
+from molliclt import cli, dirichlet_l, stats
 from molliclt.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -17,6 +20,7 @@ from molliclt.cli import (
     _theta_tuple,
     main,
 )
+from molliclt.dirichlet_l import load_l_values, save_l_values
 
 
 def run(*argv):
@@ -201,11 +205,116 @@ def test_random_command(tmp_path, capsys):
     assert set(report["checks"]) >= {"moment_identity_k1", "moment_identity_k2", "cutoff"}
 
 
-def test_no_temp_files_left_behind(tmp_path, capsys):
+def test_no_temp_files_left_behind(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MOLLICLT_CACHE_DIR", raising=False)
     run("characters", "--q", "101", "--out", str(tmp_path))
+    run("lvalues", "--q", "101", "--out", str(tmp_path))
     capsys.readouterr()
-    leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+    assert (tmp_path / "cache" / "lvalues_q101.bin").exists()
+    leftovers = [n for d in (tmp_path, tmp_path / "cache") for n in os.listdir(d) if n.startswith(".tmp-")]
     assert leftovers == []
+
+
+# ---------------------------------------------------------------------------
+# clt reuses the central values lvalues cached
+
+CLT_FILES = ("clt_q1009.json", "clt_q1009_intervals.csv", "clt_q1009_charfn_weighted.csv",
+             "clt_q1009_charfn_plain.csv")
+
+
+def clt_outputs(out, capsys):
+    """Run clt at q=1009 into ``out``; its files, reports stripped of volatile lines."""
+    assert run("clt", "--q", "1009", "--theta", "0.5", "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    files = {name: (out / name).read_text() for name in CLT_FILES}
+    files["clt_q1009.json"] = volatile_stripped(files["clt_q1009.json"])
+    return files
+
+
+@pytest.fixture
+def cached_1009(tmp_path, monkeypatch, capsys):
+    """An --out directory where clt has run once without a cache (a miss),
+    and lvalues has then written its cache: (out, the miss's outputs)."""
+    monkeypatch.delenv("MOLLICLT_CACHE_DIR", raising=False)
+    miss = clt_outputs(tmp_path, capsys)
+    assert '"l_values_source": "computed"' in miss["clt_q1009.json"]
+    assert run("lvalues", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    return tmp_path, miss
+
+
+def test_clt_cache_hit_equals_miss(cached_1009, capsys):
+    out, miss = cached_1009
+    hit = clt_outputs(out, capsys)
+    report = load_report(out / "clt_q1009.json")
+    assert report["l_values_source"] == "cache"
+    lvalues = load_report(out / "lvalues_q1009.json")
+    assert report["fe_residual_max"] == lvalues["fe_residual_max"]
+    assert report["fe_residual_mean"] == lvalues["fe_residual_mean"]
+    # every file is byte-identical except the one line naming the source
+    hit["clt_q1009.json"] = hit["clt_q1009.json"].replace('"cache"', '"computed"')
+    assert hit == miss
+
+
+def test_clt_cache_hit_does_not_recompute(cached_1009, monkeypatch, capsys):
+    out, miss = cached_1009
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("l_values_afe called on a cache hit")
+
+    monkeypatch.setattr(cli, "l_values_afe", forbidden)
+    monkeypatch.setattr(stats, "l_values_afe", forbidden)
+    hit = clt_outputs(out, capsys)
+    assert '"l_values_source": "cache"' in hit["clt_q1009.json"]
+
+
+def _wrong_q(path):
+    _, _, labels, values = load_l_values(path)
+    save_l_values(path, 1013, 0.5, values, labels, tail_cut=40.0, residual_stats={"max": 0.0, "mean": 0.0})
+
+
+def _wrong_tail_cut(path):
+    _, _, labels, values = load_l_values(path)
+    save_l_values(path, 1009, 0.5, values, labels, tail_cut=20.0, residual_stats={"max": 0.0, "mean": 0.0})
+
+
+def _version_1(path):
+    _, _, labels, values = load_l_values(path)
+    records = np.empty(len(values), dtype=[("label", "<u4"), ("re", "<f8"), ("im", "<f8")])
+    records["label"], records["re"], records["im"] = labels, values.real, values.imag
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIQdd", b"LCHI", 1, 1009, 0.5, 0.0) + records.tobytes())
+
+
+def _other_afe_version(path):
+    _, _, labels, values = load_l_values(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet_l, "_AFE_VERSION", dirichlet_l._AFE_VERSION + 1)
+        save_l_values(path, 1009, 0.5, values, labels, tail_cut=40.0, residual_stats={"max": 0.0, "mean": 0.0})
+
+
+def _truncated_by_a_record(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:-24])
+
+
+def _truncated_mid_record(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:-5])
+
+
+@pytest.mark.parametrize("spoil", [
+    _wrong_q, _wrong_tail_cut, _version_1, _other_afe_version, _truncated_by_a_record, _truncated_mid_record,
+])
+def test_clt_recomputes_instead_of_reading_a_mismatched_cache(cached_1009, spoil, capsys):
+    out, miss = cached_1009
+    spoil(str(out / "cache" / "lvalues_q1009.bin"))
+    # residuals of 0.0 in a readable header would show up in the report
+    assert clt_outputs(out, capsys) == miss
 
 
 # ---------------------------------------------------------------------------

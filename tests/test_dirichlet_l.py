@@ -1,6 +1,8 @@
 """Central L-values: Hurwitz oracle, smoothed functional equation, caches, moments."""
 
 import math
+import os
+import struct
 
 import mpmath
 import numpy as np
@@ -11,11 +13,13 @@ from molliclt.characters import build_table
 from molliclt.dirichlet_l import (
     CentralValueSet,
     afe_l_value,
+    cached_afe_values,
     fe_residual_stats,
     hurwitz_zeta,
     l_values_afe,
     l_values_oracle,
     load_l_values,
+    read_cache_header,
     save_l_values,
     twisted_second_moment,
     twisted_second_moment_empirical,
@@ -128,26 +132,101 @@ def test_oracle_vs_hurwitz_combination_mod3():
         assert abs(orc.values[1] - want) < 1e-12
 
 
+HEALTH = {"max": 1e-13, "mean": 1e-15}  # residual statistics for caches whose header is not under test
+
+
 def test_cache_roundtrip(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values)
+    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
     q, s, labels, loaded = load_l_values(path)
     assert q == 101 and s == 0.5
     assert np.array_equal(labels, np.arange(100))
     # bit-exact roundtrip (slot 0 is the NaN sentinel)
-    assert np.array_equal(loaded, vals.values, equal_nan=True)
+    assert loaded.tobytes() == vals.values.tobytes()
+
+
+def test_cache_roundtrip_keeps_signed_zeros_and_non_finite_parts(tmp_path):
+    parts = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5]
+    values = np.empty(len(parts) ** 2, dtype=np.complex128)
+    values.real = np.repeat(parts, len(parts))
+    values.imag = np.tile(parts, len(parts))
+    path = str(tmp_path / "cache.bin")
+    save_l_values(path, 101, 0.5, values, tail_cut=40.0, residual_stats=HEALTH)
+    _, _, _, loaded = load_l_values(path)
+    assert loaded.tobytes() == values.tobytes()
+
+
+def test_cache_header_carries_afe_settings_and_health(tmp_path, table101):
+    vals = l_values_afe(table101, 0.5, tail_cut=40.0, residuals=True)
+    path = str(tmp_path / "cache.bin")
+    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=vals.residual_stats)
+    head = read_cache_header(path)
+    assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 1, 100)
+    assert head.fe_residual_max == vals.residual_stats["max"]
+    assert head.fe_residual_mean == vals.residual_stats["mean"]
+
+
+def test_cached_afe_values_equal_a_computation(tmp_path, table101):
+    vals = l_values_afe(table101, 0.5, tail_cut=40.0, residuals=True)
+    path = str(tmp_path / "cache.bin")
+    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=vals.residual_stats)
+    hit = cached_afe_values(path, table101, 0.5, 40.0)
+    assert hit.values.tobytes() == vals.values.tobytes()
+    assert (hit.q, hit.s, hit.method, hit.residual_stats) == (vals.q, vals.s, vals.method, vals.residual_stats)
+    assert cached_afe_values(path, table101, 0.5, 20.0) is None
+    assert cached_afe_values(path, table101, 0.55, 40.0) is None
+    assert cached_afe_values(path, build_table(103), 0.5, 40.0) is None
+    # the same values under permuted labels are not the run's values
+    save_l_values(path, 101, 0.5, vals.values, labels=np.arange(100)[::-1],
+                  tail_cut=40.0, residual_stats=vals.residual_stats)
+    assert cached_afe_values(path, table101, 0.5, 40.0) is None
 
 
 def test_cache_rejects_corruption(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values)
+    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
     raw = bytearray(open(path, "rb").read())
     raw[0] ^= 0xFF
     open(path, "wb").write(bytes(raw))
     with pytest.raises(ValueError):
         load_l_values(path)
+
+
+def test_cache_rejects_truncation_and_old_versions(tmp_path, table101):
+    vals = l_values_afe(table101, 0.5)
+    path = tmp_path / "cache.bin"
+    save_l_values(str(path), 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-5])
+    for reader in (load_l_values, read_cache_header):
+        with pytest.raises(ValueError, match="stray bytes"):
+            reader(str(path))
+    path.write_bytes(raw[:30])
+    with pytest.raises(ValueError, match="truncated header"):
+        read_cache_header(str(path))
+    # the version-1 layout: magic, version, q, s, then the same 24-byte records
+    path.write_bytes(struct.pack("<4sIQdd", b"LCHI", 1, 101, 0.5, 0.0) + raw[-100 * 24:])
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_l_values(str(path))
+
+
+def test_cache_write_is_atomic(tmp_path, table101, monkeypatch):
+    vals = l_values_afe(table101, 0.5)
+    path = tmp_path / "cache.bin"
+    save_l_values(str(path), 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_l_values(str(path), 101, 0.5, 2 * vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    # the old cache is intact and no temporary file is left behind
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["cache.bin"]
 
 
 def test_twisted_second_moment_prediction_tracks_empirical(table1009):

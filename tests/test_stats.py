@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from molliclt._special import trigamma
-from molliclt.dirichlet_l import l_values_afe
+from molliclt.dirichlet_l import CentralValueSet, l_values_afe
 from molliclt.mollifier import params_desk
 from molliclt.stats import (
     CLTReport,
@@ -478,6 +478,18 @@ def test_clt_accepts_precomputed_l_values(table1009, report1009):
     assert again.sigma_hat == report.sigma_hat
     assert again.ks_weighted == report.ks_weighted
     assert again.psi == report.psi
+
+
+def test_clt_rejects_l_values_of_another_run(table1009, table101, report1009):
+    _, params = report1009
+    lv = l_values_afe(table1009, 0.5)
+    with pytest.raises(ValueError, match="q 101 where the run needs 1009"):
+        clt_experiment(table1009, params, l_values=l_values_afe(table101, 0.5))
+    with pytest.raises(ValueError, match=r"s \(0.55\+0j\) where the run needs 0.5"):
+        clt_experiment(table1009, params, l_values=l_values_afe(table1009, 0.55))
+    short = CentralValueSet(q=1009, s=0.5, values=lv.values[:-1], method="afe")
+    with pytest.raises(ValueError, match="length 1007 where the run needs 1008"):
+        clt_experiment(table1009, params, l_values=short)
 
 
 def test_clt_is_deterministic(table1009, report1009):
