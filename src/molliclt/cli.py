@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._io import atomic_write
 from .arith import is_prime
-from .characters import batch_character_sums, build_table, gauss_sums_all
+from .characters import build_table, gauss_sums_all
 from .dirichlet_l import (
     CentralValueSet,
     cached_afe_values,
@@ -49,6 +49,7 @@ from .mollifier import (
     m_alpha_beta,
     params_desk,
     params_paper,
+    prime_sum_polynomial,
 )
 from .random_model import exact_expectation, mc_expectation, moment_identity_check
 from .stats import clt_experiment, write_charfn_csv, write_interval_csv
@@ -59,6 +60,7 @@ EXIT_CONFIG = 2
 
 _COMMANDS = ("characters", "lvalues", "clt", "random", "second-moment")
 _TAIL_CUT = 40.0  # AFE tail cut of the central values lvalues caches and clt uses
+_GRAM_BLOCK = 1 << 14  # labels per block of the characters orthogonality check
 
 
 @dataclass
@@ -199,13 +201,16 @@ def _central_values(cfg: RunConfig, table) -> tuple[CentralValueSet, str]:
 def cmd_characters(cfg: RunConfig) -> int:
     table = build_table(cfg.q)
     span = min(cfg.q - 1, 100)
-    ns = np.arange(1, span + 1, dtype=np.int64)
-    # full character matrix on [1, span]: labels 0..q-2 including principal
-    cols = np.empty((table.m, span), dtype=np.complex128)
-    eye = np.eye(span)
-    for i, n in enumerate(ns):
-        cols[:, i] = batch_character_sums(table, np.array([n]), np.array([1.0 + 0.0j]))
-    residual = float(np.max(np.abs(cols.conj().T @ cols / table.m - eye)))
+    # Gram matrix of the characters on [1, span] over all labels 0..q-2
+    # (principal included), a block of labels at a time, with
+    # chi_a(n) = roots[a ind(n) mod m] read off the table
+    logs = table.index[1 : span + 1]
+    gram = np.zeros((span, span), dtype=np.complex128)
+    for start in range(0, table.m, _GRAM_BLOCK):
+        labels = np.arange(start, min(start + _GRAM_BLOCK, table.m), dtype=np.int64)
+        chi = table.roots[np.outer(labels, logs) % table.m]
+        gram += chi.conj().T @ chi
+    residual = float(np.max(np.abs(gram / table.m - np.eye(span))))
     gauss = gauss_sums_all(table)
     gauss_residual = float(np.max(np.abs(np.abs(gauss[1:]) ** 2 - table.q)))
     ok = residual < 1e-10 and gauss_residual < 1e-9 * table.q
@@ -284,8 +289,9 @@ def cmd_random(cfg: RunConfig) -> int:
         suite_ok = suite_ok and ok
         checks[name] = {"passed": ok, **detail}
 
+    poly = prime_sum_polynomial(params)
+    p_max = int(poly.support[-1])
     for k in (1, 2):
-        p_max = int(params.intervals[0].primes[-1])
         if p_max ** (2 * k) >= cfg.q:
             record(f"moment_identity_k{k}", True, skipped="support reaches q")
             continue
@@ -298,16 +304,14 @@ def cmd_random(cfg: RunConfig) -> int:
             bound=ident.bound, gap=gap,
         )
 
-    primes = params.intervals[0].primes
-    coeffs = 1.0 / np.sqrt(primes.astype(np.float64))
-    s_map = {int(p): complex(c) for p, c in zip(primes, coeffs)}
-    exact = exact_expectation([(s_map, False), (s_map, True)]).value.real
+    exact = exact_expectation([(poly, False), (poly, True)]).value.real
+    coeffs = poly.scaled_coeff
 
     def second_moment(s) -> complex:
         z = complex(np.sum(coeffs * s.values))
         return z * np.conj(z)
 
-    mc = mc_expectation(second_moment, [int(p) for p in primes], cfg.mc_samples, cfg.seed)
+    mc = mc_expectation(second_moment, poly.support, cfg.mc_samples, cfg.seed)
     mc_gap = abs(mc.value.real - exact)
     record("mc_vs_exact", mc_gap <= 5 * mc.standard_error + 1e-12,
            exact=exact, mc=mc.value.real, se=mc.standard_error)

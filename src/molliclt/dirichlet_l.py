@@ -448,6 +448,9 @@ def cached_afe_values(path: str, table: CharacterTable, s: complex, tail_cut: fl
     return CentralValueSet(q=table.q, s=head.s, values=values, method="afe", residual_stats=stats)
 
 
+_POLE_STEP = 1e-4  # half-width of the alpha average across the alpha + beta = 0 pole
+
+
 @dataclass(frozen=True)
 class TwistedSecondMoment:
     """Averaged twisted second moment and its asymptotic prediction."""
@@ -469,16 +472,13 @@ def twisted_second_moment_empirical(
     beta: complex,
     support: np.ndarray,
     coeffs: np.ndarray,
-    l_alpha=None,
-    l_beta=None,
     even_only: bool = True,
 ) -> complex:
     """Average of L(1/2+alpha, chi) L(1/2+beta, chi-bar) A(chi) A(chi-bar).
 
     A(chi) is the twist sum of coeffs[n] chi(n) / sqrt(n).  The average
     runs over even nonprincipal labels by default ((q-3)/2 of them), or
-    all nonprincipal labels.  ``l_alpha``/``l_beta`` may be value sets
-    or plain arrays; missing ones are computed by the smoothed
+    all nonprincipal labels.  Both L-value sets come from the smoothed
     functional equation.
     """
     q, m = table.q, table.m
@@ -486,14 +486,8 @@ def twisted_second_moment_empirical(
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(support) and int(support[-1]) >= q:
         raise ValueError("twist length must stay below the modulus")
-    if l_alpha is None:
-        l_alpha = l_values_afe(table, 0.5 + alpha).values
-    else:
-        l_alpha = np.asarray(getattr(l_alpha, "values", l_alpha), dtype=np.complex128)
-    if l_beta is None:
-        l_beta = l_values_afe(table, 0.5 + beta).values
-    else:
-        l_beta = np.asarray(getattr(l_beta, "values", l_beta), dtype=np.complex128)
+    l_alpha = l_values_afe(table, 0.5 + alpha).values
+    l_beta = l_values_afe(table, 0.5 + beta).values
     twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))
     labels = np.arange(2, m, 2, dtype=np.int64) if even_only else np.arange(1, m, dtype=np.int64)
     flip = m - labels
@@ -523,9 +517,6 @@ def twisted_second_moment(
     beta: complex,
     support: np.ndarray,
     coeffs: np.ndarray,
-    l_alpha=None,
-    l_beta=None,
-    pole_step: float = 1e-4,
 ) -> TwistedSecondMoment:
     """Empirical twisted second moment over even characters, with prediction.
 
@@ -533,17 +524,15 @@ def twisted_second_moment(
     diagonal piece and a reflected piece carrying the gamma-factor ratio
     and (q/pi)^-(alpha+beta).  On the antidiagonal alpha + beta = 0 both
     pieces have a pole that cancels in the sum; it is handled by
-    averaging the prediction at alpha +- pole_step.
+    averaging the prediction at alpha +- _POLE_STEP.
     """
     q = table.q
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    emp = twisted_second_moment_empirical(
-        table, alpha, beta, support, coeffs, l_alpha=l_alpha, l_beta=l_beta, even_only=True
-    )
+    emp = twisted_second_moment_empirical(table, alpha, beta, support, coeffs, even_only=True)
 
     if abs(alpha + beta) < 1e-7:
-        h = pole_step
+        h = _POLE_STEP
         t1p, t2p = _twisted_main_terms(alpha + h, beta, support, coeffs)
         t1m, t2m = _twisted_main_terms(alpha - h, beta, support, coeffs)
         qpi_p = (q / math.pi) ** (-(alpha + h + beta))

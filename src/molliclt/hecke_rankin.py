@@ -4,11 +4,13 @@ the smooth Mellin cutoff, and Euler-product evaluation of the expected
 random weight.
 
 The two shipped forms are the discriminant cusp form (weight 12) and
-the weight-16 level-1 form; their integer q-expansions are recomputed
-from scratch at import of the form, as the eighth power of the sparse
-cube of the Dedekind eta q-series under a CRT stack of word-sized prime
-moduli (int64 products stay exact; the lifted integers do not fit in 64
-bits and are kept as Python ints).
+the weight-16 level-1 form, presented by their prime coefficients a(p),
+recomputed from scratch when a form is built.  Under a CRT stack of
+word-sized prime moduli (int64 products stay exact) the eta^24 series is
+the eighth power of the sparse cube of the Dedekind eta q-series, which
+gives tau(p); the weight-16 a(p) is one dot product of the weight-4
+Eisenstein series with tau per prime.  Only the values at the primes are
+lifted; they do not fit in 64 bits and are kept as Python ints.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -52,18 +54,22 @@ _EIGEN_LIMIT = 10_000
 _TRUNC_TOL = 1e-16
 _TRUNC_LOOKAHEAD = 10
 _TRUNC_MAX_TERMS = 400
+_QUADRATURE_NODES = 64
+_MAX_TERM_PAIRS = 2_000_000  # random_twisted_L refuses cutoff supports needing more
+_EULER_D_CAP = 1_000_000  # largest interval-smooth D in expected_weight_euler
+_EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 
 
 # ---------------------------------------------------------------------------
-# integer q-expansions
+# integer coefficients at the primes
 
 def _crt_moduli(count: int = 5) -> list[int]:
     """The largest ``count`` primes below 2e7.
 
-    The convolution bound: one output coefficient accumulates at most
-    ~1e4 products each below (2e7)^2 = 4e14, so sums stay under 2^63.
+    The dot-product bound: one coefficient accumulates at most ~1e4
+    products each below (2e7)^2 = 4e14, so sums stay under 2^63.
     Five moduli give a combined modulus near 3.2e36, clearing twice the
-    largest coefficient magnitude we lift (~1.3e32).
+    largest value we lift (Deligne: |a(p)| <= 2 p^7.5 <= 2e30 for p <= 1e4).
     """
     iv = sieve_primes(2 * 10**7 - 400, 2 * 10**7)
     return [int(p) for p in iv.primes[-count:]]
@@ -104,46 +110,36 @@ def _sigma3(length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _integer_coefficients(limit: int) -> dict[str, list[int]]:
-    """Exact q-expansion coefficients up to n = limit for both shipped forms.
+def _prime_coefficients(limit: int) -> dict[str, dict[int, int]]:
+    """Exact coefficients a(n) of both shipped forms at n = 1 and every prime n <= limit.
 
-    Returned lists are indexed by n (slot 0 unused).  The weight-16 form
-    is the product of the weight-4 Eisenstein series with the
-    discriminant form, normalized so the first coefficient is 1.
+    Delta's a(n) is the eta^24 coefficient of q^(n-1).  The weight-16
+    form is the weight-4 Eisenstein series times the discriminant form,
+    so a(n) = sum over k < n of e4(k) tau(n - k): one int64 dot product
+    per n and CRT modulus.  Only these values are lifted (Python ints:
+    they exceed 64 bits).  a(1) = 1 for both forms is the normalization.
     """
-    length = limit  # coefficients of the eta-power series live at 0..limit-1
+    ns = [1] + [int(p) for p in sieve_primes(1, limit).primes]
     moduli = _crt_moduli()
+    e4 = 240 * _sigma3(limit)
+    e4[0] = 1
     residues_delta = []
     residues_w16 = []
-    e4_int = np.ones(length, dtype=np.int64)
-    e4_int[1:] = 240 * _sigma3(length)[1:]
-    e4_int[0] = 1
     for m in moduli:
-        delta = np.zeros(length + 1, dtype=np.int64)
-        delta[1:] = _eta_24(length, m)  # leading q factor shifts by one
-        w16 = np.convolve(e4_int % m, delta)[: length + 1] % m
-        residues_delta.append(delta)
-        residues_w16.append(w16)
-    # CRT lift with centered representatives (Python ints: values exceed 64 bits)
-    big_m = 1
-    for m in moduli:
-        big_m *= m
-    crt_coeff = []
-    for m in moduli:
-        rest = big_m // m
-        crt_coeff.append(rest * pow(rest, -1, m))
+        eta24 = _eta_24(limit, m)  # tau(n) = eta24[n - 1]
+        e4_m = e4 % m
+        residues_delta.append([int(eta24[n - 1]) for n in ns])
+        residues_w16.append([int(np.dot(e4_m[:n], eta24[n - 1 :: -1])) % m for n in ns])
+    # CRT lift with centered representatives
+    big_m = math.prod(moduli)
+    crt_coeff = [(big_m // m) * pow(big_m // m, -1, m) for m in moduli]
     half = big_m // 2
 
-    def lift(residue_rows: list[np.ndarray]) -> list[int]:
-        out = [0] * (limit + 1)
-        for n in range(1, limit + 1):
-            r = 0
-            for row, c in zip(residue_rows, crt_coeff):
-                r += int(row[n]) * c
-            r %= big_m
-            if r > half:
-                r -= big_m
-            out[n] = r
+    def lift(rows: list[list[int]]) -> dict[int, int]:
+        out = {}
+        for n, column in zip(ns, zip(*rows)):
+            r = sum(res * c for res, c in zip(column, crt_coeff)) % big_m
+            out[n] = r - big_m if r > half else r
         return out
 
     return {"delta": lift(residues_delta), "weight16": lift(residues_w16)}
@@ -180,10 +176,10 @@ class HeckeForm:
             raise ValueError(f"{self.label}: {p} is not prime") from None
 
 
-def _form_from_expansion(label: str, weight: int, limit: int) -> HeckeForm:
-    coeffs = _integer_coefficients(limit)[label]
+def _form_from_coefficients(label: str, weight: int, limit: int) -> HeckeForm:
+    coeffs = _prime_coefficients(limit)[label]
     if coeffs[1] != 1:
-        raise AssertionError(f"{label}: expansion is not normalized")
+        raise AssertionError(f"{label}: coefficients are not normalized")
     primes = sieve_primes(1, limit).primes
     half = (weight - 1) / 2.0
     cache = {int(p): coeffs[int(p)] / float(p) ** half for p in primes}
@@ -197,14 +193,14 @@ def _form_from_expansion(label: str, weight: int, limit: int) -> HeckeForm:
 
 @lru_cache(maxsize=4)
 def delta_form(limit: int = _EIGEN_LIMIT) -> HeckeForm:
-    """The weight-12 discriminant cusp form, eigenvalues from its q-expansion."""
-    return _form_from_expansion("delta", 12, limit)
+    """The weight-12 discriminant cusp form, eigenvalues from tau at the primes."""
+    return _form_from_coefficients("delta", 12, limit)
 
 
 @lru_cache(maxsize=4)
 def weight16_form(limit: int = _EIGEN_LIMIT) -> HeckeForm:
     """The weight-16 level-1 eigenform (Eisenstein-4 times the discriminant form)."""
-    return _form_from_expansion("weight16", 16, limit)
+    return _form_from_coefficients("weight16", 16, limit)
 
 
 def write_eigenvalue_csv(form: HeckeForm, path: str) -> None:
@@ -306,6 +302,29 @@ def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, Satake
     return satake(pair.f.lambda_p(p)), satake(pair.g.lambda_p(p))
 
 
+def _settled_sum(terms: Iterator[complex], failure: str) -> complex:
+    """Sum ``terms`` until _TRUNC_LOOKAHEAD consecutive ones fall below
+    _TRUNC_TOL in modulus.  The term generators stop after at most
+    _TRUNC_MAX_TERMS terms; running out first raises RuntimeError(failure).
+    """
+    total = 0.0j
+    quiet = 0
+    for term in terms:
+        total += term
+        quiet = quiet + 1 if abs(term) < _TRUNC_TOL else 0
+        if quiet >= _TRUNC_LOOKAHEAD:
+            return total
+    raise RuntimeError(failure)
+
+
+def _diagonal_terms(pair: RankinSelbergPair, p: int, x: complex) -> Iterator[complex]:
+    """lambda_f(p^j) lambda_g(p^j) x^j for j = 0, 1, ..., _TRUNC_MAX_TERMS - 1."""
+    term_x = 1.0 + 0.0j
+    for j in range(_TRUNC_MAX_TERMS):
+        yield lambda_prime_power(pair.f, p, j) * lambda_prime_power(pair.g, p, j) * term_x
+        term_x *= x
+
+
 def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex, path: str = "product") -> complex:
     """Local factor of the convolution L-function at p: four Satake factors.
 
@@ -328,18 +347,7 @@ def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex, path: str = "pr
                 out /= d
         return out
     if path == "series":
-        total = 0.0j
-        term_x = 1.0 + 0.0j
-        quiet = 0
-        for j in range(_TRUNC_MAX_TERMS):
-            term = lambda_prime_power(pair.f, p, j) * lambda_prime_power(pair.g, p, j) * term_x
-            total += term
-            term_x *= x
-            quiet = quiet + 1 if abs(term) < _TRUNC_TOL else 0
-            if quiet >= _TRUNC_LOOKAHEAD:
-                break
-        else:
-            raise RuntimeError(f"local series did not settle at p={p}, s={s}")
+        total = _settled_sum(_diagonal_terms(pair, p, x), f"local series did not settle at p={p}, s={s}")
         return total / (1.0 - x * x)
     raise ValueError(f"unknown path {path!r}")
 
@@ -362,19 +370,7 @@ def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str =
         if s.real <= -0.45:
             raise ValueError("series path is unreliable below Re s = -0.45")
         x = complex(p) ** (-(2.0 * s + 1.0))
-        total = 0.0j
-        term_x = 1.0 + 0.0j
-        quiet = 0
-        for j in range(_TRUNC_MAX_TERMS):
-            term = lambda_prime_power(pair.f, p, j) * lambda_prime_power(pair.g, p, j) * term_x
-            total += term
-            term_x *= x
-            quiet = quiet + 1 if abs(term) < _TRUNC_TOL else 0
-            if quiet >= _TRUNC_LOOKAHEAD:
-                break
-        else:
-            raise RuntimeError(f"expectation series did not settle at p={p}, s={s}")
-        return total
+        return _settled_sum(_diagonal_terms(pair, p, x), f"expectation series did not settle at p={p}, s={s}")
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -413,6 +409,15 @@ def n_coeff(
     return total
 
 
+def _ordered(pair: RankinSelbergPair, ordering: str) -> tuple[HeckeForm, HeckeForm]:
+    """The forms whose L-factors ride X and its conjugate: (f, g) for "fg", (g, f) for "gf"."""
+    if ordering == "fg":
+        return pair.f, pair.g
+    if ordering == "gf":
+        return pair.g, pair.f
+    raise ValueError(f"unknown ordering {ordering!r}")
+
+
 def local_expectation(
     pair: RankinSelbergPair,
     p: int,
@@ -428,24 +433,13 @@ def local_expectation(
     of n^(L1,f)(k) n^(L2,g)(k+a), truncated by magnitude with a
     lookahead guard.
     """
-    if ordering == "fg":
-        l1, l2 = pair.f, pair.g
-    elif ordering == "gf":
-        l1, l2 = pair.g, pair.f
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    l1, l2 = _ordered(pair, ordering)
     sigma = complex(s) + 0.5
-    total = 0.0j
-    quiet = 0
-    for k in range(max(0, -a), _TRUNC_MAX_TERMS):
-        term = n_coeff(p, sigma, k, l1, pair.f, params) * n_coeff(p, sigma, k + a, l2, pair.g, params)
-        total += term
-        quiet = quiet + 1 if abs(term) < _TRUNC_TOL else 0
-        if quiet >= _TRUNC_LOOKAHEAD:
-            break
-    else:
-        raise RuntimeError(f"local expectation series did not settle at p={p}, s={s}, a={a}")
-    return total
+    terms = (
+        n_coeff(p, sigma, k, l1, pair.f, params) * n_coeff(p, sigma, k + a, l2, pair.g, params)
+        for k in range(max(0, -a), _TRUNC_MAX_TERMS)
+    )
+    return _settled_sum(terms, f"local expectation series did not settle at p={p}, s={s}, a={a}")
 
 
 def g_p(
@@ -471,31 +465,25 @@ def quadrature_expectation(
     a: int,
     params: MollifierParams,
     ordering: str = "fg",
-    nodes: int = 64,
 ) -> complex:
     """Independent oracle for :func:`local_expectation` by angle quadrature.
 
-    Evaluates the integrand at ``nodes`` uniformly spaced angles (the
+    Evaluates the integrand at _QUADRATURE_NODES uniformly spaced angles (the
     periodic rule is exact for trigonometric content below the node
     count, which the p^(-k/2) coefficient decay guarantees to well
     beyond the target accuracy) and averages.  No series coefficients
     are reused: the local factors are evaluated as Satake products and
     a literal exponential.
     """
-    if ordering == "fg":
-        l1, l2 = pair.f, pair.g
-    elif ordering == "gf":
-        l1, l2 = pair.g, pair.f
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    l1, l2 = _ordered(pair, ordering)
     sigma = complex(s) + 0.5
-    theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * math.pi * (np.arange(_QUADRATURE_NODES) + 0.5) / _QUADRATURE_NODES
     x = np.exp(1j * theta)
     xb = np.conj(x)
     ps = complex(p) ** (-sigma)
     s1 = satake(l1.lambda_p(p))
     s2 = satake(l2.lambda_p(p))
-    vals = np.ones(nodes, dtype=np.complex128)
+    vals = np.ones(_QUADRATURE_NODES, dtype=np.complex128)
     for al in (s1.alpha1, s1.alpha2):
         vals /= 1.0 - al * x * ps
     for al in (s2.alpha1, s2.alpha2):
@@ -511,6 +499,7 @@ def quadrature_expectation(
 # ---------------------------------------------------------------------------
 # the smooth Mellin cutoff
 
+@lru_cache(maxsize=64)
 def _cutoff_node_data(
     weights: tuple[int, int], contour_re: float, t_max: float, nodes_per_panel: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -539,13 +528,8 @@ def _cutoff_node_data(
     return s, f * ws
 
 
-@lru_cache(maxsize=64)
-def _cutoff_nodes_cached(weights, contour_re, t_max, nodes_per_panel):
-    return _cutoff_node_data(weights, contour_re, t_max, nodes_per_panel)
-
-
 def _cutoff_eval(xis: np.ndarray, weights: tuple[int, int], contour_re: float, nodes: int) -> np.ndarray:
-    s, fw = _cutoff_nodes_cached(weights, contour_re, 14.0, nodes)
+    s, fw = _cutoff_node_data(weights, contour_re, 14.0, nodes)
     log_xi = np.log(xis)
     phase = np.exp(-np.outer(log_xi, s))
     # conjugate symmetry folds the full vertical line onto t >= 0
@@ -633,7 +617,6 @@ def random_twisted_L(
     pair: RankinSelbergPair,
     q_eff: int,
     v_floor: float = 1e-10,
-    max_pairs: int = 2_000_000,
 ) -> complex:
     """One realization of the cutoff-smoothed random twisted central L-value.
 
@@ -649,9 +632,9 @@ def random_twisted_L(
         raise ValueError("the joint experiment needs two distinct forms")
     d_max = _cutoff_support_limit(q_eff, pair, v_floor)
     est = int(d_max * (math.log(d_max) + 1.0))
-    if est > max_pairs:
+    if est > _MAX_TERM_PAIRS:
         raise RuntimeError(
-            f"cutoff support needs ~{est} term pairs (> {max_pairs}); "
+            f"cutoff support needs ~{est} term pairs (> {_MAX_TERM_PAIRS}); "
             "lower q_eff or raise v_floor"
         )
     lam_f = lambda_table(pair.f, d_max)
@@ -682,19 +665,13 @@ def random_twisted_L(
 # ---------------------------------------------------------------------------
 # Euler-product evaluation of the expected random weight
 
-def expected_weight_euler(
-    pair: RankinSelbergPair,
-    params: MollifierParams,
-    d_cap: int = 1_000_000,
-    tail_limit: int = 10_000,
-    weight_fn: Callable[[int], float] | None = None,
-) -> tuple[float, float]:
+def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> tuple[float, float]:
     """E(random central L x random mollifier) for both form orderings.
 
     Euler product in three zones: bare local expectations below the
     mollifier range and on the tail above it (truncated at
-    ``tail_limit``), and per-interval diagonal convolution sums inside:
-    sum over interval-smooth D <= d_cap of (1/D) A1(D) A2(D) with
+    _EULER_TAIL_LIMIT), and per-interval diagonal convolution sums inside:
+    sum over interval-smooth D <= _EULER_D_CAP of (1/D) A1(D) A2(D) with
     A(D) = sum over factorizations D = m n, n in the capped mollifier
     support, of lambda_L(m) gamma(n).  The mollifier slots are fixed
     (f with X, g with the conjugate); the orderings swap only which
@@ -702,14 +679,14 @@ def expected_weight_euler(
     1 on this support.  Real output; equal labels are permitted here.
     """
     small = sieve_primes(1.0, params.c0).primes
-    tail = sieve_primes(params.x, float(tail_limit)).primes
+    tail = sieve_primes(params.x, float(_EULER_TAIL_LIMIT)).primes
     outer = 1.0
     for p in np.concatenate([small, tail]):
         outer *= expectation_local_L(pair, int(p), 0.0, "formula").real
 
     fg_total, gf_total = outer, outer
     for j in range(params.J + 1):
-        support = smooth_integers(params.intervals[j], None, float(d_cap))
+        support = smooth_integers(params.intervals[j], None, float(_EULER_D_CAP))
         values = support.values
         exponents = range(support.max_exponent + 1)
         lam_cache: dict[str, np.ndarray] = {}
@@ -720,14 +697,14 @@ def expected_weight_euler(
                     np.array(local).reshape(len(support.primes), len(exponents))
                 )
 
-        gamma_f = hecke_interval_factor(params, j, pair.f, weight_fn)
-        gamma_g = hecke_interval_factor(params, j, pair.g, weight_fn)
+        gamma_f = hecke_interval_factor(params, j, pair.f)
+        gamma_g = hecke_interval_factor(params, j, pair.g)
 
         def a_convolve(l_form: HeckeForm, gamma_map: dict[int, float]) -> np.ndarray:
             lam_vals = lam_cache[l_form.label]
             acc = np.zeros(len(values))
             for n_m, gval in gamma_map.items():
-                cut = int(np.searchsorted(values, d_cap // n_m, side="right"))
+                cut = int(np.searchsorted(values, _EULER_D_CAP // n_m, side="right"))
                 prods = n_m * values[:cut]
                 pos = np.searchsorted(values, prods)
                 acc[pos] += gval * lam_vals[:cut]

@@ -44,7 +44,7 @@ __all__ = [
     "m_alpha_beta_general",
 ]
 
-_SUPPORT_CAP = 2_000_000  # default enumeration budget (count of support integers)
+_SUPPORT_CAP = 2_000_000  # enumeration budget (count of support integers)
 
 
 class ParamsDegenerateError(ValueError):
@@ -197,11 +197,6 @@ class DirichletPolynomial:
         if len(self.support) and np.any(np.diff(self.support) <= 0):
             raise ValueError("support must be strictly ascending")
 
-    @property
-    def length(self) -> int:
-        """Largest support element."""
-        return int(self.support[-1]) if len(self.support) else 0
-
     def coefficient(self, n: int) -> complex:
         i = int(np.searchsorted(self.support, n))
         if i < len(self.support) and self.support[i] == n:
@@ -225,12 +220,6 @@ class DirichletPolynomial:
         """The same sum for every label at once (batch transform)."""
         return batch_character_sums(table, self.support, self.scaled_coeff)
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,coeff_re,coeff_im\n")
-            for n, c in zip(self.support, self.coeff):
-                fh.write(f"{int(n)},{c.real!r},{c.imag!r}\n")
-
 
 def _from_map(coeffs: Mapping[int, complex], exact: Mapping[int, Fraction] | None) -> DirichletPolynomial:
     support = np.array(sorted(coeffs), dtype=np.int64)
@@ -239,27 +228,27 @@ def _from_map(coeffs: Mapping[int, complex], exact: Mapping[int, Fraction] | Non
     return DirichletPolynomial(support, values, exact_tuple)
 
 
-def _interval_factor_exact(params: MollifierParams, j: int, max_count: int) -> dict[int, Fraction]:
+def _interval_factor_exact(params: MollifierParams, j: int) -> dict[int, Fraction]:
     """lambda(n) nu(n) on the interval-j smooth support, as exact rationals."""
-    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count)
+    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, _SUPPORT_CAP)
     return {
         n: Fraction(sign, den)
         for n, sign, den in zip(support.values.tolist(), support.liouville.tolist(), support.nu_denominators)
     }
 
 
-def _interval_product(factors: Iterable[Mapping[int, object]], one, max_support: int) -> dict:
+def _interval_product(factors: Iterable[Mapping[int, object]], one) -> dict:
     """Multiply per-interval coefficient maps; the interval primes are
     disjoint, so every product n1 * n2 is a distinct support element."""
     acc = {1: one}
     for factor in factors:
-        if len(acc) * len(factor) > max_support:
+        if len(acc) * len(factor) > _SUPPORT_CAP:
             raise RuntimeError("mollifier support enumeration budget exceeded")
         acc = {n1 * n2: c1 * c2 for n1, c1 in acc.items() for n2, c2 in factor.items()}
     return acc
 
 
-def build_dirichlet_mollifier(params: MollifierParams, max_support: int = _SUPPORT_CAP) -> DirichletPolynomial:
+def build_dirichlet_mollifier(params: MollifierParams) -> DirichletPolynomial:
     """Coefficients of the product over intervals of the Liouville-nu pieces.
 
     Interval prime sets are disjoint, so the product support is the set
@@ -267,14 +256,12 @@ def build_dirichlet_mollifier(params: MollifierParams, max_support: int = _SUPPO
     coefficient of n is the product of the factors' coefficients, exact
     rationals throughout.  Raises when the support budget is hit.
     """
-    factors = (_interval_factor_exact(params, j, max_support) for j in range(params.J + 1))
-    acc = _interval_product(factors, Fraction(1), max_support)
+    factors = (_interval_factor_exact(params, j) for j in range(params.J + 1))
+    acc = _interval_product(factors, Fraction(1))
     return _from_map({n: complex(c) for n, c in acc.items()}, acc)
 
 
-def dirichlet_interval_piece(
-    params: MollifierParams, j: int, max_support: int = _SUPPORT_CAP
-) -> DirichletPolynomial:
+def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolynomial:
     """The single-interval factor of the product mollifier, as a polynomial.
 
     Needed on its own by the typical-set filter, which bounds the tail
@@ -282,7 +269,7 @@ def dirichlet_interval_piece(
     """
     if not 0 <= j <= params.J:
         raise ValueError(f"interval index {j} outside 0..{params.J}")
-    exact = _interval_factor_exact(params, j, max_support)
+    exact = _interval_factor_exact(params, j)
     floats = {n: complex(c) for n, c in exact.items()}
     return _from_map(floats, exact)
 
@@ -292,7 +279,6 @@ def hecke_interval_factor(
     j: int,
     form,
     weight_fn: Callable[[int], float] | None = None,
-    max_count: int = _SUPPORT_CAP,
 ) -> dict[int, float]:
     """Interval-j coefficients a(n) lambda(n) nu(n) on the capped smooth support.
 
@@ -304,7 +290,7 @@ def hecke_interval_factor(
     """
     if weight_fn is None:
         weight_fn = lambda p: w_weight(p, params.J, params)
-    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, max_count)
+    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, _SUPPORT_CAP)
     a_p = [form.lambda_p(int(p)) * weight_fn(int(p)) for p in support.primes]
     exponents = range(support.max_exponent + 1)
     powers = np.array([[a ** e for e in exponents] for a in a_p]).reshape(len(a_p), len(exponents))
@@ -315,12 +301,11 @@ def hecke_interval_factor(
 def build_hecke_mollifier(
     params: MollifierParams,
     form,
-    max_support: int = _SUPPORT_CAP,
     weight_fn: Callable[[int], float] | None = None,
 ) -> DirichletPolynomial:
     """Product over intervals of the Hecke-weighted pieces (float coefficients)."""
-    factors = (hecke_interval_factor(params, j, form, weight_fn, max_support) for j in range(params.J + 1))
-    return _from_map(_interval_product(factors, 1.0 + 0.0j, max_support), None)
+    factors = (hecke_interval_factor(params, j, form, weight_fn) for j in range(params.J + 1))
+    return _from_map(_interval_product(factors, 1.0 + 0.0j), None)
 
 
 def _resolve_weights(primes: np.ndarray, weights) -> np.ndarray:
@@ -338,9 +323,15 @@ def prime_sum_polynomial(params: MollifierParams, weights=None) -> DirichletPoly
     """First-interval prime sum as a polynomial: c(p) = weight(p) on c0 < p <= y.
 
     ``weights`` is None (all ones), a callable p -> real, or an array
-    parallel to the interval's prime list.
+    parallel to the interval's prime list.  An interval without primes
+    raises ValueError: every statistic built on the prime sum needs one.
     """
     primes = params.intervals[0].primes
+    if len(primes) == 0:
+        raise ValueError(
+            f"the first mollifier interval (c0, q^theta_0] = ({params.c0:.4g}, {params.y:.4g}] "
+            "contains no primes; raise theta_0 or lower c0"
+        )
     return DirichletPolynomial(primes, _resolve_weights(primes, weights).astype(np.complex128))
 
 

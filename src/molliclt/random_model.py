@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .arith import factorize, primes_up_to
-from .characters import CharacterTable, batch_character_sums
-from .mollifier import MollifierParams, _resolve_weights
+from .characters import CharacterTable
+from .mollifier import MollifierParams, prime_sum_polynomial
 
 __all__ = [
     "RandomSample",
@@ -151,8 +151,8 @@ def _coeff_map(obj) -> dict[int, complex]:
     """Coefficient map of one factor, with the 1/sqrt(n) normalization folded in."""
     if isinstance(obj, Mapping):
         return {int(n): complex(c) for n, c in obj.items()}
-    # a DirichletPolynomial: coefficients are stored without the 1/sqrt(n)
-    return {int(n): complex(c) / math.sqrt(float(n)) for n, c in zip(obj.support, obj.coeff)}
+    # a DirichletPolynomial: scaled_coeff carries the 1/sqrt(n) its coeff leaves out
+    return {int(n): complex(c) for n, c in zip(obj.support, obj.scaled_coeff)}
 
 
 def _convolve_maps(maps: list[dict[int, complex]], budget: int) -> dict[int, complex]:
@@ -295,27 +295,25 @@ def moment_identity_check(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    primes = params.intervals[0].primes
-    p_max = int(primes[-1]) if len(primes) else 1
+    poly = prime_sum_polynomial(params, weights)
+    p_max = int(poly.support[-1])
     if p_max ** (2 * k) >= table.q:
         raise ValueError(
             f"p_max^2k = {p_max ** (2 * k)} must stay below q = {table.q} for the exact identity"
         )
-    w = _resolve_weights(primes, weights)
-    coeffs = w / np.sqrt(primes.astype(np.float64))
 
-    p_all = batch_character_sums(table, primes, coeffs.astype(np.complex128))
+    p_all = poly.evaluate_all(table)
     char_side = float(np.mean(p_all.real ** (2 * k)))
 
-    s_map = {int(p): complex(c) for p, c in zip(primes, coeffs)}
     random_side = 0.0
     for j in range(2 * k + 1):
-        spec = [(s_map, False)] * j + [(s_map, True)] * (2 * k - j)
+        spec = [(poly, False)] * j + [(poly, True)] * (2 * k - j)
         e_val = exact_expectation(spec).value
         random_side += math.comb(2 * k, j) * e_val.real
     random_side *= 2.0 ** (-2 * k)
 
-    bound = math.factorial(k) * float(np.sum(w**2 / primes)) ** k
+    w = poly.coeff.real
+    bound = math.factorial(k) * float(np.sum(w**2 / poly.support)) ** k
     return MomentIdentity(char_side=char_side, random_side=random_side, bound=bound, k=k)
 
 
@@ -343,11 +341,10 @@ def tail_census(table: CharacterTable, params: MollifierParams, v: float, weight
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    primes = params.intervals[0].primes
-    w = _resolve_weights(primes, weights)
-    sigma = math.sqrt(0.5 * float(np.sum(w**2 / primes)))
-    coeffs = (w / np.sqrt(primes.astype(np.float64))).astype(np.complex128)
-    p_all = batch_character_sums(table, primes, coeffs)
+    poly = prime_sum_polynomial(params, weights)
+    w = poly.coeff.real
+    sigma = math.sqrt(0.5 * float(np.sum(w**2 / poly.support)))
+    p_all = poly.evaluate_all(table)
     tail = np.abs(p_all.real[1:]) >= v * sigma
     count = int(np.count_nonzero(tail))
     bound = table.q * math.exp(-(v**2) / 9.0)

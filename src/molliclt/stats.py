@@ -50,6 +50,9 @@ __all__ = [
 
 _ZERO_CUTOFF = 1e-14
 _KS_GRID = np.linspace(-4.0, 4.0, 512)
+_SELBERG_SAMPLES = 1 << 20  # Shannon samples behind SelbergFunction.fourier
+_TAIL_EXPONENT = 2.0  # typical set: tail-piece product <= (log log q)^_TAIL_EXPONENT
+_P_SIGMA_FACTOR = 3.0  # clt typical set: |P| / sigma_hat <= _P_SIGMA_FACTOR
 
 
 def gauss_cdf(t):
@@ -279,21 +282,21 @@ class SelbergFunction:
         x = np.asarray(x, dtype=np.float64)
         return fejer_K(self.delta * (x - self.a)) + fejer_K(self.delta * (self.b - x))
 
-    def fourier(self, n_samples: int = 1 << 20) -> tuple[np.ndarray, np.ndarray]:
+    def fourier(self) -> tuple[np.ndarray, np.ndarray]:
         """Transform of the minorant by Shannon sampling plus FFT.
 
         The minorant is band-limited to [-delta, delta]; sampling at
         spacing h = 1/(3.2 delta) pushes the alias images 2.2 delta away
         from the band edge, so every reported frequency below 1.6 delta
         is alias-free and the residual there is pure spatial truncation,
-        a bit under 1e-6 at the default sample count.  Returns
+        a bit under 1e-6 at _SELBERG_SAMPLES samples.  Returns
         (frequencies ascending, transform values).
         """
         h = 1.0 / (3.2 * self.delta)
         center = 0.5 * (self.a + self.b)
-        offsets = (np.arange(n_samples) - n_samples // 2) * h
+        offsets = (np.arange(_SELBERG_SAMPLES) - _SELBERG_SAMPLES // 2) * h
         vals = self.minorant(center + offsets)
-        freqs = np.fft.fftfreq(n_samples, d=h)
+        freqs = np.fft.fftfreq(_SELBERG_SAMPLES, d=h)
         # F(xi) = h sum f(x_n) e^(-2 pi i xi x_n) with x_n = x0 + n h; the FFT
         # supplies the e^(-2 pi i k n / N) part, the grid origin the rest
         x0 = center + offsets[0]
@@ -337,13 +340,12 @@ def typical_set_filter(
     interval_factors: Sequence[np.ndarray],
     p_values: np.ndarray,
     weight_band: float = 25.0,
-    tail_exponent: float = 2.0,
     prime_sum_limit: float | None = None,
 ) -> TypicalSetReport:
     """Apply the three typicality conditions and count each exclusion.
 
     (1) |W| within [1/band, band]; (2) the product of the tail mollifier
-    pieces (indices j >= 1) bounded by (log log q)^exponent; (3) |P|
+    pieces (indices j >= 1) bounded by (log log q)^_TAIL_EXPONENT; (3) |P|
     at most the limit, which defaults to log log log q -- callers
     normalize P however they like and pass the limit in the same units.
     Conditions are evaluated independently, so one character can count
@@ -352,7 +354,7 @@ def typical_set_filter(
     if weight_band < 1:
         raise ValueError("the weight band must be at least 1")
     llq = math.log(math.log(table.q))
-    tail_bound = llq**tail_exponent
+    tail_bound = llq**_TAIL_EXPONENT
     if prime_sum_limit is None:
         if llq <= 1:
             raise ValueError("log log log q undefined this small; pass prime_sum_limit")
@@ -425,8 +427,6 @@ def clt_experiment(
     u_grid: Sequence[float] = _DEFAULT_U_GRID,
     l_values: CentralValueSet | None = None,
     weight_band: float = 25.0,
-    tail_exponent: float = 2.0,
-    p_sigma_factor: float = 3.0,
 ) -> CLTReport:
     """Run the full weighted central-limit pipeline at one modulus.
 
@@ -477,8 +477,7 @@ def clt_experiment(
 
     filt = typical_set_filter(
         table, w, piece_vals, obs,
-        weight_band=weight_band, tail_exponent=tail_exponent,
-        prime_sum_limit=p_sigma_factor,
+        weight_band=weight_band, prime_sum_limit=_P_SIGMA_FACTOR,
     )
     stack[2] = w
     stack[2][~filt.kept] = 0.0

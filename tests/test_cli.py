@@ -125,6 +125,26 @@ def test_degenerate_paper_mode_is_a_run_failure(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
+@pytest.mark.parametrize("command", ["random", "clt"])
+def test_empty_first_interval_is_a_run_failure_naming_it(command, tmp_path, capsys):
+    # 101^0.01 = 1.047: the first interval (1, 1.047] holds no prime
+    code = run(command, "--q", "101", "--theta", "0.01", "--out", str(tmp_path))
+    assert code == EXIT_SUITE
+    err = capsys.readouterr().err
+    assert "run failed: the first mollifier interval (c0, q^theta_0] = (1, 1.047] contains no primes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{command}_q101.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
+def test_empty_first_interval_second_moment_still_runs(tmp_path, capsys):
+    code = run("second-moment", "--q", "101", "--theta", "0.01", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert load_report(tmp_path / "second-moment_q101.json")["passed"] is True
+
+
 # ---------------------------------------------------------------------------
 # command runs and their reports
 

@@ -1,5 +1,6 @@
 """Hecke eigenforms and the Rankin-Selberg random model: tau, Satake, cutoffs."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from molliclt.hecke_rankin import (
     weight16_form,
     write_eigenvalue_csv,
 )
-from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _integer_coefficients
+from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _prime_coefficients
 from molliclt.mollifier import params_desk, w_weight
 from molliclt.random_model import sample
 
@@ -48,9 +49,44 @@ def desk(pair):
 
 # --- integer q-expansions ----------------------------------------------------
 
+ORACLE_LIMIT = 300
+
+
+def _series_product(a, b):
+    """Truncated product of two power series given as equal-length int lists."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(len(a) - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_coefficients():
+    """Exact a(n), 0 <= n <= 300, of Delta and E4 Delta in Python ints.
+
+    eta = prod (1 - q^n) from Euler's pentagonal theorem, eta^24 from
+    schoolbook products, Delta = q eta^24 and E4 = 1 + 240 sum sigma_3(n) q^n:
+    independent of the production Jacobi series for eta^3 and of its CRT.
+    """
+    n = ORACLE_LIMIT + 1
+    eta = [0] * n
+    for k in range(-n, n):
+        g = k * (3 * k - 1) // 2
+        if g < n:
+            eta[g] += 1 if k % 2 == 0 else -1
+    e2 = _series_product(eta, eta)
+    e4 = _series_product(e2, e2)
+    e8 = _series_product(e4, e4)
+    e24 = _series_product(_series_product(e8, e8), e8)
+    delta = [0] + e24[: n - 1]
+    eis4 = [1] + [240 * sum(d**3 for d in range(1, m + 1) if m % d == 0) for m in range(1, n)]
+    return {"delta": delta, "weight16": _series_product(eis4, delta)}
+
 
 def test_ramanujan_tau_anchors():
-    tau = _integer_coefficients(10)["delta"]
+    tau = oracle_coefficients()["delta"]
     assert tau[1] == 1
     assert tau[2] == -24
     assert tau[3] == 252
@@ -71,13 +107,13 @@ def test_eta_24_sparse_products_match_dense_squarings():
 
 
 def test_tau_multiplicative():
-    tau = _integer_coefficients(200)["delta"]
+    tau = oracle_coefficients()["delta"]
     for m, n in ((2, 3), (4, 5), (9, 8), (5, 7), (25, 4)):
         assert tau[m * n] == tau[m] * tau[n]
 
 
 def test_tau_hecke_recursion_at_prime_powers():
-    tau = _integer_coefficients(130)["delta"]
+    tau = oracle_coefficients()["delta"]
     for p in (2, 3, 5):
         # a(p^2) = a(p)^2 - p^11
         assert tau[p * p] == tau[p] ** 2 - p**11
@@ -86,14 +122,14 @@ def test_tau_hecke_recursion_at_prime_powers():
 
 def test_tau_691_congruence():
     """tau(n) = sigma_11(n) mod 691, the classical Ramanujan congruence."""
-    tau = _integer_coefficients(300)["delta"]
+    tau = oracle_coefficients()["delta"]
     for n in range(1, 301):
         sigma11 = sum(d**11 for d in range(1, n + 1) if n % d == 0)
         assert (tau[n] - sigma11) % 691 == 0
 
 
 def test_weight16_anchors():
-    c = _integer_coefficients(10)["weight16"]
+    c = oracle_coefficients()["weight16"]
     assert c[1] == 1
     assert c[2] == 216
     assert c[3] == -3348
@@ -102,9 +138,30 @@ def test_weight16_anchors():
 
 
 def test_weight16_hecke_recursion():
-    c = _integer_coefficients(30)["weight16"]
+    c = oracle_coefficients()["weight16"]
     for p in (2, 3, 5):
         assert c[p * p] == c[p] ** 2 - p**15
+
+
+def test_prime_coefficients_match_oracle():
+    """Production a(p) (eta^3 Jacobi series, dot products, CRT lift) equals the oracle."""
+    got = _prime_coefficients(ORACLE_LIMIT)
+    oracle = oracle_coefficients()
+    primes = [int(p) for p in primes_up_to(ORACLE_LIMIT)]
+    for label in ("delta", "weight16"):
+        assert sorted(got[label]) == [1] + primes
+        for n, value in got[label].items():
+            assert value == oracle[label][n], (label, n)
+
+
+def test_prime_coefficient_congruences_up_to_eigen_limit():
+    """tau(p) = 1 + p^11 mod 691 and a_16(p) = 1 + p^15 mod 3617 at all 1229 primes p <= 10^4."""
+    got = _prime_coefficients(10_000)
+    primes = [int(p) for p in primes_up_to(10_000)]
+    assert len(primes) == 1229
+    for p in primes:
+        assert (got["delta"][p] - 1 - p**11) % 691 == 0, p
+        assert (got["weight16"][p] - 1 - p**15) % 3617 == 0, p
 
 
 # --- normalized eigenforms -----------------------------------------------
@@ -179,7 +236,7 @@ def test_lambda_prime_power_recursion():
 
 def test_lambda_prime_power_matches_tau():
     d = delta_form()
-    tau = _integer_coefficients(8)["delta"]
+    tau = oracle_coefficients()["delta"]
     assert lambda_prime_power(d, 2, 3) == pytest.approx(tau[8] / 8**5.5, rel=1e-13)
 
 
@@ -189,7 +246,7 @@ def test_lambda_table_multiplicative():
     assert t[1] == 1.0
     assert t[6] == pytest.approx(t[2] * t[3], rel=1e-14)
     assert t[60] == pytest.approx(t[4] * t[3] * t[5], rel=1e-13)
-    tau = _integer_coefficients(200)["delta"]
+    tau = oracle_coefficients()["delta"]
     for n in (10, 36, 97, 144):
         assert t[n] == pytest.approx(tau[n] / n**5.5, rel=1e-12)
 

@@ -24,6 +24,7 @@ from molliclt.mollifier import (
     m_alpha_beta_general,
     params_desk,
     params_paper,
+    prime_sum_polynomial,
     prime_sum_S,
     prime_sums_all,
     w_weight,
@@ -292,6 +293,14 @@ def test_prime_sum_matches_naive(table101):
     for a in (1, 9, 42):
         naive = sum(table101.chi(a, v) / math.sqrt(v) for v in primes)
         assert abs(prime_sum_S(table101, a, p) - naive) < 1e-14
+
+
+def test_prime_sum_of_an_empty_first_interval_names_it():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = params_desk(101, [0.01], c0=1.0)
+    with pytest.raises(ValueError, match=r"\(c0, q\^theta_0\] = \(1, 1\.047\] contains no primes"):
+        prime_sum_polynomial(p)
 
 
 def test_prime_sums_all_orthogonality_second_moment(table101):
