@@ -180,9 +180,8 @@ def _form_from_coefficients(label: str, weight: int, limit: int) -> HeckeForm:
     coeffs = _prime_coefficients(limit)[label]
     if coeffs[1] != 1:
         raise AssertionError(f"{label}: coefficients are not normalized")
-    primes = sieve_primes(1, limit).primes
     half = (weight - 1) / 2.0
-    cache = {int(p): coeffs[int(p)] / float(p) ** half for p in primes}
+    cache = {n: a_n / float(n) ** half for n, a_n in coeffs.items() if n > 1}
     # level-1 functional equation sign (-1)^(weight/2): +1 for both shipped weights
     eps = -1.0 if (weight // 2) % 2 else 1.0
     return HeckeForm(
