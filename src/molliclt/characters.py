@@ -30,6 +30,7 @@ import numpy as np
 from .arith import factorize, is_prime
 
 __all__ = [
+    "MAX_MODULUS",
     "CharacterTable",
     "build_table",
     "primitive_root",
@@ -41,7 +42,7 @@ __all__ = [
     "root_numbers",
 ]
 
-_MAX_MODULUS = 10_000_000
+MAX_MODULUS = 10_000_000
 
 
 def primitive_root(q: int) -> int:
@@ -120,8 +121,8 @@ def build_table(q: int) -> CharacterTable:
     outer product (entries below q^2 <= 10^14); the discrete-log table
     is its inverse permutation.
     """
-    if q < 3 or q > _MAX_MODULUS:
-        raise ValueError(f"modulus must lie in [3, {_MAX_MODULUS}], got {q}")
+    if q < 3 or q > MAX_MODULUS:
+        raise ValueError(f"modulus must lie in [3, {MAX_MODULUS}], got {q}")
     f = factorize(q)
     if f.primes != (q,):
         raise ValueError(f"modulus {q} is not prime")

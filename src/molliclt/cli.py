@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__
 from ._io import atomic_write
 from .arith import is_prime
-from .characters import build_table, gauss_sums_all
+from .characters import MAX_MODULUS, build_table, gauss_sums_all
 from .dirichlet_l import (
+    TAIL_CUT,
     CentralValueSet,
     cached_afe_values,
     l_values_afe,
@@ -46,9 +47,9 @@ from .hecke_rankin import (
 from .mollifier import (
     MollifierParams,
     build_dirichlet_mollifier,
+    check_desk_params,
     m_alpha_beta,
     params_desk,
-    params_paper,
     prime_sum_polynomial,
 )
 from .random_model import exact_expectation, mc_expectation, moment_identity_check
@@ -58,9 +59,24 @@ EXIT_OK = 0
 EXIT_SUITE = 1
 EXIT_CONFIG = 2
 
-_COMMANDS = ("characters", "lvalues", "clt", "random", "second-moment")
-_TAIL_CUT = 40.0  # AFE tail cut of the central values lvalues caches and clt uses
 _GRAM_BLOCK = 1 << 14  # labels per block of the characters orthogonality check
+
+
+def _theta_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+# One entry per setting: (key, flag, parser, help).  The key names both the
+# RunConfig field and the config-file key; flags and file values are parsed
+# by the same parser.
+_SETTINGS = (
+    ("q", "--q", int, "prime modulus"),
+    ("c0", "--c0", float, "lower end of the first mollifier interval"),
+    ("theta", "--theta", _theta_tuple, "mollifier interval exponents, comma separated"),
+    ("seed", "--seed", int, "random-model seed"),
+    ("mc_samples", "--mc", int, "Monte Carlo sample count"),
+    ("out", "--out", str, "output directory"),
+)
 
 
 @dataclass
@@ -68,8 +84,6 @@ class RunConfig:
     """Effective settings for one command run (file < flags precedence)."""
 
     q: int | None = None
-    mode: str = "desk"
-    eta: float = 0.9
     c0: float = 1.0
     theta: tuple[float, ...] = (0.25,)
     seed: int = 1
@@ -77,21 +91,17 @@ class RunConfig:
     out: str = "."
 
     def validate(self) -> None:
+        """Every input rule, checked before any table build or sieve."""
         if self.q is None:
             raise ValueError("missing required field: q")
-        if not (self.q >= 3 and is_prime(self.q)):
-            raise ValueError(f"q must be an odd prime >= 3, got {self.q}")
-        if self.mode not in ("desk", "paper"):
-            raise ValueError(f"mode must be desk or paper, got {self.mode!r}")
-        if self.mode == "desk" and not self.theta:
-            raise ValueError("desk mode needs at least one theta value")
+        if not (3 <= self.q <= MAX_MODULUS and is_prime(self.q)):
+            raise ValueError(f"q must be an odd prime in [3, {MAX_MODULUS}], got {self.q}")
         if self.mc_samples < 100:
-            raise ValueError("mc_samples must be at least 100")
+            raise ValueError(f"mc_samples (--mc) must be at least 100, got {self.mc_samples}")
+        check_desk_params(self.q, self.theta, self.c0)
 
     def mollifier_params(self) -> MollifierParams:
-        if self.mode == "paper":
-            return params_paper(self.q, eta=self.eta, c0=max(self.c0, 2.0))
-        return params_desk(self.q, list(self.theta), c0=self.c0)
+        return params_desk(self.q, self.theta, c0=self.c0)
 
     def as_dict(self) -> dict:
         out = {}
@@ -120,39 +130,22 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _theta_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        file_vals = _parse_config_file(args.config)
-        for key, val in file_vals.items():
-            if key == "q":
-                cfg.q = int(val)
-            elif key == "mode":
-                cfg.mode = val
-            elif key in ("eta", "c0"):
-                setattr(cfg, key, float(val))
-            elif key == "theta":
-                cfg.theta = _theta_tuple(val)
-            elif key in ("seed", "mc_samples"):
-                setattr(cfg, key, int(val))
-            elif key == "out":
-                cfg.out = val
-            else:
-                raise ValueError(f"unknown config key: {key}")
-    for name, attr in (
-        ("q", "q"), ("mode", "mode"), ("eta", "eta"), ("c0", "c0"),
-        ("seed", "seed"), ("mc", "mc_samples"), ("out", "out"),
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "theta", None) is not None:
-        cfg.theta = _theta_tuple(args.theta)
-    return cfg
+    """The config file's settings, overridden by the flags given."""
+    texts = _parse_config_file(args.config) if args.config else {}
+    known = {key for key, *_ in _SETTINGS}
+    for key in texts:
+        if key not in known:
+            raise ValueError(f"unknown config key: {key}")
+    values = {}
+    for key, flag, parse, _ in _SETTINGS:
+        text = texts.get(key) if getattr(args, key) is None else getattr(args, key)
+        if text is not None:
+            try:
+                values[key] = parse(text)
+            except ValueError:
+                raise ValueError(f"{key} ({flag}) cannot be read from {text!r}") from None
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +180,21 @@ def _central_values(cfg: RunConfig, table) -> tuple[CentralValueSet, str]:
     or mismatched file is ignored.  Nothing here writes the cache.
     """
     try:
-        cached = cached_afe_values(_cache_path(cfg), table, 0.5, _TAIL_CUT)
+        cached = cached_afe_values(_cache_path(cfg), table, 0.5, TAIL_CUT)
     except (OSError, ValueError):
         cached = None
     if cached is not None:
         return cached, "cache"
-    return l_values_afe(table, 0.5, tail_cut=_TAIL_CUT, residuals=True), "computed"
+    return l_values_afe(table, 0.5, residuals=True), "computed"
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (passed, report fields, one-line summary)
 
-def cmd_characters(cfg: RunConfig) -> int:
+Outcome = tuple[bool, dict, str]
+
+
+def cmd_characters(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
     span = min(cfg.q - 1, 100)
     # Gram matrix of the characters on [1, span] over all labels 0..q-2
@@ -214,51 +210,44 @@ def cmd_characters(cfg: RunConfig) -> int:
     gauss = gauss_sums_all(table)
     gauss_residual = float(np.max(np.abs(np.abs(gauss[1:]) ** 2 - table.q)))
     ok = residual < 1e-10 and gauss_residual < 1e-9 * table.q
-    path = _write_report(cfg, "characters", {
+    return ok, {
         "orthogonality_span": span,
         "orthogonality_residual": residual,
         "gauss_sum_residual": gauss_residual,
-        "passed": ok,
-    })
-    print(f"characters: residuals {residual:.3e} / {gauss_residual:.3e} -> {path}")
-    return EXIT_OK if ok else EXIT_SUITE
+    }, f"residuals {residual:.3e} / {gauss_residual:.3e}"
 
 
-def cmd_lvalues(cfg: RunConfig) -> int:
+def cmd_lvalues(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
-    values = l_values_afe(table, 0.5, tail_cut=_TAIL_CUT, residuals=True)
+    values = l_values_afe(table, 0.5, residuals=True)
     stats = values.residual_stats
     cache = _cache_path(cfg)
-    save_l_values(cache, cfg.q, 0.5, values.values, tail_cut=_TAIL_CUT, residual_stats=stats)
+    save_l_values(cache, cfg.q, 0.5, values.values, tail_cut=TAIL_CUT, residual_stats=stats)
     oracle_max = None
     if cfg.q <= 2000:
         oracle = l_values_oracle(table, 0.5)
         oracle_max = float(np.max(np.abs(values.values[1:] - oracle.values[1:])))
     ok = stats["max"] < 1e-8 and (oracle_max is None or oracle_max < 1e-8)
-    path = _write_report(cfg, "lvalues", {
+    return ok, {
         "cache_file": cache,
         "fe_residual_max": stats["max"],
         "fe_residual_mean": stats["mean"],
         "oracle_discrepancy_max": oracle_max,
-        "passed": ok,
-    })
-    print(f"lvalues: fe residual {stats['max']:.3e} -> {path}")
-    return EXIT_OK if ok else EXIT_SUITE
+    }, f"fe residual {stats['max']:.3e}"
 
 
-def cmd_clt(cfg: RunConfig) -> int:
+def cmd_clt(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
     l_values, source = _central_values(cfg, table)
     report = clt_experiment(table, params, l_values=l_values)
     base = os.path.join(cfg.out, f"clt_q{cfg.q}")
-    os.makedirs(cfg.out, exist_ok=True)
     write_interval_csv(report, base + "_intervals.csv")
     write_charfn_csv(report.u_grid, report.phi, base + "_charfn_weighted.csv")
     write_charfn_csv(report.u_grid, report.psi, base + "_charfn_plain.csv")
     worst_im = max(abs(row.mu.imag) for row in report.rows)
     ok = report.ks_weighted <= 0.25 and worst_im <= 0.1
-    path = _write_report(cfg, "clt", {
+    return ok, {
         "sigma_hat": report.sigma_hat,
         "exclusions": report.exclusion_count,
         "ks_weighted": report.ks_weighted,
@@ -271,31 +260,27 @@ def cmd_clt(cfg: RunConfig) -> int:
         "fe_residual_mean": l_values.residual_stats["mean"],
         "l_values_source": source,
         "intervals_csv": base + "_intervals.csv",
-        "passed": ok,
         "wall_time": report.wall_time,
-    })
-    print(f"clt: ks {report.ks_weighted:.4f} (plain {report.ks_plain:.4f}) -> {path}")
-    return EXIT_OK if ok else EXIT_SUITE
+    }, f"ks {report.ks_weighted:.4f} (plain {report.ks_plain:.4f})"
 
 
-def cmd_random(cfg: RunConfig) -> int:
+def cmd_random(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
     checks: dict[str, dict] = {}
-    suite_ok = True
 
     def record(name: str, ok: bool, **detail) -> None:
-        nonlocal suite_ok
-        suite_ok = suite_ok and ok
         checks[name] = {"passed": ok, **detail}
 
     poly = prime_sum_polynomial(params)
     p_max = int(poly.support[-1])
+    # one transform serves both moments; k = 2 is checked only where k = 1 is
+    p_all = poly.evaluate_all(table) if p_max**2 < cfg.q else None
     for k in (1, 2):
         if p_max ** (2 * k) >= cfg.q:
             record(f"moment_identity_k{k}", True, skipped="support reaches q")
             continue
-        ident = moment_identity_check(table, params, k)
+        ident = moment_identity_check(p_all, poly, k)
         gap = abs(ident.char_side - ident.random_side)
         record(
             f"moment_identity_k{k}",
@@ -340,12 +325,11 @@ def cmd_random(cfg: RunConfig) -> int:
     record("euler_weight", math.isfinite(fg) and fg > 0 and abs(gf) < 0.5 * abs(fg),
            fg=fg, gf=gf)
 
-    path = _write_report(cfg, "random", {"checks": checks, "passed": suite_ok})
-    print(f"random: {'ok' if suite_ok else 'FAILED'} -> {path}")
-    return EXIT_OK if suite_ok else EXIT_SUITE
+    ok = all(check["passed"] for check in checks.values())
+    return ok, {"checks": checks}, "ok" if ok else "FAILED"
 
 
-def cmd_second_moment(cfg: RunConfig) -> int:
+def cmd_second_moment(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
     alpha, beta = 0.02, 0.015
@@ -357,10 +341,8 @@ def cmd_second_moment(cfg: RunConfig) -> int:
     vals = list(variants.values())
     scale = max(abs(v) for v in vals)
     spread = max(abs(v - vals[0]) for v in vals[1:]) / scale
-    ok = spread < 1e-12
-
     moment = twisted_second_moment(table, alpha, beta, mol.support, mol.coeff)
-    path = _write_report(cfg, "second-moment", {
+    return spread < 1e-12, {
         "alpha": alpha,
         "beta": beta,
         "m_variants": {k: repr(v) for k, v in variants.items()},
@@ -369,40 +351,30 @@ def cmd_second_moment(cfg: RunConfig) -> int:
         "predicted": repr(moment.predicted),
         "discrepancy": moment.discrepancy,
         "error_scale": moment.error_scale,
-        "passed": ok,
-    })
-    print(f"second-moment: variant spread {spread:.3e} -> {path}")
-    return EXIT_OK if ok else EXIT_SUITE
+    }, f"variant spread {spread:.3e}"
+
+
+_COMMANDS: dict[str, Callable[[RunConfig], Outcome]] = {
+    "characters": cmd_characters,
+    "lvalues": cmd_lvalues,
+    "clt": cmd_clt,
+    "random": cmd_random,
+    "second-moment": cmd_second_moment,
+}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=int, help="prime modulus")
-    parser.add_argument("--mode", choices=("desk", "paper"), help="parameter regime")
-    parser.add_argument("--eta", type=float, help="paper-mode eta")
-    parser.add_argument("--c0", type=float, help="smallest mollifier prime bound")
-    parser.add_argument("--theta", type=str, help="desk-mode exponents, comma separated")
-    parser.add_argument("--seed", type=int, help="random-model seed")
-    parser.add_argument("--mc", type=int, help="Monte Carlo sample count")
-    parser.add_argument("--out", type=str, help="output directory")
-    parser.add_argument("--config", type=str, help="key=value config file")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="molliclt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"molliclt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers: dict[str, Callable[[RunConfig], int]] = {
-        "characters": cmd_characters,
-        "lvalues": cmd_lvalues,
-        "clt": cmd_clt,
-        "random": cmd_random,
-        "second-moment": cmd_second_moment,
-    }
     for name in _COMMANDS:
-        _add_common(sub.add_parser(name))
+        command = sub.add_parser(name)
+        for key, flag, _, help_text in _SETTINGS:
+            command.add_argument(flag, dest=key, help=help_text)
+        command.add_argument("--config", help="key=value config file; flags override it")
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
@@ -411,10 +383,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return handlers[args.command](cfg)
+        passed, payload, summary = _COMMANDS[args.command](cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_SUITE
+    path = _write_report(cfg, args.command, {**payload, "passed": passed})
+    print(f"{args.command}: {summary} -> {path}")
+    return EXIT_OK if passed else EXIT_SUITE
 
 
 if __name__ == "__main__":

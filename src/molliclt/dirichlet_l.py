@@ -31,6 +31,7 @@ from ._special import gamma, upper_regularized_gamma
 from .characters import CharacterTable, batch_character_sums, gauss_sum, root_numbers
 
 __all__ = [
+    "TAIL_CUT",
     "hurwitz_zeta",
     "zeta",
     "CentralValueSet",
@@ -67,6 +68,9 @@ _BERNOULLI = (
     Fraction(8553103, 6),
 )
 _EM_ORDER = 12  # correction terms actually summed; the 13th is the sentinel
+# Both AFE sums stop at the first n with pi n^2 / q >= TAIL_CUT.  The
+# cache records it, so a cached value set is reused only under the same cut.
+TAIL_CUT = 40.0
 
 
 def _hurwitz_fixed(s: complex, x: np.ndarray, n_head: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +193,9 @@ def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarra
     same = all(np.array_equal(f, d) for f, d in zip(first, dual))
     dual_sums = first_sums if same else batch_character_sums(table, n, *dual)
 
-    flip = (m - np.arange(m)) % m  # conjugate label; parity is preserved
-    dual_term = np.tile(prefac, m // 2) * dual_sums[flip]  # prefac by label parity
+    # slot a reads label m - a, the conjugate character (parity is preserved),
+    # and takes the prefactor of its parity
+    dual_term = np.tile(prefac, m // 2) * np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
     out = first_sums + root_numbers(table) * dual_term
     out[0] = complex("nan")
     return out
@@ -203,12 +208,10 @@ def completed_l_values(table: CharacterTable, s: complex, l_values: np.ndarray) 
     completed(s, chi) = eps(chi) * completed(1 - s, chi-bar), which is
     the identity the residuals below measure.
     """
-    labels = np.arange(table.m)
     out = np.asarray(l_values, dtype=np.complex128).copy()
     for delta in (0, 1):
         a1 = (s + delta) / 2.0
-        factor = (table.q / math.pi) ** a1 * gamma(a1)
-        out[(labels & 1) == delta] *= factor
+        out[delta::2] *= (table.q / math.pi) ** a1 * gamma(a1)  # labels of parity delta
     return out
 
 
@@ -226,18 +229,13 @@ def fe_residual_stats(
     the central point, where the two sets coincide.
     """
     s = complex(s)
-    if values_dual is None:
-        if abs(s - 0.5) > 1e-12:
-            raise ValueError("values_dual is required away from the central point")
-        values_dual = values_s
+    if values_dual is None and abs(s - 0.5) > 1e-12:
+        raise ValueError("values_dual is required away from the central point")
     lam_s = completed_l_values(table, s, values_s)
-    lam_d = completed_l_values(table, 1.0 - s, values_dual)
-    eps = root_numbers(table)
-    m = table.m
-    labels = np.arange(1, m)
-    flip = m - labels
-    lhs = lam_s[labels]
-    rhs = eps[labels] * lam_d[flip]
+    lam_d = lam_s if values_dual is None else completed_l_values(table, 1.0 - s, values_dual)
+    # labels 1..m-1 against their conjugates m-1..1
+    lhs = lam_s[1:]
+    rhs = root_numbers(table)[1:] * lam_d[:0:-1]
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     res = np.abs(lhs - rhs) / scale
     return {"max": float(res.max()), "mean": float(res.mean())}
@@ -265,7 +263,7 @@ def l_values_oracle(table: CharacterTable, s: complex, residuals: bool = False) 
 def l_values_afe(
     table: CharacterTable,
     s: complex,
-    tail_cut: float = 40.0,
+    tail_cut: float = TAIL_CUT,
     residuals: bool = False,
 ) -> CentralValueSet:
     """Central value set by the smoothed approximate functional equation.
@@ -289,7 +287,7 @@ def l_values_afe(
     return CentralValueSet(q=table.q, s=s, values=values, method="afe", residual_stats=stats)
 
 
-def afe_l_value(table: CharacterTable, a: int, s: complex, tail_cut: float = 40.0) -> complex:
+def afe_l_value(table: CharacterTable, a: int, s: complex, tail_cut: float = TAIL_CUT) -> complex:
     """L(s, chi_a) for a single nonprincipal label, same smoothing as the batch.
 
     Direct O(sqrt(q)) sums; useful as a spot check against the batch
@@ -489,9 +487,10 @@ def twisted_second_moment_empirical(
     l_alpha = l_values_afe(table, 0.5 + alpha).values
     l_beta = l_values_afe(table, 0.5 + beta).values
     twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))
-    labels = np.arange(2, m, 2, dtype=np.int64) if even_only else np.arange(1, m, dtype=np.int64)
-    flip = m - labels
-    return complex(np.mean(l_alpha[labels] * l_beta[flip] * twist[labels] * twist[flip]))
+    step = 2 if even_only else 1
+    own = slice(step, None, step)  # labels step, 2 step, ..., m - step
+    conj = slice(m - step, 0, -step)  # their conjugates m - step, ..., step
+    return complex(np.mean(l_alpha[own] * l_beta[conj] * twist[own] * twist[conj]))
 
 
 def _twisted_main_terms(

@@ -290,12 +290,6 @@ class RankinSelbergPair:
     def distinct(self) -> bool:
         return self.f.label != self.g.label
 
-    def conductor(self, s: complex) -> float:
-        """Crude analytic-conductor proxy N^2 (|s+kappa|+1)^2 (|s|+1)^2."""
-        level = self.f.level * self.g.level
-        kappa = (self.f.weight + self.g.weight) / 2.0
-        return level**2 * (abs(s + kappa) + 1.0) ** 2 * (abs(s) + 1.0) ** 2
-
 
 def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, SatakeParams]:
     return satake(pair.f.lambda_p(p)), satake(pair.g.lambda_p(p))

@@ -30,6 +30,7 @@ __all__ = [
     "ParamsDegenerateError",
     "params_paper",
     "params_desk",
+    "check_desk_params",
     "w_weight",
     "build_dirichlet_mollifier",
     "dirichlet_interval_piece",
@@ -127,6 +128,26 @@ def params_paper(q: int, eta: float, c0: float = 2.0) -> MollifierParams:
     )
 
 
+def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[float, ...]:
+    """The input rules of :func:`params_desk`, checked without sieving anything.
+
+    theta must be non-empty, finite, positive and strictly increasing,
+    and 1 <= c0 < q^theta_0.  Raises ValueError naming the broken rule;
+    returns theta as a tuple of floats.
+    """
+    theta = tuple(float(t) for t in theta_list)
+    if not theta:
+        raise ValueError("need at least one theta interval exponent")
+    if not all(0 < t < math.inf for t in theta):
+        raise ValueError(f"theta exponents must be positive and finite, got {theta}")
+    if not all(b > a for a, b in zip(theta, theta[1:])):
+        raise ValueError(f"theta exponents must be strictly increasing, got {theta}")
+    y = float(q) ** theta[0]
+    if not 1 <= c0 < y:
+        raise ValueError(f"c0 must lie in [1, q^theta_0) = [1, {y:.6g}), got {c0}")
+    return theta
+
+
 def params_desk(
     q: int,
     theta_list: Iterable[float],
@@ -140,11 +161,7 @@ def params_desk(
     legitimate at desk scale but far outside the asymptotic regime, so
     they draw a warning rather than an error (pass ``None`` to silence).
     """
-    theta = tuple(float(t) for t in theta_list)
-    if not theta:
-        raise ValueError("need at least one interval exponent")
-    if any(t <= 0 for t in theta):
-        raise ValueError("interval exponents must be positive")
+    theta = check_desk_params(q, theta_list, c0)
     if theta_cap is not None and theta[-1] > theta_cap:
         warnings.warn(
             f"theta_J = {theta[-1]} exceeds the asymptotic-regime cap {theta_cap}; "

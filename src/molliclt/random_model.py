@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import factorize, primes_up_to
 from .characters import CharacterTable
-from .mollifier import MollifierParams, prime_sum_polynomial
+from .mollifier import DirichletPolynomial, MollifierParams, prime_sum_polynomial
 
 __all__ = [
     "RandomSample",
@@ -280,12 +280,13 @@ class MomentIdentity:
     k: int
 
 
-def moment_identity_check(
-    table: CharacterTable, params: MollifierParams, k: int, weights=None
-) -> MomentIdentity:
+def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int) -> MomentIdentity:
     """Match the 2k-th moment of Re P over all characters mod q to the model.
 
-    P(chi) = sum over the first interval of w(p) chi(p) / sqrt(p).  The
+    P(chi) = sum over the first interval of w(p) chi(p) / sqrt(p), as
+    built by :func:`prime_sum_polynomial`; ``values`` holds P(chi_a) for
+    every label a = 0..q-2 (``poly.evaluate_all(table)``), so
+    q = len(values) + 1 and one transform serves every k.  The
     character average (all q - 1 characters, principal included) equals
     the model expectation exactly as long as no two distinct prime
     products in the expansion collide mod q; since every product divides
@@ -295,15 +296,14 @@ def moment_identity_check(
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    poly = prime_sum_polynomial(params, weights)
+    q = len(values) + 1
     p_max = int(poly.support[-1])
-    if p_max ** (2 * k) >= table.q:
+    if p_max ** (2 * k) >= q:
         raise ValueError(
-            f"p_max^2k = {p_max ** (2 * k)} must stay below q = {table.q} for the exact identity"
+            f"p_max^2k = {p_max ** (2 * k)} must stay below q = {q} for the exact identity"
         )
 
-    p_all = poly.evaluate_all(table)
-    char_side = float(np.mean(p_all.real ** (2 * k)))
+    char_side = float(np.mean(values.real ** (2 * k)))
 
     random_side = 0.0
     for j in range(2 * k + 1):

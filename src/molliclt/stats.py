@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import atomic_write
 from ._special import trigamma
 from .characters import CharacterTable, real_sum_pair
 from .dirichlet_l import CentralValueSet, l_values_afe
@@ -515,18 +516,13 @@ def clt_experiment(
 
 
 def write_interval_csv(report: CLTReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("interval_lo,interval_hi,mu_re,mu_im,gauss,abs_diff\n")
-        for row in report.rows:
-            fh.write(
-                f"{row.lo!r},{row.hi!r},{row.mu.real!r},{row.mu.imag!r},"
-                f"{row.gauss!r},{row.abs_diff!r}\n"
-            )
+    rows = (
+        f"{row.lo!r},{row.hi!r},{row.mu.real!r},{row.mu.imag!r},{row.gauss!r},{row.abs_diff!r}\n"
+        for row in report.rows
+    )
+    atomic_write(path, "".join(["interval_lo,interval_hi,mu_re,mu_im,gauss,abs_diff\n", *rows]).encode("utf-8"))
 
 
 def write_charfn_csv(u_grid: Sequence[float], values: Sequence[complex], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,phi_re,phi_im,target\n")
-        for u, val in zip(u_grid, values):
-            target = math.exp(-0.5 * u * u)
-            fh.write(f"{u!r},{val.real!r},{val.imag!r},{target!r}\n")
+    rows = (f"{u!r},{val.real!r},{val.imag!r},{math.exp(-0.5 * u * u)!r}\n" for u, val in zip(u_grid, values))
+    atomic_write(path, "".join(["u,phi_re,phi_im,target\n", *rows]).encode("utf-8"))

@@ -39,6 +39,7 @@ from molliclt.mollifier import (
     build_dirichlet_mollifier,
     m_alpha_beta,
     params_desk,
+    prime_sum_polynomial,
     w_weight,
 )
 from molliclt.random_model import e_trunc_exact, moment_identity_check
@@ -92,8 +93,10 @@ def test_criterion_03_l_value_trust_anchor(table101, table1009, table10007):
 def test_criterion_04_moment_identity(table10007, desk_quarter):
     # first mollifier interval is (1, 10007^0.25], i.e. the primes 2..7
     assert list(desk_quarter.intervals[0].primes) == [2, 3, 5, 7]
+    poly = prime_sum_polynomial(desk_quarter)
+    values = poly.evaluate_all(table10007)
     for k in (1, 2):
-        res = moment_identity_check(table10007, desk_quarter, k)
+        res = moment_identity_check(values, poly, k)
         assert abs(res.char_side - res.random_side) < 1e-10
         assert res.char_side <= res.bound + 1e-12
         assert res.random_side <= res.bound + 1e-12

@@ -1,16 +1,22 @@
 """Command-line surface: config parsing, validation exits, report files,
 and rerun determinism."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from molliclt import cli, dirichlet_l, stats
+from molliclt import cli, dirichlet_l, mollifier, stats
+from molliclt.arith import is_prime
 from molliclt.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -76,8 +82,6 @@ def test_validate_guards():
         RunConfig().validate()
     with pytest.raises(ValueError, match="odd prime"):
         RunConfig(q=100).validate()
-    with pytest.raises(ValueError, match="desk or paper"):
-        RunConfig(q=101, mode="fast").validate()
     with pytest.raises(ValueError, match="at least one theta"):
         RunConfig(q=101, theta=()).validate()
     with pytest.raises(ValueError, match="mc_samples"):
@@ -118,11 +122,113 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("molliclt ")
 
 
-def test_degenerate_paper_mode_is_a_run_failure(tmp_path, capsys):
-    # paper-regime parameters collapse at any desk-size modulus
-    code = run("clt", "--q", "101", "--mode", "paper", "--out", str(tmp_path))
-    assert code == EXIT_SUITE
-    assert "run failed" in capsys.readouterr().err
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse exits count too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_paper_mode_settings_are_rejected(tmp_path):
+    for flag in (["--mode", "paper"], ["--eta", "0.9"]):
+        code, out, err = run_captured(["clt", "--q", "101", *flag, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments" in err
+    for line in ("mode=paper", "eta=0.9"):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"q=101\n{line}\n")
+        code, out, err = run_captured(["clt", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"invalid configuration: unknown config key: {line.split('=')[0]}" in err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["characters", "--q", "10000019"], "q must be an odd prime in [3, 10000000]"),
+    (["clt", "--q", "10007", "--theta", "0.3,0.2"], "strictly increasing"),
+    (["clt", "--q", "10007", "--theta", "-0.1"], "positive and finite"),
+    (["lvalues", "--q", "10007", "--theta", "-0.1"], "positive and finite"),
+    (["clt", "--q", "10007", "--c0", "20"], "c0 must lie in [1, q^theta_0) = [1, 10.0017)"),
+    (["random", "--q", "10007", "--theta", "0.25", "--c0", "0"], "c0 must lie in [1, q^theta_0)"),
+    (["random", "--q", "10007", "--mc", "99"], "mc_samples (--mc) must be at least 100"),
+])
+def test_out_of_range_inputs_exit_config_before_any_work(argv, rule, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before validation finished")
+
+    monkeypatch.setattr(cli, "build_table", forbidden)
+    monkeypatch.setattr(mollifier, "sieve_primes", forbidden)
+    code, out, err = run_captured([*argv, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("invalid configuration: ") and rule in err
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["characters", "lvalues"])
+def test_commands_without_a_mollifier_print_nothing_on_stderr(command, tmp_path):
+    code, out, err = run_captured([command, "--q", "10007", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert out.startswith(f"{command}: ") and err == ""
+
+
+FLAGS = {key: flag for key, flag, *_ in cli._SETTINGS}
+NUMERIC = ("q", "c0", "theta", "seed", "mc_samples")
+
+
+def _bad_settings():
+    """One (key, text) that breaks an input rule; every other setting stays valid."""
+    composite = st.integers(4, 10**7).filter(lambda n: not is_prime(n))
+    above_cap = st.one_of(st.integers(10**7 + 1, 10**12), st.sampled_from([10000019, 10000079, 1000000007]))
+    bad_q = st.one_of(composite, st.integers(-10, 2), above_cap)
+    positive = st.floats(1e-3, 0.6)
+    bad_theta = st.one_of(
+        st.sampled_from(["", ",", "inf", "nan", "0.1,inf"]),
+        st.lists(positive, max_size=2).flatmap(
+            lambda ok: st.floats(-1.0, 0.0).map(lambda bad: ok + [bad])),
+        st.lists(positive, min_size=2, max_size=4).filter(
+            lambda t: any(b <= a for a, b in zip(t, t[1:]))),
+    ).map(lambda t: t if isinstance(t, str) else ",".join(repr(v) for v in t))
+    # q = 10007 and theta_0 = 0.25 put q^theta_0 at 10.0017
+    bad_c0 = st.one_of(st.floats(-1e3, 1.0, exclude_max=True), st.floats(10.0018, 1e6))
+    return st.one_of(
+        st.tuples(st.just("q"), bad_q.map(str)),
+        st.tuples(st.just("theta"), bad_theta),
+        st.tuples(st.just("c0"), bad_c0.map(repr)),
+        st.tuples(st.just("mc_samples"), st.one_of(st.integers(0, 99), st.integers(-10**6, -1)).map(str)),
+        st.tuples(st.sampled_from(["mode", "eta", "threads", "bogus"]), st.just("1")),
+        st.tuples(st.sampled_from(NUMERIC), st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)),
+    )
+
+
+@given(
+    st.sampled_from(sorted(cli._COMMANDS)),
+    _bad_settings(),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_invalid_settings_exit_config_without_a_report(command, bad, via_file):
+    key, text = bad
+    values = {"q": "10007", "theta": "0.25", "c0": "1", "seed": "1", "mc_samples": "200", key: text}
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        argv = [command, "--out", out_dir]
+        if via_file:
+            cfg_file = os.path.join(tmp, "run.cfg")
+            with open(cfg_file, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv += ["--config", cfg_file]
+        else:
+            for k, v in values.items():
+                argv.append(f"{FLAGS.get(k, '--' + k)}={v}")
+        code, out, err = run_captured(argv)
+        assert code == EXIT_CONFIG, (argv, err)
+        assert err.strip() and "Traceback" not in err
+        assert out == ""
+        assert not os.path.exists(out_dir)
 
 
 @pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
@@ -213,6 +319,24 @@ def test_second_moment_command(tmp_path, capsys):
     capsys.readouterr()
     report = load_report(tmp_path / "second-moment_q101.json")
     assert report["passed"] is True
+
+
+def test_random_command_makes_one_transform(tmp_path, monkeypatch, capsys):
+    calls = []
+    transform = mollifier.batch_character_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].q)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(mollifier, "batch_character_sums", counted)
+    code = run("random", "--q", "101", "--theta", "0.25", "--mc", "200", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    capsys.readouterr()
+    checks = load_report(tmp_path / "random_q101.json")["checks"]
+    # 3^4 = 81 < 101: both moments are checked, from the one transform of P
+    assert "gap" in checks["moment_identity_k1"] and "gap" in checks["moment_identity_k2"]
+    assert calls == [101]
 
 
 def test_random_command(tmp_path, capsys):

@@ -4,13 +4,19 @@ import math
 import os
 import struct
 
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molliclt import characters
-from molliclt.characters import build_table
+from molliclt.arith import primes_up_to
+from molliclt.characters import batch_character_sums, build_table
 from molliclt.dirichlet_l import (
+    TAIL_CUT,
     CentralValueSet,
     afe_l_value,
     cached_afe_values,
@@ -63,6 +69,20 @@ def test_oracle_vs_afe_q101(table101):
     assert isinstance(orc, CentralValueSet)
     gap = np.max(np.abs(orc.values[1:] - afe.values[1:]))
     assert gap < 1e-8
+
+
+@given(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_afe_vs_hurwitz_property(q):
+    table = build_table(q)
+    gap = np.max(np.abs(l_values_afe(table, 0.5).values[1:] - l_values_oracle(table, 0.5).values[1:]))
+    assert gap < 1e-8, q
+
+
+def test_one_tail_cut_for_every_afe_route():
+    # a cached value set is reused only under the cut it was computed with
+    for fn in (l_values_afe, afe_l_value):
+        assert inspect.signature(fn).parameters["tail_cut"].default == TAIL_CUT == 40.0
 
 
 def test_functional_equation_residuals_q101(table101):
@@ -227,6 +247,19 @@ def test_cache_write_is_atomic(tmp_path, table101, monkeypatch):
     # the old cache is intact and no temporary file is left behind
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["cache.bin"]
+
+
+def test_twisted_second_moment_empirical_pairs_each_label_with_its_conjugate(table101):
+    support = np.array([1, 2, 3], dtype=np.int64)
+    coeffs = np.array([1.0, -0.5, 0.25j])
+    l_alpha = l_values_afe(table101, 0.52).values
+    l_beta = l_values_afe(table101, 0.515).values
+    twist = batch_character_sums(table101, support, coeffs / np.sqrt(support))
+    m = table101.m
+    for even_only, labels in ((True, range(2, m, 2)), (False, range(1, m))):
+        terms = [l_alpha[a] * l_beta[m - a] * twist[a] * twist[m - a] for a in labels]
+        got = twisted_second_moment_empirical(table101, 0.02, 0.015, support, coeffs, even_only=even_only)
+        assert abs(got - np.mean(terms)) < 1e-14
 
 
 def test_twisted_second_moment_prediction_tracks_empirical(table1009):

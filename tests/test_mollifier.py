@@ -18,6 +18,7 @@ from molliclt.mollifier import (
     ParamsDegenerateError,
     build_dirichlet_mollifier,
     build_hecke_mollifier,
+    check_desk_params,
     dirichlet_interval_piece,
     hecke_interval_factor,
     m_alpha_beta,
@@ -88,6 +89,28 @@ def test_params_desk_validates():
         params_desk(10007, [-0.1])
     with pytest.raises(ValueError):
         params_desk(10007, [0.3, 0.2], theta_cap=None)  # not increasing
+
+
+def test_params_desk_checks_inputs_before_sieving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sieved before the inputs were checked")
+
+    monkeypatch.setattr(mollifier, "sieve_primes", forbidden)
+    # 10007^0.25 = 10.0017
+    for theta, c0, rule in (
+        ([], 1.0, "at least one theta"),
+        ([0.2, math.nan], 1.0, "positive and finite"),
+        ([0.2, math.inf], 1.0, "positive and finite"),
+        ([0.0], 1.0, "positive and finite"),
+        ([0.3, 0.3], 1.0, "strictly increasing"),
+        ([0.25], 0.999, r"c0 must lie in \[1, q\^theta_0\) = \[1, 10.0017\), got 0.999"),
+        ([0.25], 10.0018, "c0 must lie in"),
+        ([0.25], math.nan, "c0 must lie in"),
+    ):
+        with pytest.raises(ValueError, match=rule):
+            params_desk(10007, theta, c0=c0)
+    assert check_desk_params(10007, [0.2, 0.3], 1.0) == (0.2, 0.3)
+    assert check_desk_params(10007, (0.25,), 10.0) == (0.25,)
 
 
 def test_multi_interval_partition(table10007):

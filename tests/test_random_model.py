@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molliclt.arith import nu, primes_up_to, smooth_integers
-from molliclt.mollifier import params_desk
+from molliclt.mollifier import params_desk, prime_sum_polynomial
 from molliclt.random_model import (
     d_factor,
     e_trunc,
@@ -30,6 +30,11 @@ SMALL_PRIMES = np.array([2, 3, 5, 7], dtype=np.int64)
 def _desk(q, thetas, **kw):
     kw.setdefault("theta_cap", None)
     return params_desk(q, thetas, **kw)
+
+
+def _moment_identity(table, params, k, weights=None):
+    poly = prime_sum_polynomial(params, weights)
+    return moment_identity_check(poly.evaluate_all(table), poly, k)
 
 
 # --- sampling -------------------------------------------------------------
@@ -231,7 +236,7 @@ def test_d_factor_rejects_odd_caps():
 def test_moment_identity_small_modulus(table101):
     params = _desk(101, [0.25])
     for k in (1, 2):
-        out = moment_identity_check(table101, params, k)
+        out = _moment_identity(table101, params, k)
         assert out.char_side == pytest.approx(out.random_side, abs=1e-12)
         assert out.char_side <= out.bound + 1e-12
         assert out.random_side <= out.bound + 1e-12
@@ -240,21 +245,21 @@ def test_moment_identity_small_modulus(table101):
 def test_moment_identity_guard_on_collision_risk(table101):
     # primes reach 7: 7^4 = 2401 > 101, products can collide mod q at k=2
     params = _desk(101, [0.5])
-    moment_identity_check(table101, params, 1)  # 49 < 101: fine
+    _moment_identity(table101, params, 1)  # 49 < 101: fine
     with pytest.raises(ValueError, match="must stay below q"):
-        moment_identity_check(table101, params, 2)
+        _moment_identity(table101, params, 2)
 
 
 def test_moment_identity_weighted(table101):
     params = _desk(101, [0.25])
-    out = moment_identity_check(table101, params, 1, weights=lambda p: 1.0 / p)
+    out = _moment_identity(table101, params, 1, weights=lambda p: 1.0 / p)
     assert out.char_side == pytest.approx(out.random_side, abs=1e-14)
     assert out.bound == pytest.approx(sum(p**-3 for p in (2, 3)), rel=1e-12)
 
 
 def test_moment_identity_validates_k(table101):
     with pytest.raises(ValueError):
-        moment_identity_check(table101, _desk(101, [0.25]), 0)
+        _moment_identity(table101, _desk(101, [0.25]), 0)
 
 
 # --- tail census -------------------------------------------------------------

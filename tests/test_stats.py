@@ -1,7 +1,9 @@
 """Empirical-measure machinery, smoothing kernels, and the end-to-end
 weighted CLT experiment at a small desk modulus."""
 
+import dataclasses
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -525,6 +527,26 @@ def test_write_interval_csv_round_trips(report1009, tmp_path):
     assert float(first[0]) == report.rows[0].lo
     assert float(first[2]) == report.rows[0].mu.real
     assert float(first[5]) == report.rows[0].abs_diff
+
+
+def test_csv_writes_are_atomic(report1009, tmp_path, monkeypatch):
+    report, _ = report1009
+    intervals, charfn = str(tmp_path / "intervals.csv"), str(tmp_path / "charfn.csv")
+    write_interval_csv(report, intervals)
+    write_charfn_csv(report.u_grid, report.phi, charfn)
+    before = {name: (tmp_path / name).read_bytes() for name in ("intervals.csv", "charfn.csv")}
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        write_interval_csv(dataclasses.replace(report, rows=report.rows[:1]), intervals)
+    with pytest.raises(OSError, match="interrupted"):
+        write_charfn_csv(report.u_grid[:1], report.psi[:1], charfn)
+    # the old files are intact and no temporary file is left behind
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(os.listdir(tmp_path)) == sorted(before)
 
 
 def test_write_charfn_csv_round_trips(tmp_path):
