@@ -60,6 +60,7 @@ EXIT_SUITE = 1
 EXIT_CONFIG = 2
 
 _GRAM_BLOCK = 1 << 14  # labels per block of the characters orthogonality check
+_MAX_MC_SAMPLES = 1_000_000  # Monte Carlo draws; 10^6 already take tens of seconds
 
 
 def _theta_tuple(text: str) -> tuple[float, ...]:
@@ -98,6 +99,8 @@ class RunConfig:
             raise ValueError(f"q must be an odd prime in [3, {MAX_MODULUS}], got {self.q}")
         if self.mc_samples < 100:
             raise ValueError(f"mc_samples (--mc) must be at least 100, got {self.mc_samples}")
+        if self.mc_samples > _MAX_MC_SAMPLES:
+            raise ValueError(f"mc_samples (--mc) must be at most {_MAX_MC_SAMPLES}, got {self.mc_samples}")
         check_desk_params(self.q, self.theta, self.c0)
 
     def mollifier_params(self) -> MollifierParams:
@@ -384,10 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         passed, payload, summary = _COMMANDS[args.command](cfg)
-    except (ValueError, RuntimeError) as exc:
+        path = _write_report(cfg, args.command, {**payload, "passed": passed})
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_SUITE
-    path = _write_report(cfg, args.command, {**payload, "passed": passed})
     print(f"{args.command}: {summary} -> {path}")
     return EXIT_OK if passed else EXIT_SUITE
 

@@ -68,6 +68,7 @@ _BERNOULLI = (
     Fraction(8553103, 6),
 )
 _EM_ORDER = 12  # correction terms actually summed; the 13th is the sentinel
+_HURWITZ_REL_TOL = 1e-13  # the first omitted correction, relative to the value
 # Both AFE sums stop at the first n with pi n^2 / q >= TAIL_CUT.  The
 # cache records it, so a cached value set is reused only under the same cut.
 TAIL_CUT = 40.0
@@ -100,11 +101,11 @@ def _hurwitz_fixed(s: complex, x: np.ndarray, n_head: int) -> tuple[np.ndarray, 
     return head, omitted
 
 
-def hurwitz_zeta(s: complex, x: np.ndarray | float, rel_tol: float = 1e-13) -> np.ndarray:
+def hurwitz_zeta(s: complex, x: np.ndarray | float) -> np.ndarray:
     """Hurwitz zeta(s, x) for Re s > -2, s != 1, and positive x, vectorized in x.
 
     The head length adapts until the first omitted Euler-Maclaurin
-    correction is below ``rel_tol`` relative to the value.
+    correction is below _HURWITZ_REL_TOL relative to the value.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-8:
@@ -118,14 +119,14 @@ def hurwitz_zeta(s: complex, x: np.ndarray | float, rel_tol: float = 1e-13) -> n
     todo = np.arange(len(x))
     for n_head in (20, 40, 80):
         got, omitted = _hurwitz_fixed(s, x[todo], n_head)
-        ok = omitted <= rel_tol * np.maximum(np.abs(got), 1e-300)
+        ok = omitted <= _HURWITZ_REL_TOL * np.maximum(np.abs(got), 1e-300)
         values[todo[ok]] = got[ok]
         todo = todo[~ok]
         if len(todo) == 0:
             break
     else:
         raise RuntimeError(
-            f"Euler-Maclaurin failed to reach {rel_tol} at s={s} for {len(todo)} points"
+            f"Euler-Maclaurin failed to reach {_HURWITZ_REL_TOL} at s={s} for {len(todo)} points"
         )
     return values
 
@@ -168,7 +169,7 @@ def _oracle_values(table: CharacterTable, s: complex) -> np.ndarray:
 
 def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarray:
     s = complex(s)
-    q, m = table.q, table.m
+    q = table.q
     n_max = math.isqrt(int(tail_cut * q / math.pi)) + 2
     n = np.arange(1, n_max + 1, dtype=np.int64)
     xs = math.pi * n.astype(np.float64) ** 2 / q
@@ -195,7 +196,9 @@ def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarra
 
     # slot a reads label m - a, the conjugate character (parity is preserved),
     # and takes the prefactor of its parity
-    dual_term = np.tile(prefac, m // 2) * np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
+    dual_term = np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
+    pairs = dual_term.reshape(-1, 2)  # a view: (even, odd) labels side by side
+    pairs *= prefac
     out = first_sums + root_numbers(table) * dual_term
     out[0] = complex("nan")
     return out
@@ -241,23 +244,16 @@ def fe_residual_stats(
     return {"max": float(res.max()), "mean": float(res.mean())}
 
 
-def l_values_oracle(table: CharacterTable, s: complex, residuals: bool = False) -> CentralValueSet:
+def l_values_oracle(table: CharacterTable, s: complex) -> CentralValueSet:
     """Central value set by the Hurwitz zeta route.
 
     One zeta vector of length q - 1 plus one batch character transform;
-    quadratic cost overall, so the modulus is capped at 1e5.  With
-    ``residuals`` the functional-equation residuals are computed too
-    (a second evaluation at 1 - s when s is off-center).
+    quadratic cost overall, so the modulus is capped at 1e5.
     """
     if table.q > 100_000:
         raise ValueError(f"oracle route is quadratic in q; {table.q} exceeds the 1e5 cap")
     s = complex(s)
-    values = _oracle_values(table, s)
-    stats = None
-    if residuals:
-        dual = None if abs(s - 0.5) <= 1e-12 else _oracle_values(table, 1.0 - s)
-        stats = fe_residual_stats(table, s, values, dual)
-    return CentralValueSet(q=table.q, s=s, values=values, method="oracle", residual_stats=stats)
+    return CentralValueSet(q=table.q, s=s, values=_oracle_values(table, s), method="oracle")
 
 
 def l_values_afe(

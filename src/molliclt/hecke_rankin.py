@@ -24,7 +24,7 @@ import numpy as np
 
 from ._special import gamma
 from .arith import sieve_primes, smooth_integers
-from .mollifier import MollifierParams, hecke_interval_factor, w_weight
+from .mollifier import DirichletPolynomial, MollifierParams, hecke_interval_factor, w_weight
 from .random_model import RandomSample, x_table
 
 __all__ = [
@@ -63,8 +63,8 @@ _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 # ---------------------------------------------------------------------------
 # integer coefficients at the primes
 
-def _crt_moduli(count: int = 5) -> list[int]:
-    """The largest ``count`` primes below 2e7.
+def _crt_moduli() -> list[int]:
+    """The largest five primes below 2e7.
 
     The dot-product bound: one coefficient accumulates at most ~1e4
     products each below (2e7)^2 = 4e14, so sums stay under 2^63.
@@ -72,7 +72,7 @@ def _crt_moduli(count: int = 5) -> list[int]:
     largest value we lift (Deligne: |a(p)| <= 2 p^7.5 <= 2e30 for p <= 1e4).
     """
     iv = sieve_primes(2 * 10**7 - 400, 2 * 10**7)
-    return [int(p) for p in iv.primes[-count:]]
+    return [int(p) for p in iv.primes[-5:]]
 
 
 def _eta_cube(length: int, mod: int) -> np.ndarray:
@@ -402,15 +402,6 @@ def n_coeff(
     return total
 
 
-def _ordered(pair: RankinSelbergPair, ordering: str) -> tuple[HeckeForm, HeckeForm]:
-    """The forms whose L-factors ride X and its conjugate: (f, g) for "fg", (g, f) for "gf"."""
-    if ordering == "fg":
-        return pair.f, pair.g
-    if ordering == "gf":
-        return pair.g, pair.f
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
 def local_expectation(
     pair: RankinSelbergPair,
     p: int,
@@ -426,7 +417,9 @@ def local_expectation(
     of n^(L1,f)(k) n^(L2,g)(k+a), truncated by magnitude with a
     lookahead guard.
     """
-    l1, l2 = _ordered(pair, ordering)
+    if ordering not in ("fg", "gf"):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    l1, l2 = (pair.f, pair.g) if ordering == "fg" else (pair.g, pair.f)
     sigma = complex(s) + 0.5
     terms = (
         n_coeff(p, sigma, k, l1, pair.f, params) * n_coeff(p, sigma, k + a, l2, pair.g, params)
@@ -435,29 +428,20 @@ def local_expectation(
     return _settled_sum(terms, f"local expectation series did not settle at p={p}, s={s}, a={a}")
 
 
-def g_p(
-    pair: RankinSelbergPair, p: int, s: complex, params: MollifierParams, ordering: str = "fg"
-) -> complex:
+def g_p(pair: RankinSelbergPair, p: int, s: complex, params: MollifierParams) -> complex:
     """The order-0 local expectation (no extra X power)."""
-    return local_expectation(pair, p, s, 0, params, ordering)
+    return local_expectation(pair, p, s, 0, params)
 
 
-def f_p(
-    pair: RankinSelbergPair, p: int, s: complex, params: MollifierParams, ordering: str = "fg"
-) -> complex:
+def f_p(pair: RankinSelbergPair, p: int, s: complex, params: MollifierParams) -> complex:
     """The Re X(p)-weighted local expectation: half the sum of orders +1 and -1."""
-    plus = local_expectation(pair, p, s, 1, params, ordering)
-    minus = local_expectation(pair, p, s, -1, params, ordering)
+    plus = local_expectation(pair, p, s, 1, params)
+    minus = local_expectation(pair, p, s, -1, params)
     return 0.5 * (plus + minus)
 
 
 def quadrature_expectation(
-    pair: RankinSelbergPair,
-    p: int,
-    s: complex,
-    a: int,
-    params: MollifierParams,
-    ordering: str = "fg",
+    pair: RankinSelbergPair, p: int, s: complex, a: int, params: MollifierParams
 ) -> complex:
     """Independent oracle for :func:`local_expectation` by angle quadrature.
 
@@ -466,16 +450,15 @@ def quadrature_expectation(
     count, which the p^(-k/2) coefficient decay guarantees to well
     beyond the target accuracy) and averages.  No series coefficients
     are reused: the local factors are evaluated as Satake products and
-    a literal exponential.
+    a literal exponential.  f's L-factor rides X, g's its conjugate.
     """
-    l1, l2 = _ordered(pair, ordering)
     sigma = complex(s) + 0.5
     theta = 2.0 * math.pi * (np.arange(_QUADRATURE_NODES) + 0.5) / _QUADRATURE_NODES
     x = np.exp(1j * theta)
     xb = np.conj(x)
     ps = complex(p) ** (-sigma)
-    s1 = satake(l1.lambda_p(p))
-    s2 = satake(l2.lambda_p(p))
+    s1 = satake(pair.f.lambda_p(p))
+    s2 = satake(pair.g.lambda_p(p))
     vals = np.ones(_QUADRATURE_NODES, dtype=np.complex128)
     for al in (s1.alpha1, s1.alpha2):
         vals /= 1.0 - al * x * ps
@@ -693,10 +676,10 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
         gamma_f = hecke_interval_factor(params, j, pair.f)
         gamma_g = hecke_interval_factor(params, j, pair.g)
 
-        def a_convolve(l_form: HeckeForm, gamma_map: dict[int, float]) -> np.ndarray:
+        def a_convolve(l_form: HeckeForm, gamma: DirichletPolynomial) -> np.ndarray:
             lam_vals = lam_cache[l_form.label]
             acc = np.zeros(len(values))
-            for n_m, gval in gamma_map.items():
+            for n_m, gval in zip(gamma.support.tolist(), gamma.coeff.real.tolist()):
                 cut = int(np.searchsorted(values, _EULER_D_CAP // n_m, side="right"))
                 prods = n_m * values[:cut]
                 pos = np.searchsorted(values, prods)

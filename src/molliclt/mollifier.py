@@ -1,7 +1,6 @@
 """Mollifier construction: interval parameters, smoothing weights, the
-product Dirichlet polynomials, prime sums, mollified weights, and the
-second-moment main term M(alpha, beta) in three algebraically identical
-evaluations.
+product Dirichlet polynomials, prime sums, and the second-moment main
+term M(alpha, beta) in three algebraically identical evaluations.
 
 Two parameter modes.  The asymptotic ("paper") mode derives everything
 from (q, eta, c0); it degenerates below astronomically large q, in which
@@ -17,11 +16,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arith import PrimeInterval, factorize, sieve_primes, smooth_integers
+from .arith import FactoredSupport, PrimeInterval, factorize, sieve_primes, smooth_integers
 from .characters import CharacterTable, batch_character_sums
 
 __all__ = [
@@ -37,15 +37,13 @@ __all__ = [
     "hecke_interval_factor",
     "build_hecke_mollifier",
     "prime_sum_polynomial",
-    "prime_sum_S",
     "prime_sums_all",
-    "weight_W",
-    "weights_all",
     "m_alpha_beta",
     "m_alpha_beta_general",
 ]
 
 _SUPPORT_CAP = 2_000_000  # enumeration budget (count of support integers)
+_INT64_MAX = int(np.iinfo(np.int64).max)  # largest support element an int64 array holds
 
 
 class ParamsDegenerateError(ValueError):
@@ -77,6 +75,13 @@ class MollifierParams:
             raise ValueError("theta and ell must both have length J+1")
         if any(b <= a for a, b in zip(self.theta, self.theta[1:])):
             raise ValueError("theta must be strictly increasing")
+
+    @cached_property
+    def supports(self) -> tuple[FactoredSupport, ...]:
+        """Each interval's Omega-capped smooth support, enumerated once per params."""
+        return tuple(
+            smooth_integers(iv, ell, math.inf, _SUPPORT_CAP) for iv, ell in zip(self.intervals, self.ell)
+        )
 
 
 def _ell_from_theta(theta: float) -> int:
@@ -176,16 +181,14 @@ def params_desk(
     )
 
 
-def w_weight(p: float | np.ndarray, j: int, params: MollifierParams, q: int | None = None):
+def w_weight(p: float | np.ndarray, j: int, params: MollifierParams):
     """Smoothing weight w_j(p) = p^(-1/(theta_j log q)) (1 - log p/(theta_j log q)).
 
     Clamped to 0 once log p reaches theta_j log q (the parenthesis has
     gone negative and the weight has left its design range).  Accepts a
     scalar or an array of primes.
     """
-    if q is None:
-        q = params.q
-    tlq = params.theta[j] * math.log(q)
+    tlq = params.theta[j] * math.log(params.q)
     logp = np.log(np.asarray(p, dtype=np.float64))
     out = np.exp(-logp / tlq) * (1.0 - logp / tlq)
     out = np.maximum(out, 0.0)
@@ -220,9 +223,6 @@ class DirichletPolynomial:
             return complex(self.coeff[i])
         return 0.0j
 
-    def as_map(self) -> dict[int, complex]:
-        return {int(n): complex(c) for n, c in zip(self.support, self.coeff)}
-
     def evaluate(self, table: CharacterTable, a: int) -> complex:
         """Sum of c(n) chi_a(n)/sqrt(n) for one character."""
         values = table.chi_values(a, self.support)
@@ -238,31 +238,34 @@ class DirichletPolynomial:
         return batch_character_sums(table, self.support, self.scaled_coeff)
 
 
-def _from_map(coeffs: Mapping[int, complex], exact: Mapping[int, Fraction] | None) -> DirichletPolynomial:
-    support = np.array(sorted(coeffs), dtype=np.int64)
-    values = np.array([coeffs[int(n)] for n in support], dtype=np.complex128)
-    exact_tuple = tuple(exact[int(n)] for n in support) if exact is not None else None
-    return DirichletPolynomial(support, values, exact_tuple)
-
-
-def _interval_factor_exact(params: MollifierParams, j: int) -> dict[int, Fraction]:
-    """lambda(n) nu(n) on the interval-j smooth support, as exact rationals."""
-    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, _SUPPORT_CAP)
-    return {
-        n: Fraction(sign, den)
-        for n, sign, den in zip(support.values.tolist(), support.liouville.tolist(), support.nu_denominators)
-    }
-
-
-def _interval_product(factors: Iterable[Mapping[int, object]], one) -> dict:
-    """Multiply per-interval coefficient maps; the interval primes are
-    disjoint, so every product n1 * n2 is a distinct support element."""
-    acc = {1: one}
-    for factor in factors:
-        if len(acc) * len(factor) > _SUPPORT_CAP:
+def _product(pieces: Sequence[DirichletPolynomial]) -> DirichletPolynomial:
+    """Product of pieces on disjoint prime sets: every n1 * n2 is a distinct
+    element with coefficient c1 * c2, so the product is an outer product,
+    sorted.  When every piece is exact the coefficients multiply as exact
+    rationals and the floats are rounded from them.  Raises RuntimeError
+    when the support budget is hit or an element would pass int64.
+    """
+    exact = all(piece.exact is not None for piece in pieces)
+    support = np.ones(1, dtype=np.int64)
+    coeff = np.array([Fraction(1)], dtype=object) if exact else np.ones(1, dtype=np.complex128)
+    for piece in pieces:
+        if len(support) * len(piece.support) > _SUPPORT_CAP:
             raise RuntimeError("mollifier support enumeration budget exceeded")
-        acc = {n1 * n2: c1 * c2 for n1, c1 in acc.items() for n2, c2 in factor.items()}
-    return acc
+        if (largest := int(support.max()) * int(piece.support[-1])) > _INT64_MAX:
+            raise RuntimeError(f"mollifier support element {largest} exceeds the int64 limit {_INT64_MAX}")
+        support = np.multiply.outer(support, piece.support).ravel()
+        coeff = np.multiply.outer(coeff, piece.exact if exact else piece.coeff).ravel()
+    order = np.argsort(support)
+    if not exact:
+        return DirichletPolynomial(support[order], coeff[order])
+    fractions = tuple(coeff[order])
+    return DirichletPolynomial(support[order], np.array([complex(c) for c in fractions]), fractions)
+
+
+def _dirichlet_piece(support: FactoredSupport) -> DirichletPolynomial:
+    """lambda(n) nu(n) on one interval's support: exact rationals and their floats."""
+    exact = tuple(Fraction(sign, den) for sign, den in zip(support.liouville.tolist(), support.nu_denominators))
+    return DirichletPolynomial(support.values, np.array([complex(c) for c in exact]), exact)
 
 
 def build_dirichlet_mollifier(params: MollifierParams) -> DirichletPolynomial:
@@ -271,11 +274,9 @@ def build_dirichlet_mollifier(params: MollifierParams) -> DirichletPolynomial:
     Interval prime sets are disjoint, so the product support is the set
     of products n = n_0 ... n_J (one factor per interval) and the
     coefficient of n is the product of the factors' coefficients, exact
-    rationals throughout.  Raises when the support budget is hit.
+    rationals throughout.
     """
-    factors = (_interval_factor_exact(params, j) for j in range(params.J + 1))
-    acc = _interval_product(factors, Fraction(1))
-    return _from_map({n: complex(c) for n, c in acc.items()}, acc)
+    return _product([_dirichlet_piece(support) for support in params.supports])
 
 
 def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolynomial:
@@ -286,9 +287,7 @@ def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolyno
     """
     if not 0 <= j <= params.J:
         raise ValueError(f"interval index {j} outside 0..{params.J}")
-    exact = _interval_factor_exact(params, j)
-    floats = {n: complex(c) for n, c in exact.items()}
-    return _from_map(floats, exact)
+    return _dirichlet_piece(params.supports[j])
 
 
 def hecke_interval_factor(
@@ -296,7 +295,7 @@ def hecke_interval_factor(
     j: int,
     form,
     weight_fn: Callable[[int], float] | None = None,
-) -> dict[int, float]:
+) -> DirichletPolynomial:
     """Interval-j coefficients a(n) lambda(n) nu(n) on the capped smooth support.
 
     ``a`` is the completely multiplicative extension of
@@ -307,12 +306,12 @@ def hecke_interval_factor(
     """
     if weight_fn is None:
         weight_fn = lambda p: w_weight(p, params.J, params)
-    support = smooth_integers(params.intervals[j], params.ell[j], math.inf, _SUPPORT_CAP)
+    support = params.supports[j]
     a_p = [form.lambda_p(int(p)) * weight_fn(int(p)) for p in support.primes]
     exponents = range(support.max_exponent + 1)
     powers = np.array([[a ** e for e in exponents] for a in a_p]).reshape(len(a_p), len(exponents))
     coeff = support.liouville * support.multiplicative(powers) * support.nu
-    return dict(zip(support.values.tolist(), coeff.tolist()))
+    return DirichletPolynomial(support.values, coeff.astype(np.complex128))
 
 
 def build_hecke_mollifier(
@@ -321,8 +320,7 @@ def build_hecke_mollifier(
     weight_fn: Callable[[int], float] | None = None,
 ) -> DirichletPolynomial:
     """Product over intervals of the Hecke-weighted pieces (float coefficients)."""
-    factors = (hecke_interval_factor(params, j, form, weight_fn) for j in range(params.J + 1))
-    return _from_map(_interval_product(factors, 1.0 + 0.0j), None)
+    return _product([hecke_interval_factor(params, j, form, weight_fn) for j in range(params.J + 1)])
 
 
 def _resolve_weights(primes: np.ndarray, weights) -> np.ndarray:
@@ -352,36 +350,9 @@ def prime_sum_polynomial(params: MollifierParams, weights=None) -> DirichletPoly
     return DirichletPolynomial(primes, _resolve_weights(primes, weights).astype(np.complex128))
 
 
-def prime_sum_S(table: CharacterTable, a: int, params: MollifierParams, weights=None) -> complex:
-    """First-interval prime sum: sum over c0 < p <= y of weight(p) chi_a(p)/sqrt(p).
-
-    Callers wanting the real-part observable take Re afterwards.
-    """
-    return prime_sum_polynomial(params, weights).evaluate(table, a)
-
-
-def prime_sums_all(table: CharacterTable, params: MollifierParams, weights=None) -> np.ndarray:
-    """The same prime sum for every character label (batch transform)."""
-    return prime_sum_polynomial(params, weights).evaluate_all(table)
-
-
-def weight_W(table: CharacterTable, a: int, l_values, mol: DirichletPolynomial) -> complex:
-    """Mollified central value W(chi) = L(1/2, chi) * M(chi) for one label.
-
-    ``l_values`` is a CentralValueSet or a plain array indexed by label.
-    """
-    if a % table.m == 0:
-        raise ValueError("principal character carries no weight")
-    values = getattr(l_values, "values", l_values)
-    return complex(values[a]) * mol.evaluate(table, a)
-
-
-def weights_all(table: CharacterTable, l_values, mol: DirichletPolynomial) -> np.ndarray:
-    """W(chi) for every label; the principal slot is set to 0."""
-    values = np.asarray(getattr(l_values, "values", l_values), dtype=np.complex128)
-    out = values * mol.evaluate_all(table)
-    out[0] = 0.0
-    return out
+def prime_sums_all(table: CharacterTable, params: MollifierParams) -> np.ndarray:
+    """The unit-weight prime sum for every character label (batch transform)."""
+    return prime_sum_polynomial(params).evaluate_all(table)
 
 
 def _pair_budget_check(n: int) -> None:
@@ -453,7 +424,7 @@ def m_alpha_beta_general(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _m_euler_interval(params: MollifierParams, j: int, alpha: complex, beta: complex) -> complex:
+def _m_euler_interval(support: FactoredSupport, alpha: complex, beta: complex) -> complex:
     """One interval's factor: the (h, d, m, n) sum with Omega caps on hdm, hdn.
 
     gamma(hdm) gamma(hdn) = lambda(m) nu(hdm) lambda(n) nu(hdn): the
@@ -463,7 +434,6 @@ def _m_euler_interval(params: MollifierParams, j: int, alpha: complex, beta: com
     over the exponent matrix; the m- and n-sums run over the pairs
     (v, vm) of the support's divisibility relation.
     """
-    support = smooth_integers(params.intervals[j], params.ell[j], math.inf)
     values = support.values
     _pair_budget_check(len(values))
     v_idx, k_idx = np.nonzero(values[None, :] % values[:, None] == 0)  # values[v_idx] | values[k_idx]
@@ -502,7 +472,7 @@ def m_alpha_beta(
         return m_alpha_beta_general(mol.support, mol.coeff, alpha, beta, variant)
     if variant == "euler":
         out = 1.0 + 0.0j
-        for j in range(params.J + 1):
-            out *= _m_euler_interval(params, j, alpha, beta)
+        for support in params.supports:
+            out *= _m_euler_interval(support, alpha, beta)
         return complex(out)
     raise ValueError(f"unknown variant {variant!r}")

@@ -331,20 +331,18 @@ class TailCensus:
         return self.count / self.bound if self.bound > 0 else math.inf
 
 
-def tail_census(table: CharacterTable, params: MollifierParams, v: float, weights=None) -> TailCensus:
+def tail_census(table: CharacterTable, params: MollifierParams, v: float) -> TailCensus:
     """Census of |Re P(chi)| >= v sigma over nonprincipal characters.
 
-    sigma^2 = (1/2) sum of w(p)^2/p over the first interval, the model
+    sigma^2 = (1/2) sum of 1/p over the first interval, the model
     variance of Re P.  The reported bound is q exp(-v^2/9), a deliberately
     generous large-deviation envelope; the interesting output is the
     ratio, which should be well under 1.
     """
     if v <= 0:
         raise ValueError("v must be positive")
-    poly = prime_sum_polynomial(params, weights)
-    w = poly.coeff.real
-    sigma = math.sqrt(0.5 * float(np.sum(w**2 / poly.support)))
-    p_all = poly.evaluate_all(table)
+    sigma = math.sqrt(0.5 * params.intervals[0].reciprocal_sum())
+    p_all = prime_sum_polynomial(params).evaluate_all(table)
     tail = np.abs(p_all.real[1:]) >= v * sigma
     count = int(np.count_nonzero(tail))
     bound = table.q * math.exp(-(v**2) / 9.0)

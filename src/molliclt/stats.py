@@ -427,15 +427,15 @@ def clt_experiment(
     intervals: Sequence[tuple[float, float]] = _DEFAULT_INTERVALS,
     u_grid: Sequence[float] = _DEFAULT_U_GRID,
     l_values: CentralValueSet | None = None,
-    weight_band: float = 25.0,
 ) -> CLTReport:
     """Run the full weighted central-limit pipeline at one modulus.
 
-    Observable: the real part of the mollifier-range prime sum, scaled
-    by sigma_hat = sqrt(0.5 sum 1/p).  Weight: central L-value times the
-    mollifier, evaluated per character.  The report carries the weighted
-    interval measures raw and typical-set-filtered, both characteristic
-    function tables against the Gaussian target, and grid KS distances.
+    Observable: the real part of the first-interval prime sum P, scaled
+    by sigma_hat = sqrt(0.5 sum 1/p) over the same primes.  Weight:
+    central L-value times the mollifier, evaluated per character.  The
+    report carries the weighted interval measures raw and
+    typical-set-filtered, both characteristic function tables against
+    the Gaussian target, and grid KS distances.
     Deterministic: no sampling anywhere.  A supplied ``l_values`` must
     hold L(1/2, chi) for this modulus, one value per label.
     """
@@ -459,8 +459,7 @@ def clt_experiment(
     # one transform; each tail piece (j >= 1) gets its own
     lead_all, p_all = real_sum_pair(table, lead.support, lead.scaled_coeff, primes.support, primes.scaled_coeff)
     piece_vals = [lead_all[1:]] + [piece.evaluate_all(table)[1:] for piece in pieces[1:]]
-    sigma_sq = 0.5 * sum(iv.reciprocal_sum() for iv in params.intervals)
-    sigma_hat = math.sqrt(sigma_sq)
+    sigma_hat = math.sqrt(0.5 * params.intervals[0].reciprocal_sum())
     obs = p_all[1:].real / sigma_hat
     del p_all
 
@@ -476,10 +475,7 @@ def clt_experiment(
 
     phi, psi = char_fn_weighted(stack[:2], obs, u_grid)
 
-    filt = typical_set_filter(
-        table, w, piece_vals, obs,
-        weight_band=weight_band, prime_sum_limit=_P_SIGMA_FACTOR,
-    )
+    filt = typical_set_filter(table, w, piece_vals, obs, prime_sum_limit=_P_SIGMA_FACTOR)
     stack[2] = w
     stack[2][~filt.kept] = 0.0
     measure = WeightedEmpiricalMeasure(obs=obs, wt=stack)

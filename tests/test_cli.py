@@ -155,6 +155,7 @@ def test_paper_mode_settings_are_rejected(tmp_path):
     (["clt", "--q", "10007", "--c0", "20"], "c0 must lie in [1, q^theta_0) = [1, 10.0017)"),
     (["random", "--q", "10007", "--theta", "0.25", "--c0", "0"], "c0 must lie in [1, q^theta_0)"),
     (["random", "--q", "10007", "--mc", "99"], "mc_samples (--mc) must be at least 100"),
+    (["random", "--q", "10007", "--mc", "10000000000"], "mc_samples (--mc) must be at most 1000000"),
 ])
 def test_out_of_range_inputs_exit_config_before_any_work(argv, rule, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -198,7 +199,8 @@ def _bad_settings():
         st.tuples(st.just("q"), bad_q.map(str)),
         st.tuples(st.just("theta"), bad_theta),
         st.tuples(st.just("c0"), bad_c0.map(repr)),
-        st.tuples(st.just("mc_samples"), st.one_of(st.integers(0, 99), st.integers(-10**6, -1)).map(str)),
+        st.tuples(st.just("mc_samples"), st.one_of(
+            st.integers(0, 99), st.integers(-10**6, -1), st.integers(10**6 + 1, 10**12)).map(str)),
         st.tuples(st.sampled_from(["mode", "eta", "threads", "bogus"]), st.just("1")),
         st.tuples(st.sampled_from(NUMERIC), st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)),
     )
@@ -251,6 +253,26 @@ def test_empty_first_interval_second_moment_still_runs(tmp_path, capsys):
     assert load_report(tmp_path / "second-moment_q101.json")["passed"] is True
 
 
+@pytest.mark.filterwarnings("ignore:theta_J = .* exceeds the asymptotic-regime cap")
+def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
+    # four intervals with Omega caps of 4: the support products reach ~1e22
+    argv = ["second-moment", "--q", "1000003", "--theta", "0.3,0.31,0.32,0.33", "--c0", "60"]
+    code, out, err = run_captured([*argv, "--out", str(tmp_path)])
+    assert code == EXIT_SUITE
+    assert err.startswith("run failed: mollifier support element ")
+    assert "exceeds the int64 limit 9223372036854775807" in err and "Traceback" not in err
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_unwritable_out_is_a_run_failure(tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code, out, err = run_captured(["characters", "--q", "101", "--out", str(blocker / "sub")])
+    assert code == EXIT_SUITE
+    assert err.startswith("run failed: ") and "Not a directory" in err
+    assert "Traceback" not in err and out == ""
+
+
 # ---------------------------------------------------------------------------
 # command runs and their reports
 
@@ -270,6 +292,19 @@ def test_characters_command(tmp_path, capsys):
     assert report["gauss_sum_residual"] < 1e-9 * 101
     assert report["config"]["q"] == 101
     assert len(report["config_hash"]) == 64
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_outputs_follow_the_umask(umask, mode, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MOLLICLT_CACHE_DIR", raising=False)
+    old = os.umask(umask)
+    try:
+        assert run("lvalues", "--q", "101", "--out", str(tmp_path)) == EXIT_OK
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for path in (tmp_path / "lvalues_q101.json", tmp_path / "cache" / "lvalues_q101.bin"):
+        assert os.stat(path).st_mode & 0o777 == mode, path
 
 
 def test_report_timestamp_is_last_key(tmp_path, capsys):

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molliclt.arith import PrimeInterval, big_omega, factorize, nu, primes_up_to, sieve_primes, smooth_integers
-from molliclt import mollifier
-from molliclt.dirichlet_l import l_values_afe
+from molliclt import hecke_rankin, mollifier
 from molliclt.mollifier import (
     DirichletPolynomial,
     MollifierParams,
@@ -26,11 +25,8 @@ from molliclt.mollifier import (
     params_desk,
     params_paper,
     prime_sum_polynomial,
-    prime_sum_S,
     prime_sums_all,
     w_weight,
-    weight_W,
-    weights_all,
 )
 
 
@@ -202,11 +198,48 @@ def test_interval_pieces_multiply_to_full_mollifier(desk_quarter):
     for piece in pieces:
         nxt: dict[int, complex] = {}
         for n1, c1 in acc.items():
-            for n2, c2 in piece.as_map().items():
+            for n2, c2 in zip(piece.support.tolist(), piece.coeff.tolist()):
                 nxt[n1 * n2] = nxt.get(n1 * n2, 0j) + c1 * c2
         acc = nxt
     for n, c in acc.items():
         assert mol.coefficient(n) == pytest.approx(c, abs=1e-15)
+
+
+def test_each_interval_support_is_enumerated_once(monkeypatch):
+    """The mollifier, its pieces, the Euler route of M and the Euler-product
+    expected weight all read one Omega-capped enumeration per interval."""
+    calls = []
+    enumerate_support = mollifier.smooth_integers
+
+    def counted(interval, ell, cap, *rest):
+        calls.append((tuple(interval.primes.tolist()), ell, cap))
+        return enumerate_support(interval, ell, cap, *rest)
+
+    monkeypatch.setattr(mollifier, "smooth_integers", counted)
+    monkeypatch.setattr(hecke_rankin, "smooth_integers", counted)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    build_dirichlet_mollifier(p)
+    for j in range(p.J + 1):
+        dirichlet_interval_piece(p, j)
+    m_alpha_beta(p, 0.02, 0.015, "euler")
+    pair = hecke_rankin.RankinSelbergPair(hecke_rankin.delta_form(), hecke_rankin.weight16_form())
+    hecke_rankin.expected_weight_euler(pair, p)
+    capped = [call for call in calls if call[1] is not None]
+    assert capped == [(tuple(iv.primes.tolist()), ell, math.inf) for iv, ell in zip(p.intervals, p.ell)]
+    # the expected weight's own D-capped supports are a different set
+    assert len(calls) - len(capped) == p.J + 1
+
+
+def test_product_refuses_elements_past_int64():
+    def piece(top):
+        return DirichletPolynomial(np.array([1, top], dtype=np.int64), np.ones(2, dtype=np.complex128))
+
+    fits = mollifier._product([piece(2**31), piece(3**19)])
+    assert fits.support.tolist() == [1, 3**19, 2**31, 2**31 * 3**19]
+    with pytest.raises(RuntimeError, match="exceeds the int64 limit 9223372036854775807"):
+        mollifier._product([piece(2**40), piece(3**25)])
+    with pytest.raises(RuntimeError, match="enumeration budget"):
+        mollifier._product([piece(2)] + [DirichletPolynomial(np.arange(1, 2001), np.ones(2000))] * 2)
 
 
 def test_interval_piece_index_validation(desk_quarter):
@@ -306,7 +339,7 @@ def test_m_alpha_beta_unknown_variant(desk_quarter):
         m_alpha_beta(desk_quarter, 0.0, 0.0, "simpson")
 
 
-# --- prime sums and weights -------------------------------------------------
+# --- prime sums ---------------------------------------------------------------
 
 
 def test_prime_sum_matches_naive(table101):
@@ -315,7 +348,7 @@ def test_prime_sum_matches_naive(table101):
     assert primes == [2, 3]
     for a in (1, 9, 42):
         naive = sum(table101.chi(a, v) / math.sqrt(v) for v in primes)
-        assert abs(prime_sum_S(table101, a, p) - naive) < 1e-14
+        assert abs(prime_sum_polynomial(p).evaluate(table101, a) - naive) < 1e-14
 
 
 def test_prime_sum_of_an_empty_first_interval_names_it():
@@ -340,28 +373,8 @@ def test_prime_sum_weights_callable_and_array_agree(table101):
     arr = np.array([fn(v) for v in p.intervals[0].primes])
     for a in (3, 77):
         assert abs(
-            prime_sum_S(table101, a, p, weights=fn) - prime_sum_S(table101, a, p, weights=arr)
+            prime_sum_polynomial(p, fn).evaluate(table101, a) - prime_sum_polynomial(p, arr).evaluate(table101, a)
         ) < 1e-14
-
-
-def test_weight_w_is_l_times_mollifier(table101):
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
-    mol = build_dirichlet_mollifier(p)
-    lvals = l_values_afe(table101, 0.5)
-    for a in (1, 50):
-        want = lvals.values[a] * mol.evaluate(table101, a)
-        assert abs(weight_W(table101, a, lvals, mol) - want) < 1e-12
-    with pytest.raises(ValueError):
-        weight_W(table101, 0, lvals, mol)
-
-
-def test_weights_all_zeroes_principal(table101):
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
-    mol = build_dirichlet_mollifier(p)
-    lvals = l_values_afe(table101, 0.5)
-    w = weights_all(table101, lvals, mol)
-    assert w[0] == 0
-    assert abs(w[7] - weight_W(table101, 7, lvals, mol)) < 1e-12
 
 
 # --- Hecke-weighted variant ---------------------------------------------
@@ -374,7 +387,7 @@ def test_hecke_interval_factor_values(desk_quarter):
 
     # weight 1 everywhere and lambda = 1 collapses to the Dirichlet coefficients
     factor = hecke_interval_factor(desk_quarter, 0, UnitForm(), weight_fn=lambda p: 1.0)
-    for n, c in factor.items():
+    for n, c in zip(factor.support.tolist(), factor.coeff.tolist()):
         om = big_omega(n)
         assert c == pytest.approx(float((-1) ** om * nu(n)), rel=1e-15)
 
