@@ -9,9 +9,11 @@ integer denominators beside correctly rounded floats.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "nu_k",
     "nu_k_ell",
     "smooth_integers",
+    "multiplicative_table",
 ]
 
 _BASE_LIMIT = 1_000_000
@@ -346,20 +349,24 @@ def _nu_k_ell_rec(key: tuple[tuple[int, int], ...], k: int, ell: int) -> Fractio
 
 @dataclass(frozen=True)
 class FactoredSupport:
-    """Ascending smooth integers with their exponent vectors.
+    """Ascending smooth integers with their factorizations.
 
-    Row i of ``exponents`` is the exponent vector of ``values[i]`` over
-    ``primes``.  Multiplicative functions are products over the nonzero
-    entries of that matrix, so no element is ever factorized again.
+    Entry k of ``rows``, ``cols`` and ``exps`` says that p^e exactly
+    divides ``values[rows[k]]``, with p = ``primes[cols[k]]`` and
+    e = ``exps[k]``; the entries run in (row, prime) order.
+    Multiplicative functions are products over these entries, so no
+    element is ever factorized again.
     """
 
     primes: np.ndarray  # int64, ascending
     values: np.ndarray  # int64, ascending
-    exponents: np.ndarray  # uint8, shape (len(values), len(primes))
+    rows: np.ndarray  # int64, nondecreasing
+    cols: np.ndarray  # int64, ascending within a row
+    exps: np.ndarray  # uint8, positive
 
     @property
     def omega(self) -> np.ndarray:
-        return self.exponents.sum(axis=1, dtype=np.int64)
+        return np.bincount(self.rows, weights=self.exps, minlength=len(self.values)).astype(np.int64)
 
     @property
     def liouville(self) -> np.ndarray:
@@ -367,7 +374,7 @@ class FactoredSupport:
 
     @property
     def max_exponent(self) -> int:
-        return int(self.exponents.max(initial=0))
+        return int(self.exps.max(initial=0))
 
     def multiplicative(self, local: np.ndarray) -> np.ndarray:
         """prod over p^e || n of local[i, e], p = primes[i], for every element n.
@@ -375,10 +382,9 @@ class FactoredSupport:
         ``local`` broadcasts to (len(primes), max_exponent + 1).  An
         element's factors multiply in ascending prime order, from 1.
         """
-        rows, cols = np.nonzero(self.exponents)
         table = np.broadcast_to(local, (len(self.primes), self.max_exponent + 1))
         out = np.ones(len(self.values), dtype=table.dtype)
-        np.multiply.at(out, rows, table[cols, self.exponents[rows, cols]])
+        np.multiply.at(out, self.rows, table[self.cols, self.exps])
         return out
 
     @property
@@ -401,7 +407,7 @@ def smooth_integers(
 ) -> FactoredSupport:
     """Integers ``n <= cap`` whose prime factors all lie in the interval.
 
-    Returns them ascending, starting with 1, with the exponent vector of
+    Returns them ascending, starting with 1, with the factorization of
     each over the interval's primes (see :class:`FactoredSupport`).
     ``ell`` caps Omega(n) (``None`` for no cap); ``cap`` may be
     ``math.inf`` when the Omega cap alone bounds the search.
@@ -415,29 +421,62 @@ def smooth_integers(
         raise ValueError("need a finite cap or an Omega cap to terminate")
     primes = interval.primes if isinstance(interval, PrimeInterval) else interval
     plist = sorted(int(p) for p in np.asarray(primes, dtype=np.int64))
-    exps = bytearray(len(plist))
+    path: list[int] = []  # prime indices of the element being built, nondecreasing
     values: list[int] = []
-    rows = bytearray()  # the exponent vectors, one after another
+    sizes = array("q")  # Omega of each element
+    paths = array("q")  # the paths, one after another
 
-    def dfs(idx: int, value: int, omega: int) -> None:
+    def dfs(idx: int, value: int) -> None:
         values.append(value)
-        rows.extend(exps)
+        sizes.append(len(path))
+        paths.extend(path)
         if len(values) > max_count:
             raise RuntimeError(
                 f"smooth enumeration exceeded {max_count} values below {cap}"
             )
-        if ell is not None and omega + 1 > ell:
+        if ell is not None and len(path) + 1 > ell:
             return
         for j in range(idx, len(plist)):
             p = plist[j]
             if value * p > cap:
                 break
-            exps[j] += 1
-            dfs(j, value * p, omega + 1)
-            exps[j] -= 1
+            path.append(j)
+            dfs(j, value * p)
+            path.pop()
 
-    dfs(0, 1, 0)
+    dfs(0, 1)
     ints = np.array(values, dtype=np.int64)
     order = np.argsort(ints)
-    matrix = np.frombuffer(rows, dtype=np.uint8).reshape(len(values), len(plist))
-    return FactoredSupport(np.array(plist, dtype=np.int64), ints[order], matrix[order])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # one triple per run of equal prime indices in a path
+    rows = np.repeat(np.arange(len(values)), np.frombuffer(sizes, dtype=np.int64))
+    cols = np.frombuffer(paths, dtype=np.int64)
+    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    exps = np.diff(first, append=len(rows)).astype(np.uint8)
+    rows = rank[rows[first]]
+    by_row = np.argsort(rows, kind="stable")
+    return FactoredSupport(
+        np.array(plist, dtype=np.int64), ints[order], rows[by_row], cols[first][by_row], exps[by_row]
+    )
+
+
+def multiplicative_table(limit: int, local: Callable[[int, int], object], dtype) -> np.ndarray:
+    """f(n) for 0 <= n <= limit (slot 0 set to 0) of the multiplicative f with f(p^e) = local(p, e).
+
+    One sieve pass per prime, largest first: each n takes f(p^e) for
+    every p^e || n, so its factors multiply from 1 in descending prime order.
+    """
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    out = np.ones(limit + 1, dtype=dtype)
+    out[0] = 0
+    for p in sieve_primes(1, limit).primes[::-1].tolist():
+        pe, e = p, 1
+        while pe <= limit:
+            multiples = np.arange(pe, limit + 1, pe)
+            if pe * p <= limit:
+                multiples = multiples[multiples % (pe * p) != 0]
+            out[multiples] *= local(p, e)
+            pe, e = pe * p, e + 1
+    return out

@@ -60,7 +60,7 @@ EXIT_SUITE = 1
 EXIT_CONFIG = 2
 
 _GRAM_BLOCK = 1 << 14  # labels per block of the characters orthogonality check
-_MAX_MC_SAMPLES = 1_000_000  # Monte Carlo draws; 10^6 already take tens of seconds
+_MAX_MC_SAMPLES = 1_000_000  # Monte Carlo draws (10^6 take about a second)
 
 
 def _theta_tuple(text: str) -> tuple[float, ...]:
@@ -295,9 +295,9 @@ def cmd_random(cfg: RunConfig) -> Outcome:
     exact = exact_expectation([(poly, False), (poly, True)]).value.real
     coeffs = poly.scaled_coeff
 
-    def second_moment(s) -> complex:
-        z = complex(np.sum(coeffs * s.values))
-        return z * np.conj(z)
+    def second_moment(x: np.ndarray) -> np.ndarray:
+        z = np.sum(coeffs * x, axis=1)
+        return z.real**2 + z.imag**2
 
     mc = mc_expectation(second_moment, poly.support, cfg.mc_samples, cfg.seed)
     mc_gap = abs(mc.value.real - exact)

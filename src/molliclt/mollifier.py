@@ -2,11 +2,10 @@
 product Dirichlet polynomials, prime sums, and the second-moment main
 term M(alpha, beta) in three algebraically identical evaluations.
 
-Two parameter modes.  The asymptotic ("paper") mode derives everything
-from (q, eta, c0); it degenerates below astronomically large q, in which
-case a structured error points at the desk mode, where the interval
-exponents are chosen by hand and only the Omega caps keep the derived
-form.
+The interval exponents are chosen by hand: the paper's asymptotic
+ladder theta_j = eta e^j / (log log q)^5 leaves the first interval
+empty for every prime q from 67 up.  The Omega caps keep the paper's
+formula.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .characters import CharacterTable, batch_character_sums
 __all__ = [
     "MollifierParams",
     "DirichletPolynomial",
-    "ParamsDegenerateError",
-    "params_paper",
     "params_desk",
     "check_desk_params",
     "w_weight",
@@ -46,10 +43,6 @@ _SUPPORT_CAP = 2_000_000  # enumeration budget (count of support integers)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # largest support element an int64 array holds
 
 
-class ParamsDegenerateError(ValueError):
-    """Raised when the asymptotic parameter formulas collapse at small q."""
-
-
 @dataclass(frozen=True)
 class MollifierParams:
     """Interval decomposition (c0, y], (q^theta_0, q^theta_1], ... with Omega caps.
@@ -60,8 +53,6 @@ class MollifierParams:
     """
 
     q: int
-    mode: str  # "paper" | "desk"
-    eta: float | None
     c0: float
     J: int
     theta: tuple[float, ...]
@@ -88,49 +79,15 @@ def _ell_from_theta(theta: float) -> int:
     return 2 * math.floor(theta ** (-0.75))
 
 
-def _build_intervals(q: int, c0: float, theta: tuple[float, ...], warn_empty: bool) -> tuple[PrimeInterval, ...]:
+def _build_intervals(q: int, c0: float, theta: tuple[float, ...]) -> tuple[PrimeInterval, ...]:
     bounds = [c0] + [q**t for t in theta]
     intervals = []
     for j in range(len(theta)):
         iv = sieve_primes(bounds[j], bounds[j + 1])
-        if warn_empty and len(iv) == 0:
+        if len(iv) == 0:
             warnings.warn(f"interval {j} = ({bounds[j]:.4g}, {bounds[j+1]:.4g}] contains no primes")
         intervals.append(iv)
     return tuple(intervals)
-
-
-def params_paper(q: int, eta: float, c0: float = 2.0) -> MollifierParams:
-    """Asymptotic interval parameters theta_j = eta e^j / (log log q)^5.
-
-    J is the smallest index with theta_J >= eta, which lands theta_J in
-    [eta, e*eta).  Needs log log q > 1 (q >= 16) for that anchoring to
-    make sense, and the resulting y = q**theta_0 must clear c0; at
-    realistic desk moduli it never does, and the structured error says
-    to use :func:`params_desk` instead.
-    """
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0,1), got {eta}")
-    if c0 < 2:
-        raise ValueError(f"c0 must be >= 2 in paper mode, got {c0}")
-    llq = math.log(math.log(q)) if q > 2 else float("-inf")
-    if llq <= 1.0:
-        raise ParamsDegenerateError(
-            f"log log q = {llq:.4g} <= 1: the asymptotic parameter ladder is undefined at q={q}"
-        )
-    J = max(0, math.ceil(5 * math.log(llq)))
-    theta = tuple(eta * math.e**j / llq**5 for j in range(J + 1))
-    y = float(q) ** theta[0]
-    if y <= c0:
-        raise ParamsDegenerateError(
-            f"y = q^theta_0 = {y:.6g} <= c0 = {c0}: the first interval is empty at q={q}; "
-            "use params_desk with explicit interval exponents"
-        )
-    ell = tuple(_ell_from_theta(t) for t in theta)
-    intervals = _build_intervals(q, c0, theta, warn_empty=True)
-    return MollifierParams(
-        q=q, mode="paper", eta=eta, c0=c0, J=J, theta=theta, ell=ell,
-        y=y, x=float(q) ** theta[J], intervals=intervals,
-    )
 
 
 def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[float, ...]:
@@ -153,31 +110,19 @@ def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[f
     return theta
 
 
-def params_desk(
-    q: int,
-    theta_list: Iterable[float],
-    c0: float = 1.0,
-    theta_cap: float | None = 0.02,
-) -> MollifierParams:
+def params_desk(q: int, theta_list: Iterable[float], c0: float = 1.0) -> MollifierParams:
     """Desk-scale parameters with hand-picked interval exponents.
 
     The Omega caps still come from the asymptotic formula
-    ell_j = 2*floor(theta_j^(-3/4)).  Exponents above ``theta_cap`` are
-    legitimate at desk scale but far outside the asymptotic regime, so
-    they draw a warning rather than an error (pass ``None`` to silence).
+    ell_j = 2*floor(theta_j^(-3/4)).  An interval without primes draws
+    a warning.
     """
     theta = check_desk_params(q, theta_list, c0)
-    if theta_cap is not None and theta[-1] > theta_cap:
-        warnings.warn(
-            f"theta_J = {theta[-1]} exceeds the asymptotic-regime cap {theta_cap}; "
-            "desk-scale surrogate parameters in effect"
-        )
     J = len(theta) - 1
     ell = tuple(_ell_from_theta(t) for t in theta)
-    intervals = _build_intervals(q, c0, theta, warn_empty=True)
     return MollifierParams(
-        q=q, mode="desk", eta=None, c0=c0, J=J, theta=theta, ell=ell,
-        y=float(q) ** theta[0], x=float(q) ** theta[J], intervals=intervals,
+        q=q, c0=c0, J=J, theta=theta, ell=ell,
+        y=float(q) ** theta[0], x=float(q) ** theta[J], intervals=_build_intervals(q, c0, theta),
     )
 
 

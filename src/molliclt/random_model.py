@@ -3,8 +3,9 @@ extended completely multiplicatively.
 
 The assignment is a counter-based keyed hash (splitmix64 family), so a
 sample is a pure function of (seed, index, prime): reproducible across
-runs and machines, cheap to vectorize, no RNG state threading.  Not
-cryptographic, and makes no claim to be.
+runs and machines, no RNG state threading, and a whole block of sample
+indices is one uint64 array computation.  Not cryptographic, and makes
+no claim to be.
 
 Expectations of products of short Dirichlet polynomials in the model
 are computed exactly from the orthogonality E[X(m) conj(X(n))] = [m=n],
@@ -18,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, multiplicative_table, primes_up_to
 from .characters import CharacterTable
 from .mollifier import DirichletPolynomial, MollifierParams, prime_sum_polynomial
 
@@ -44,23 +45,15 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_BLOCK_VALUES = 1 << 16  # unit values drawn per Monte Carlo block
+_PAIR_BUDGET = 10_000_000  # term pairs one exact_expectation convolution step may take
 
 
-def _mix_int(x: int) -> int:
-    """splitmix64 finalizer on a Python int, mod 2^64."""
-    x = (x + _PHI) & _MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
-    x ^= x >> 31
-    return x
-
-
-def _mix_array(x: np.ndarray) -> np.ndarray:
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise mod 2^64."""
     with np.errstate(over="ignore"):
-        x = x + np.uint64(_PHI)
+        x = x + _PHI
         x ^= x >> np.uint64(30)
         x = x * np.uint64(0xBF58476D1CE4E5B9)
         x ^= x >> np.uint64(27)
@@ -69,14 +62,32 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _prime_array(prime_list: Iterable[int] | np.ndarray) -> np.ndarray:
+    primes = np.unique(np.asarray(list(prime_list) if not isinstance(prime_list, np.ndarray) else prime_list, dtype=np.int64))
+    if len(primes) and primes[0] < 2:
+        raise ValueError("prime list contains a value below 2")
+    return primes
+
+
+def _draw(primes: np.ndarray, seed: int, indices: np.ndarray) -> np.ndarray:
+    """X(p) with one row per sample index and one column per prime.
+
+    The angle is 2 pi u, with u keyed by (seed, index, p).
+    """
+    seed_key = _mix(np.array([seed & _MASK], dtype=np.uint64))
+    key = _mix(seed_key ^ _mix(indices.astype(np.uint64) + np.uint64(1)))[:, None]
+    h = _mix(primes.astype(np.uint64) * _PHI + key)
+    h = _mix(h ^ key)
+    u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.exp(2j * math.pi * u)
+
+
 @dataclass(frozen=True)
 class RandomSample:
     """One realization of the model: unit-circle value per assigned prime."""
 
     primes: np.ndarray  # int64, ascending
     values: np.ndarray  # complex128 on the unit circle, parallel
-    seed: int
-    index: int
 
     def value_of_prime(self, p: int) -> complex:
         i = int(np.searchsorted(self.primes, p))
@@ -86,17 +97,9 @@ class RandomSample:
 
 
 def sample(prime_list: Iterable[int] | np.ndarray, seed: int, index: int) -> RandomSample:
-    """Draw X(p) for each listed prime: angle = 2 pi u with u keyed by (seed, index, p)."""
-    primes = np.unique(np.asarray(list(prime_list) if not isinstance(prime_list, np.ndarray) else prime_list, dtype=np.int64))
-    if len(primes) and primes[0] < 2:
-        raise ValueError("prime list contains a value below 2")
-    key = _mix_int(_mix_int(seed & _MASK) ^ _mix_int((index & _MASK) + 1))
-    with np.errstate(over="ignore"):
-        h = primes.astype(np.uint64) * np.uint64(_PHI) + np.uint64(key)
-        h = _mix_array(h)
-        h = _mix_array(h ^ np.uint64(key))
-    u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return RandomSample(primes=primes, values=np.exp(2j * math.pi * u), seed=seed, index=index)
+    """Draw X(p) for each listed prime at one sample index (row ``index`` of :func:`mc_expectation`)."""
+    primes = _prime_array(prime_list)
+    return RandomSample(primes, _draw(primes, seed, np.array([index & _MASK], dtype=np.uint64))[0])
 
 
 def x_of_n(s: RandomSample, n: int) -> complex:
@@ -115,26 +118,12 @@ def x_of_n(s: RandomSample, n: int) -> complex:
 def x_table(s: RandomSample, limit: int) -> np.ndarray:
     """X(n) for all 1 <= n <= limit as a table (slot 0 unused, set to 0).
 
-    Linear-sieve fill: X(n) = X(n / spf(n)) * X(spf(n)).  Every prime up
-    to ``limit`` must be in the sample's assignment.
+    Every prime up to ``limit`` must be in the sample's assignment.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    need = primes_up_to(limit)
-    pos = np.searchsorted(s.primes, need)
-    if np.any(pos >= len(s.primes)) or np.any(s.primes[np.minimum(pos, len(s.primes) - 1)] != need):
+    if not np.isin(primes_up_to(limit), s.primes).all():
         raise ValueError(f"sample assignment must cover every prime up to {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in need:
-        start = int(p)
-        spf[start::start] = np.where(spf[start::start] == 0, p, spf[start::start])
-    out = np.zeros(limit + 1, dtype=np.complex128)
-    out[1] = 1.0
-    pval = dict(zip((int(p) for p in s.primes), (complex(v) for v in s.values)))
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        out[n] = out[n // p] * pval[p]
-    return out
+    pval = dict(zip(s.primes.tolist(), s.values.tolist()))
+    return multiplicative_table(limit, lambda p, e: pval[p] ** e, np.complex128)
 
 
 @dataclass(frozen=True)
@@ -147,43 +136,31 @@ class ExpectationResult:
     standard_error: float | None = None
 
 
-def _coeff_map(obj) -> dict[int, complex]:
-    """Coefficient map of one factor, with the 1/sqrt(n) normalization folded in."""
-    if isinstance(obj, Mapping):
-        return {int(n): complex(c) for n, c in obj.items()}
-    # a DirichletPolynomial: scaled_coeff carries the 1/sqrt(n) its coeff leaves out
-    return {int(n): complex(c) for n, c in zip(obj.support, obj.scaled_coeff)}
-
-
-def _convolve_maps(maps: list[dict[int, complex]], budget: int) -> dict[int, complex]:
+def _convolve(polys: list[DirichletPolynomial]) -> dict[int, complex]:
+    """Coefficient map of the product of the factors, with each 1/sqrt(n) folded in."""
     acc: dict[int, complex] = {1: 1.0 + 0.0j}
-    for m in maps:
-        if len(acc) * len(m) > budget:
+    for poly in polys:
+        if len(acc) * len(poly.support) > _PAIR_BUDGET:
             raise RuntimeError("exact expectation pair budget exceeded")
+        terms = list(zip(poly.support.tolist(), poly.scaled_coeff.tolist()))
         nxt: dict[int, complex] = {}
         for n1, c1 in acc.items():
-            for n2, c2 in m.items():
+            for n2, c2 in terms:
                 key = n1 * n2
                 nxt[key] = nxt.get(key, 0.0j) + c1 * c2
         acc = nxt
     return acc
 
 
-def exact_expectation(
-    product_spec: list[tuple[object, bool]], budget: int = 10_000_000
-) -> ExpectationResult:
+def exact_expectation(product_spec: list[tuple[DirichletPolynomial, bool]]) -> ExpectationResult:
     """E over the model of a product of polynomial factors.
 
-    Each entry is (factor, conjugated); a factor is a DirichletPolynomial
-    or a plain {n: coefficient} map (the map is taken as-is, so include
-    any normalization yourself).  Unconjugated factors convolve into one
-    map A, conjugated ones into B, and orthogonality collapses the
-    expectation to sum over m of A(m) conj(B(m)).
+    Each entry is (factor, conjugated).  Unconjugated factors convolve
+    into one map A, conjugated ones into B, and orthogonality collapses
+    the expectation to sum over m of A(m) conj(B(m)).
     """
-    plain = [_coeff_map(obj) for obj, conj in product_spec if not conj]
-    conjd = [_coeff_map(obj) for obj, conj in product_spec if conj]
-    a = _convolve_maps(plain, budget)
-    b = _convolve_maps(conjd, budget)
+    a = _convolve([poly for poly, conj in product_spec if not conj])
+    b = _convolve([poly for poly, conj in product_spec if conj])
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     total = 0.0j
     for n, c in small.items():
@@ -194,26 +171,32 @@ def exact_expectation(
 
 
 def mc_expectation(
-    evaluator: Callable[[RandomSample], complex],
+    evaluator: Callable[[np.ndarray], np.ndarray],
     prime_list: Iterable[int] | np.ndarray,
     n_samples: int,
     seed: int,
 ) -> ExpectationResult:
-    """Monte Carlo estimate of E[evaluator(X)] over fresh samples.
+    """Monte Carlo estimate of E[evaluator(X)] over samples 0..n_samples-1.
 
-    Sample i uses index i, so estimates are reproducible for a given
-    seed and extendable by raising ``n_samples``.  Non-finite evaluator
-    output aborts with the offending index.
+    ``evaluator`` maps a block of draws, one row per sample and one
+    column per prime (ascending), to one value per row.  Row i is
+    ``sample(prime_list, seed, i).values``, so estimates are reproducible
+    for a given seed and extendable by raising ``n_samples``; a block
+    holds about _BLOCK_VALUES draws whatever the sample count.
+    Non-finite evaluator output aborts with the first offending index.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful standard error")
-    prime_arr = np.asarray(list(prime_list) if not isinstance(prime_list, np.ndarray) else prime_list, dtype=np.int64)
+    primes = _prime_array(prime_list)
+    rows = max(1, _BLOCK_VALUES // max(len(primes), 1))
     values = np.empty(n_samples, dtype=np.complex128)
-    for i in range(n_samples):
-        v = complex(evaluator(sample(prime_arr, seed, i)))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise RuntimeError(f"evaluator returned a non-finite value at sample index {i}: {v}")
-        values[i] = v
+    for start in range(0, n_samples, rows):
+        block = values[start : start + rows]
+        block[:] = evaluator(_draw(primes, seed, np.arange(start, start + len(block), dtype=np.uint64)))
+        bad = ~np.isfinite(block)
+        if bad.any():
+            i = start + int(np.argmax(bad))
+            raise RuntimeError(f"evaluator returned a non-finite value at sample index {i}: {complex(values[i])}")
     mean = complex(values.mean())
     resid = values - mean
     se = math.sqrt((np.abs(resid) ** 2).mean() / max(n_samples - 1, 1))

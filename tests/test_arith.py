@@ -1,7 +1,6 @@
 """Integer machinery: sieves, factorization, the nu weight family, smooth supports."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -194,9 +193,7 @@ def test_smooth_integers_guards():
 def _factored_support_cases():
     from molliclt.mollifier import params_desk
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        configs = [params_desk(10007, theta, c0=1.0) for theta in ([0.25], [0.5], [0.2, 0.3])]
+    configs = [params_desk(10007, theta, c0=1.0) for theta in ([0.25], [0.5], [0.2, 0.3])]
     cases = [(iv, ell) for params in configs for iv, ell in zip(params.intervals, params.ell)]
     return cases + [(sieve_primes(1, 1000), 2)]
 
@@ -208,9 +205,14 @@ def _factored_support_cases():
 )
 def test_factored_support_matches_arith_oracles(interval, ell):
     support = smooth_integers(interval, ell, math.inf)
-    assert support.exponents.dtype == np.uint8
+    assert support.exps.dtype == np.uint8 and np.all(support.exps > 0)
     assert list(support.primes) == list(interval.primes)
-    rebuilt = np.prod(support.primes ** support.exponents.astype(np.int64), axis=1)
+    # one triple per p^e || n, in (row, prime) order
+    order = np.lexsort((support.cols, support.rows))
+    assert np.array_equal(order, np.arange(len(order)))
+    assert not np.any((np.diff(support.rows) == 0) & (np.diff(support.cols) == 0))
+    rebuilt = np.ones(len(support.values), dtype=np.int64)
+    np.multiply.at(rebuilt, support.rows, support.primes[support.cols] ** support.exps.astype(np.int64))
     assert np.array_equal(rebuilt, support.values)
     values = support.values.tolist()
     assert values == sorted(set(values)) and values[0] == 1

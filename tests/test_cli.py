@@ -5,9 +5,11 @@ import contextlib
 import io
 import json
 import os
+import resource
 import shutil
 import struct
 import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -169,8 +171,18 @@ def test_out_of_range_inputs_exit_config_before_any_work(argv, rule, tmp_path, m
     assert out == "" and os.listdir(tmp_path) == []
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["characters", "lvalues"])
 def test_commands_without_a_mollifier_print_nothing_on_stderr(command, tmp_path):
+    code, out, err = run_captured([command, "--q", "10007", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert out.startswith(f"{command}: ") and err == ""
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+@pytest.mark.parametrize("command", ["clt", "random", "second-moment"])
+def test_mollifier_commands_print_nothing_on_stderr(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("MOLLICLT_CACHE_DIR", str(tmp_path / "cache"))
     code, out, err = run_captured([command, "--q", "10007", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert out.startswith(f"{command}: ") and err == ""
@@ -253,7 +265,6 @@ def test_empty_first_interval_second_moment_still_runs(tmp_path, capsys):
     assert load_report(tmp_path / "second-moment_q101.json")["passed"] is True
 
 
-@pytest.mark.filterwarnings("ignore:theta_J = .* exceeds the asymptotic-regime cap")
 def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
     # four intervals with Omega caps of 4: the support products reach ~1e22
     argv = ["second-moment", "--q", "1000003", "--theta", "0.3,0.31,0.32,0.33", "--c0", "60"]
@@ -262,6 +273,26 @@ def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
     assert err.startswith("run failed: mollifier support element ")
     assert "exceeds the int64 limit 9223372036854775807" in err and "Traceback" not in err
     assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
+    # theta = 0.9 puts ~22k primes in the interval with an Omega cap of 2:
+    # the enumeration passes its 2e6-element guard long before 3 GB
+    cap = 3_000_000_000
+
+    def limit_child():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "MOLLICLT_CACHE_DIR": str(tmp_path / "cache")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "molliclt.cli", "clt", "--q", "1000003", "--theta", "0.9", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_child, timeout=300,
+    )
+    assert proc.returncode == EXIT_SUITE, proc.stderr
+    assert proc.stderr.startswith("run failed: smooth enumeration exceeded 2000000 values")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_unwritable_out_is_a_run_failure(tmp_path):
@@ -382,6 +413,14 @@ def test_random_command(tmp_path, capsys):
     report = load_report(tmp_path / "random_q101.json")
     assert report["passed"] is True
     assert set(report["checks"]) >= {"moment_identity_k1", "moment_identity_k2", "cutoff"}
+
+
+def test_random_at_the_largest_mc_sample_count(tmp_path, capsys):
+    code = run("random", "--q", "10007", "--theta", "0.25", "--mc", "1000000", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    capsys.readouterr()
+    mc = load_report(tmp_path / "random_q10007.json")["checks"]["mc_vs_exact"]
+    assert mc["passed"] is True and mc["se"] < 2e-3
 
 
 def test_no_temp_files_left_behind(tmp_path, monkeypatch, capsys):

@@ -40,11 +40,7 @@ def pair():
 
 @pytest.fixture(scope="module")
 def desk(pair):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return params_desk(10007, [0.25], c0=1.0)
+    return params_desk(10007, [0.25], c0=1.0)
 
 
 # --- integer q-expansions ----------------------------------------------------
@@ -301,6 +297,16 @@ def test_local_expectation_vs_angle_quadrature(pair, desk):
             series = local_expectation(pair, p, 0.0, a, desk)
             quad = quadrature_expectation(pair, p, 0.0, a, desk)
             assert abs(series - quad) < 1e-8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_angle_quadrature_matches_series_to_rounding(pair, desk, p):
+    # aliasing at N nodes is about p^(-N/2): 1.6e-10 at p = 2 with 64 nodes
+    for s in (0.0, 0.1):
+        for a in (-1, 0, 1, 2, 4):
+            series = local_expectation(pair, p, s, a, desk)
+            quad = quadrature_expectation(pair, p, s, a, desk)
+            assert abs(series - quad) < 1e-14, (s, a)
 
 
 def test_g_p_f_p_are_the_a0_and_symmetrized_a1_slices(pair, desk):

@@ -14,7 +14,6 @@ from molliclt import hecke_rankin, mollifier
 from molliclt.mollifier import (
     DirichletPolynomial,
     MollifierParams,
-    ParamsDegenerateError,
     build_dirichlet_mollifier,
     build_hecke_mollifier,
     check_desk_params,
@@ -23,7 +22,6 @@ from molliclt.mollifier import (
     m_alpha_beta,
     m_alpha_beta_general,
     params_desk,
-    params_paper,
     prime_sum_polynomial,
     prime_sums_all,
     w_weight,
@@ -33,27 +31,8 @@ from molliclt.mollifier import (
 # --- parameter ladders ---------------------------------------------------
 
 
-def test_params_paper_degenerate_below_double_log_threshold():
-    with pytest.raises(ParamsDegenerateError, match="log log q"):
-        params_paper(13, 0.9)
-
-
-def test_params_paper_degenerate_empty_first_interval():
-    # at desk moduli y = q^theta_0 never clears c0 = 2
-    with pytest.raises(ParamsDegenerateError, match="params_desk"):
-        params_paper(10007, 0.9)
-
-
-def test_params_paper_validates_inputs():
-    with pytest.raises(ValueError):
-        params_paper(10007, 1.5)
-    with pytest.raises(ValueError):
-        params_paper(10007, 0.9, c0=1.0)
-
-
 def test_params_desk_basic_shape(desk_quarter):
     p = desk_quarter
-    assert p.mode == "desk"
     assert p.J == 0
     assert p.ell == (4,)  # 2*floor(0.25^(-3/4))
     assert math.isclose(p.y, 10007**0.25)
@@ -64,18 +43,18 @@ def test_params_desk_basic_shape(desk_quarter):
 def test_omega_cap_formula_anchor():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = params_desk(10007, [0.01], theta_cap=None)
+        p = params_desk(10007, [0.01])
     assert p.ell == (62,)
 
 
-def test_params_desk_warns_above_cap():
-    with pytest.warns(UserWarning, match="asymptotic-regime cap"):
-        params_desk(10007, [0.25])
+def test_params_desk_warns_only_on_an_empty_interval():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", message="interval .* contains no primes")
-        params_desk(10007, [0.015])  # below default cap: silent
-        params_desk(10007, [0.25], theta_cap=None)  # cap disabled: silent
+        params_desk(10007, [0.25])
+        params_desk(10007, [0.2, 0.3, 0.5])
+    # 10007^0.01 = 1.096: the interval (1, 1.096] holds no prime
+    with pytest.warns(UserWarning, match=r"interval 0 = \(1, 1.096\] contains no primes"):
+        params_desk(10007, [0.01])
 
 
 def test_params_desk_validates():
@@ -84,7 +63,7 @@ def test_params_desk_validates():
     with pytest.raises(ValueError):
         params_desk(10007, [-0.1])
     with pytest.raises(ValueError):
-        params_desk(10007, [0.3, 0.2], theta_cap=None)  # not increasing
+        params_desk(10007, [0.3, 0.2])  # not increasing
 
 
 def test_params_desk_checks_inputs_before_sieving(monkeypatch):
@@ -110,7 +89,7 @@ def test_params_desk_checks_inputs_before_sieving(monkeypatch):
 
 
 def test_multi_interval_partition(table10007):
-    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0)
     assert p.J == 1
     # intervals tile (c0, x] with no prime shared or skipped
     all_primes = [int(v) for iv in p.intervals for v in iv.primes]
@@ -167,7 +146,7 @@ def test_support_divisor_closed(desk_quarter):
 
 def test_exact_coefficients_match_brute_force_convolution():
     """Independent reconstruction: per-interval lambda*nu maps convolved by hand."""
-    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0)
     mol = build_dirichlet_mollifier(p)
 
     maps = []
@@ -191,7 +170,7 @@ def test_exact_coefficients_match_brute_force_convolution():
 
 
 def test_interval_pieces_multiply_to_full_mollifier(desk_quarter):
-    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0)
     mol = build_dirichlet_mollifier(p)
     pieces = [dirichlet_interval_piece(p, j) for j in range(p.J + 1)]
     acc: dict[int, complex] = {1: 1.0 + 0j}
@@ -217,7 +196,7 @@ def test_each_interval_support_is_enumerated_once(monkeypatch):
 
     monkeypatch.setattr(mollifier, "smooth_integers", counted)
     monkeypatch.setattr(hecke_rankin, "smooth_integers", counted)
-    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0)
     build_dirichlet_mollifier(p)
     for j in range(p.J + 1):
         dirichlet_interval_piece(p, j)
@@ -248,7 +227,7 @@ def test_interval_piece_index_validation(desk_quarter):
 
 
 def test_evaluate_matches_direct_character_sum(table101):
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
+    p = params_desk(101, [0.25], c0=1.0)
     mol = build_dirichlet_mollifier(p)
     for a in (1, 17, 60):
         direct = sum(
@@ -283,7 +262,7 @@ def test_m_alpha_beta_takes_a_built_mollifier(desk_quarter, monkeypatch):
 
 
 def test_m_alpha_beta_variants_agree_multi_interval():
-    p = params_desk(10007, [0.2, 0.3], c0=1.0, theta_cap=None)
+    p = params_desk(10007, [0.2, 0.3], c0=1.0)
     vals = {v: m_alpha_beta(p, 0.02 + 0.01j, 0.015 - 0.02j, v) for v in ("direct", "moebius", "euler")}
     ref = vals["direct"]
     for v, x in vals.items():
@@ -300,7 +279,7 @@ def interval_configs(draw):
     intervals = tuple(PrimeInterval(g[0] - 0.5, g[-1], np.array(g, dtype=np.int64)) for g in groups)
     theta = tuple(0.1 * (j + 1) for j in range(len(groups)))
     params = MollifierParams(
-        q=10007, mode="desk", eta=None, c0=1.0, J=len(groups) - 1, theta=theta, ell=ell,
+        q=10007, c0=1.0, J=len(groups) - 1, theta=theta, ell=ell,
         y=float(groups[0][-1]), x=float(groups[-1][-1]), intervals=intervals,
     )
     shift = st.complex_numbers(max_magnitude=0.05, allow_nan=False, allow_infinity=False)
@@ -343,7 +322,7 @@ def test_m_alpha_beta_unknown_variant(desk_quarter):
 
 
 def test_prime_sum_matches_naive(table101):
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
+    p = params_desk(101, [0.25], c0=1.0)
     primes = [int(v) for v in p.intervals[0].primes]
     assert primes == [2, 3]
     for a in (1, 9, 42):
@@ -361,14 +340,14 @@ def test_prime_sum_of_an_empty_first_interval_names_it():
 
 def test_prime_sums_all_orthogonality_second_moment(table101):
     """Mean of |S|^2 over all labels collapses to sum 1/p by orthogonality."""
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
+    p = params_desk(101, [0.25], c0=1.0)
     sums = prime_sums_all(table101, p)
     want = 1 / 2 + 1 / 3
     assert abs(np.mean(np.abs(sums) ** 2) - want) < 1e-12
 
 
 def test_prime_sum_weights_callable_and_array_agree(table101):
-    p = params_desk(101, [0.25], c0=1.0, theta_cap=None)
+    p = params_desk(101, [0.25], c0=1.0)
     fn = lambda v: 1.0 / (1.0 + v)
     arr = np.array([fn(v) for v in p.intervals[0].primes])
     for a in (3, 77):

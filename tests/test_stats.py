@@ -444,7 +444,7 @@ def test_clt_report_shape_and_sigma(report1009, table1009):
     assert report.sigma_hat == pytest.approx(sigma, rel=1e-14)
     # with two intervals P still sums over the first, (1, 1009^0.2] = {2, 3},
     # and so does its scale
-    two = params_desk(1009, [0.2, 0.5], c0=1.0, theta_cap=None)
+    two = params_desk(1009, [0.2, 0.5], c0=1.0)
     assert clt_experiment(table1009, two).sigma_hat == pytest.approx(math.sqrt(0.5 * (1 / 2 + 1 / 3)), rel=1e-14)
     assert len(report.rows) == 6
     assert len(report.psi) == len(report.u_grid) == len(report.phi) == 12
