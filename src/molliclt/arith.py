@@ -28,8 +28,6 @@ __all__ = [
     "big_omega",
     "liouville",
     "nu",
-    "nu_k",
-    "nu_k_ell",
     "smooth_integers",
     "multiplicative_table",
 ]
@@ -278,73 +276,6 @@ def nu(n: int) -> Fraction:
     for e in f.exponents:
         out /= math.factorial(e)
     return out
-
-
-def nu_k(n: int, k: int) -> Fraction:
-    """Multiplicative weight with value k**a / a! at p**a.
-
-    Equivalently the n-th coefficient of the k-fold Dirichlet
-    convolution of :func:`nu` with itself.
-    """
-    f = factorize(n)
-    out = Fraction(1)
-    for e in f.exponents:
-        out *= Fraction(k**e, math.factorial(e))
-    return out
-
-
-@lru_cache(maxsize=200_000)
-def _nu_key(n: int) -> tuple[tuple[int, int], ...]:
-    f = factorize(n)
-    return tuple(zip(f.primes, f.exponents))
-
-
-def nu_k_ell(n: int, k: int, ell: int) -> Fraction:
-    """Truncated convolution power of :func:`nu`.
-
-    Defined by ``nu_{1;ell} = nu`` restricted to ``Omega <= ell`` and
-
-        nu_{k;ell}(n) = sum over d | n with Omega(d) <= ell of
-                        nu(d) * nu_{k-1;ell}(n / d).
-
-    Agrees with :func:`nu_k` whenever ``Omega(n) <= ell``, and never
-    exceeds it.  Not multiplicative once the truncation bites.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
-    return _nu_k_ell_rec(_nu_key(n), k, ell)
-
-
-def _nu_of_key(key: tuple[tuple[int, int], ...]) -> Fraction:
-    out = Fraction(1)
-    for _, e in key:
-        out /= math.factorial(e)
-    return out
-
-
-@lru_cache(maxsize=500_000)
-def _nu_k_ell_rec(key: tuple[tuple[int, int], ...], k: int, ell: int) -> Fraction:
-    omega = sum(e for _, e in key)
-    if k == 1:
-        return _nu_of_key(key) if omega <= ell else Fraction(0)
-    total = Fraction(0)
-    # Enumerate divisors d of n by exponent vectors; recurse on n/d.
-    def rec(idx: int, om_d: int, d_key: list[tuple[int, int]], q_key: list[tuple[int, int]]) -> None:
-        nonlocal total
-        if idx == len(key):
-            if om_d <= ell:
-                total += _nu_of_key(tuple(d_key)) * _nu_k_ell_rec(tuple(q_key), k - 1, ell)
-            return
-        p, e = key[idx]
-        for a in range(e + 1):
-            nd = d_key + ([(p, a)] if a else [])
-            nq = q_key + ([(p, e - a)] if e - a else [])
-            rec(idx + 1, om_d + a, nd, nq)
-
-    rec(0, 0, [], [])
-    return total
 
 
 @dataclass(frozen=True)

@@ -240,8 +240,9 @@ def cmd_lvalues(cfg: RunConfig) -> Outcome:
 
 
 def cmd_clt(cfg: RunConfig) -> Outcome:
-    table = build_table(cfg.q)
     params = cfg.mollifier_params()
+    params.supports  # an oversized support fails here, before the central values
+    table = build_table(cfg.q)
     l_values, source = _central_values(cfg, table)
     report = clt_experiment(table, params, l_values=l_values)
     base = os.path.join(cfg.out, f"clt_q{cfg.q}")

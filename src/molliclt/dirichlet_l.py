@@ -466,14 +466,12 @@ def twisted_second_moment_empirical(
     beta: complex,
     support: np.ndarray,
     coeffs: np.ndarray,
-    even_only: bool = True,
 ) -> complex:
     """Average of L(1/2+alpha, chi) L(1/2+beta, chi-bar) A(chi) A(chi-bar).
 
     A(chi) is the twist sum of coeffs[n] chi(n) / sqrt(n).  The average
-    runs over even nonprincipal labels by default ((q-3)/2 of them), or
-    all nonprincipal labels.  Both L-value sets come from the smoothed
-    functional equation.
+    runs over the even nonprincipal labels ((q-3)/2 of them).  Both
+    L-value sets come from the smoothed functional equation.
     """
     q, m = table.q, table.m
     support = np.asarray(support, dtype=np.int64)
@@ -483,9 +481,8 @@ def twisted_second_moment_empirical(
     l_alpha = l_values_afe(table, 0.5 + alpha).values
     l_beta = l_values_afe(table, 0.5 + beta).values
     twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))
-    step = 2 if even_only else 1
-    own = slice(step, None, step)  # labels step, 2 step, ..., m - step
-    conj = slice(m - step, 0, -step)  # their conjugates m - step, ..., step
+    own = slice(2, None, 2)  # even labels 2, 4, ..., m - 2
+    conj = slice(m - 2, 0, -2)  # their conjugates m - 2, ..., 2
     return complex(np.mean(l_alpha[own] * l_beta[conj] * twist[own] * twist[conj]))
 
 
@@ -524,7 +521,7 @@ def twisted_second_moment(
     q = table.q
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    emp = twisted_second_moment_empirical(table, alpha, beta, support, coeffs, even_only=True)
+    emp = twisted_second_moment_empirical(table, alpha, beta, support, coeffs)
 
     if abs(alpha + beta) < 1e-7:
         h = _POLE_STEP

@@ -31,7 +31,6 @@ __all__ = [
     "HeckeForm",
     "delta_form",
     "weight16_form",
-    "write_eigenvalue_csv",
     "SatakeParams",
     "satake",
     "lambda_prime_power",
@@ -64,15 +63,26 @@ _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 # integer coefficients at the primes
 
 def _crt_moduli() -> list[int]:
-    """The largest five primes below 2e7.
-
-    The dot-product bound: one coefficient accumulates at most ~1e4
-    products each below (2e7)^2 = 4e14, so sums stay under 2^63.
-    Five moduli give a combined modulus near 3.2e36, clearing twice the
-    largest value we lift (Deligne: |a(p)| <= 2 p^7.5 <= 2e30 for p <= 1e4).
-    """
+    """The largest five primes below 2e7; :func:`_exact_limit` gives their range."""
     iv = sieve_primes(2 * 10**7 - 400, 2 * 10**7)
     return [int(p) for p in iv.primes[-5:]]
+
+
+def _exact_limit(moduli: list[int]) -> int:
+    """Largest limit at which :func:`_prime_coefficients` is exact under ``moduli``.
+
+    The per-prime dot product adds up to ``limit`` int64 products of
+    residues below max(moduli), which must stay below 2^63 (the eta^24
+    products add far fewer).  The centered CRT lift recovers a(p) while
+    the product of the moduli exceeds 2 |a(p)|, and Deligne bounds the
+    weight-16 |a(p)| by 2 p^7.5, so 4 limit^7.5 must stay below it.
+    """
+    dot = (2**63 - 1) // (max(moduli) - 1) ** 2
+    big_m = math.prod(moduli)
+    crt = int((big_m / 4) ** (2 / 15))
+    while 16 * crt**15 >= big_m**2:
+        crt -= 1
+    return min(dot, crt)
 
 
 def _eta_cube(length: int, mod: int) -> np.ndarray:
@@ -118,9 +128,12 @@ def _prime_coefficients(limit: int) -> dict[str, dict[int, int]]:
     so a(n) = sum over k < n of e4(k) tau(n - k): one int64 dot product
     per n and CRT modulus.  Only these values are lifted (Python ints:
     they exceed 64 bits).  a(1) = 1 for both forms is the normalization.
+    A limit past the moduli's exact range raises ValueError.
     """
-    ns = [1] + [int(p) for p in sieve_primes(1, limit).primes]
     moduli = _crt_moduli()
+    if limit > (exact := _exact_limit(moduli)):
+        raise ValueError(f"eigenvalue limit {limit} exceeds the exact range of the CRT moduli: at most {exact}")
+    ns = [1] + [int(p) for p in sieve_primes(1, limit).primes]
     e4 = 240 * _sigma3(limit)
     e4[0] = 1
     residues_delta = []
@@ -200,14 +213,6 @@ def delta_form(limit: int = _EIGEN_LIMIT) -> HeckeForm:
 def weight16_form(limit: int = _EIGEN_LIMIT) -> HeckeForm:
     """The weight-16 level-1 eigenform (Eisenstein-4 times the discriminant form)."""
     return _form_from_coefficients("weight16", 16, limit)
-
-
-def write_eigenvalue_csv(form: HeckeForm, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# form: {form.label} (weight {form.weight}, level {form.level})\n")
-        fh.write("p,lambda_f\n")
-        for p in sorted(form.lambda_cache):
-            fh.write(f"{p},{form.lambda_cache[p]!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -268,23 +268,12 @@ def build_hecke_mollifier(
     return _product([hecke_interval_factor(params, j, form, weight_fn) for j in range(params.J + 1)])
 
 
-def _resolve_weights(primes: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones(len(primes))
-    if callable(weights):
-        return np.array([float(weights(int(p))) for p in primes])
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != primes.shape:
-        raise ValueError("weight array must match the prime list")
-    return w
+def prime_sum_polynomial(params: MollifierParams) -> DirichletPolynomial:
+    """First-interval prime sum as a polynomial: c(p) = 1 on c0 < p <= y.
 
-
-def prime_sum_polynomial(params: MollifierParams, weights=None) -> DirichletPolynomial:
-    """First-interval prime sum as a polynomial: c(p) = weight(p) on c0 < p <= y.
-
-    ``weights`` is None (all ones), a callable p -> real, or an array
-    parallel to the interval's prime list.  An interval without primes
-    raises ValueError: every statistic built on the prime sum needs one.
+    A weighted prime sum is ``DirichletPolynomial(primes, w)``.  An
+    interval without primes raises ValueError: every statistic built on
+    the prime sum needs one.
     """
     primes = params.intervals[0].primes
     if len(primes) == 0:
@@ -292,7 +281,7 @@ def prime_sum_polynomial(params: MollifierParams, weights=None) -> DirichletPoly
             f"the first mollifier interval (c0, q^theta_0] = ({params.c0:.4g}, {params.y:.4g}] "
             "contains no primes; raise theta_0 or lower c0"
         )
-    return DirichletPolynomial(primes, _resolve_weights(primes, weights).astype(np.complex128))
+    return DirichletPolynomial(primes, np.ones(len(primes), dtype=np.complex128))
 
 
 def prime_sums_all(table: CharacterTable, params: MollifierParams) -> np.ndarray:

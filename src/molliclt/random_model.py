@@ -10,8 +10,8 @@ no claim to be.
 Expectations of products of short Dirichlet polynomials in the model
 are computed exactly from the orthogonality E[X(m) conj(X(n))] = [m=n],
 with a Monte Carlo route kept alongside as an independent check.  The
-truncated exponential, its product form, and the moment identity that
-ties the character average to the model live here too.
+truncated exponential and the moment identity that ties the character
+average to the model live here too.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .arith import factorize, multiplicative_table, primes_up_to
-from .characters import CharacterTable
-from .mollifier import DirichletPolynomial, MollifierParams, prime_sum_polynomial
+from .mollifier import DirichletPolynomial
 
 __all__ = [
     "RandomSample",
@@ -37,11 +36,8 @@ __all__ = [
     "mc_expectation",
     "e_trunc",
     "e_trunc_exact",
-    "d_factor",
     "MomentIdentity",
     "moment_identity_check",
-    "TailCensus",
-    "tail_census",
 ]
 
 _MASK = (1 << 64) - 1
@@ -234,25 +230,6 @@ def e_trunc_exact(ell: int, t: Fraction) -> Fraction:
     return total
 
 
-def d_factor(evals: Iterable[complex], ells: Iterable[int], k: float) -> float:
-    """Product over intervals of (1 + e^-ell_j) E_ell_j(2 k Re P_j).
-
-    Even caps only: the truncated exponential of even order is strictly
-    positive on the real line, which keeps the product a usable proxy
-    weight even where the exponential inequality fails.
-    """
-    evals = list(evals)
-    ells = list(ells)
-    if len(evals) != len(ells):
-        raise ValueError("need one cap per interval value")
-    out = 1.0
-    for p_val, ell in zip(evals, ells):
-        if ell < 0 or ell % 2:
-            raise ValueError(f"interval caps must be even and nonnegative, got {ell}")
-        out *= (1.0 + math.exp(-ell)) * e_trunc(ell, 2.0 * k * complex(p_val).real)
-    return out
-
-
 @dataclass(frozen=True)
 class MomentIdentity:
     """Character-side and model-side 2k-th moments of the first-interval prime sum."""
@@ -266,8 +243,9 @@ class MomentIdentity:
 def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int) -> MomentIdentity:
     """Match the 2k-th moment of Re P over all characters mod q to the model.
 
-    P(chi) = sum over the first interval of w(p) chi(p) / sqrt(p), as
-    built by :func:`prime_sum_polynomial`; ``values`` holds P(chi_a) for
+    P(chi) = sum over the first interval of w(p) chi(p) / sqrt(p), the
+    polynomial ``DirichletPolynomial(primes, w)`` (unit weights:
+    :func:`prime_sum_polynomial`); ``values`` holds P(chi_a) for
     every label a = 0..q-2 (``poly.evaluate_all(table)``), so
     q = len(values) + 1 and one transform serves every k.  The
     character average (all q - 1 characters, principal included) equals
@@ -298,35 +276,3 @@ def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int)
     w = poly.coeff.real
     bound = math.factorial(k) * float(np.sum(w**2 / poly.support)) ** k
     return MomentIdentity(char_side=char_side, random_side=random_side, bound=bound, k=k)
-
-
-@dataclass(frozen=True)
-class TailCensus:
-    """How many characters land outside v standard deviations, against the tail bound."""
-
-    v: float
-    sigma: float
-    count: int
-    bound: float
-
-    @property
-    def ratio(self) -> float:
-        return self.count / self.bound if self.bound > 0 else math.inf
-
-
-def tail_census(table: CharacterTable, params: MollifierParams, v: float) -> TailCensus:
-    """Census of |Re P(chi)| >= v sigma over nonprincipal characters.
-
-    sigma^2 = (1/2) sum of 1/p over the first interval, the model
-    variance of Re P.  The reported bound is q exp(-v^2/9), a deliberately
-    generous large-deviation envelope; the interesting output is the
-    ratio, which should be well under 1.
-    """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    sigma = math.sqrt(0.5 * params.intervals[0].reciprocal_sum())
-    p_all = prime_sum_polynomial(params).evaluate_all(table)
-    tail = np.abs(p_all.real[1:]) >= v * sigma
-    count = int(np.count_nonzero(tail))
-    bound = table.q * math.exp(-(v**2) / 9.0)
-    return TailCensus(v=v, sigma=sigma, count=count, bound=bound)

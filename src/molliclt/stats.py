@@ -36,7 +36,6 @@ __all__ = [
     "char_fn_plain",
     "char_fn_weighted",
     "fejer_K",
-    "fejer_hat",
     "beurling_B",
     "SelbergFunction",
     "selberg_minorant",
@@ -52,6 +51,7 @@ __all__ = [
 _ZERO_CUTOFF = 1e-14
 _KS_GRID = np.linspace(-4.0, 4.0, 512)
 _SELBERG_SAMPLES = 1 << 20  # Shannon samples behind SelbergFunction.fourier
+_WEIGHT_BAND = 25.0  # typical set: 1/_WEIGHT_BAND <= |W| <= _WEIGHT_BAND
 _TAIL_EXPONENT = 2.0  # typical set: tail-piece product <= (log log q)^_TAIL_EXPONENT
 _P_SIGMA_FACTOR = 3.0  # clt typical set: |P| / sigma_hat <= _P_SIGMA_FACTOR
 
@@ -225,11 +225,6 @@ def fejer_K(x) -> np.ndarray:
     return np.sinc(np.asarray(x, dtype=np.float64)) ** 2
 
 
-def fejer_hat(u) -> np.ndarray:
-    """Transform of the Fejer kernel: the tent max(0, 1 - |u|)."""
-    return np.maximum(0.0, 1.0 - np.abs(np.asarray(u, dtype=np.float64)))
-
-
 def beurling_B(x) -> np.ndarray:
     """Beurling's entire majorant of sgn(x).
 
@@ -326,9 +321,7 @@ class TypicalSetReport:
     dropped_weight_band: int
     dropped_tail_product: int
     dropped_prime_sum: int
-    weight_band: float
     tail_bound: float
-    prime_sum_limit: float
 
     @property
     def kept_count(self) -> int:
@@ -340,28 +333,20 @@ def typical_set_filter(
     w_values: np.ndarray,
     interval_factors: Sequence[np.ndarray],
     p_values: np.ndarray,
-    weight_band: float = 25.0,
-    prime_sum_limit: float | None = None,
+    prime_sum_limit: float,
 ) -> TypicalSetReport:
     """Apply the three typicality conditions and count each exclusion.
 
-    (1) |W| within [1/band, band]; (2) the product of the tail mollifier
-    pieces (indices j >= 1) bounded by (log log q)^_TAIL_EXPONENT; (3) |P|
-    at most the limit, which defaults to log log log q -- callers
-    normalize P however they like and pass the limit in the same units.
-    Conditions are evaluated independently, so one character can count
-    against several drop tallies.
+    (1) |W| within [1/_WEIGHT_BAND, _WEIGHT_BAND]; (2) the product of
+    the tail mollifier pieces (indices j >= 1) bounded by
+    (log log q)^_TAIL_EXPONENT; (3) |P| at most ``prime_sum_limit``, in
+    whatever units the caller normalized P to.  Conditions are evaluated
+    independently, so one character can count against several drop
+    tallies.
     """
-    if weight_band < 1:
-        raise ValueError("the weight band must be at least 1")
-    llq = math.log(math.log(table.q))
-    tail_bound = llq**_TAIL_EXPONENT
-    if prime_sum_limit is None:
-        if llq <= 1:
-            raise ValueError("log log log q undefined this small; pass prime_sum_limit")
-        prime_sum_limit = math.log(llq)
+    tail_bound = math.log(math.log(table.q)) ** _TAIL_EXPONENT
     w_abs = np.abs(np.asarray(w_values))
-    cond1 = (w_abs >= 1.0 / weight_band) & (w_abs <= weight_band)
+    cond1 = (w_abs >= 1.0 / _WEIGHT_BAND) & (w_abs <= _WEIGHT_BAND)
     if len(interval_factors) > 1:
         tail_prod = np.ones(len(w_abs))
         for piece in interval_factors[1:]:
@@ -376,9 +361,7 @@ def typical_set_filter(
         dropped_weight_band=int(np.sum(~cond1)),
         dropped_tail_product=int(np.sum(~cond2)),
         dropped_prime_sum=int(np.sum(~cond3)),
-        weight_band=float(weight_band),
         tail_bound=float(tail_bound),
-        prime_sum_limit=float(prime_sum_limit),
     )
 
 

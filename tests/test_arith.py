@@ -1,4 +1,4 @@
-"""Integer machinery: sieves, factorization, the nu weight family, smooth supports."""
+"""Integer machinery: sieves, factorization, the nu weight, smooth supports."""
 
 import math
 from fractions import Fraction
@@ -15,8 +15,6 @@ from molliclt.arith import (
     is_prime,
     liouville,
     nu,
-    nu_k,
-    nu_k_ell,
     primes_up_to,
     sieve_primes,
     smooth_integers,
@@ -121,45 +119,6 @@ def test_nu_multiplicative_on_coprime(m, n):
     if math.gcd(m, n) != 1:
         return
     assert nu(m * n) == nu(m) * nu(n)
-
-
-def test_nu_k_anchors():
-    assert nu_k(4, 2) == Fraction(2)
-    assert nu_k(12, 3) == Fraction(27, 2)
-    assert nu_k(1, 7) == Fraction(1)
-
-
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 30, 36, 60, 64, 90])
-def test_nu_k_is_convolution_square(n):
-    conv = sum(nu(d) * nu(n // d) for d in factorize(n).divisors())
-    assert nu_k(n, 2) == conv
-
-
-def test_nu_k_ell_agrees_untruncated():
-    for n in (2, 6, 12, 30, 36):
-        ell = big_omega(n)
-        assert nu_k_ell(n, 2, ell) == nu_k(n, 2)
-
-
-def test_nu_k_ell_truncation_bites():
-    # nu_{2;1}(p^2): of the splits (1,9),(3,3),(9,1) only (3,3) has
-    # Omega <= 1 on both sides, contributing nu(3)^2 = 1
-    assert nu_k_ell(9, 2, 1) == Fraction(1)
-    assert nu_k(9, 2) == Fraction(2)
-    assert nu_k_ell(8, 2, 0) == Fraction(0)
-
-
-def test_nu_k_ell_never_exceeds_nu_k():
-    for n in range(2, 120):
-        for ell in (1, 2, 3):
-            assert nu_k_ell(n, 2, ell) <= nu_k(n, 2)
-
-
-def test_nu_k_ell_validates():
-    with pytest.raises(ValueError):
-        nu_k_ell(6, 0, 2)
-    with pytest.raises(ValueError):
-        nu_k_ell(6, 1, -1)
 
 
 def test_smooth_integers_omega_capped():

@@ -295,6 +295,18 @@ def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_clt_enumerates_the_supports_before_any_central_value(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("central values computed before the supports")
+
+    monkeypatch.setattr(cli, "l_values_afe", forbidden)
+    monkeypatch.setattr(cli, "cached_afe_values", forbidden)
+    code, out, err = run_captured(["clt", "--q", "1000003", "--theta", "0.9", "--out", str(tmp_path)])
+    assert code == EXIT_SUITE
+    assert err.startswith("run failed: smooth enumeration exceeded 2000000 values")
+    assert out == ""
+
+
 def test_unwritable_out_is_a_run_failure(tmp_path):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

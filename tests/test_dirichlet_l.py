@@ -256,10 +256,9 @@ def test_twisted_second_moment_empirical_pairs_each_label_with_its_conjugate(tab
     l_beta = l_values_afe(table101, 0.515).values
     twist = batch_character_sums(table101, support, coeffs / np.sqrt(support))
     m = table101.m
-    for even_only, labels in ((True, range(2, m, 2)), (False, range(1, m))):
-        terms = [l_alpha[a] * l_beta[m - a] * twist[a] * twist[m - a] for a in labels]
-        got = twisted_second_moment_empirical(table101, 0.02, 0.015, support, coeffs, even_only=even_only)
-        assert abs(got - np.mean(terms)) < 1e-14
+    terms = [l_alpha[a] * l_beta[m - a] * twist[a] * twist[m - a] for a in range(2, m, 2)]
+    got = twisted_second_moment_empirical(table101, 0.02, 0.015, support, coeffs)
+    assert abs(got - np.mean(terms)) < 1e-14
 
 
 def test_twisted_second_moment_prediction_tracks_empirical(table1009):
@@ -279,14 +278,6 @@ def test_twisted_second_moment_antidiagonal_pole_averaging(table1009):
     assert math.isfinite(out.predicted.real) and math.isfinite(out.predicted.imag)
     assert abs(out.predicted) < 50
     assert out.discrepancy < 10.0 * out.error_scale
-
-
-def test_twisted_empirical_even_only_flag(table101):
-    support = np.array([1, 2], dtype=np.int64)
-    coeffs = np.array([1.0, 0.25], dtype=np.complex128)
-    even = twisted_second_moment_empirical(table101, 0.0, 0.0, support, coeffs)
-    both = twisted_second_moment_empirical(table101, 0.0, 0.0, support, coeffs, even_only=False)
-    assert abs(even - both) > 1e-12  # odd characters genuinely contribute
 
 
 def test_twist_support_must_stay_below_modulus(table101):

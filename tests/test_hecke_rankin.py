@@ -26,9 +26,8 @@ from molliclt.hecke_rankin import (
     v_cutoff,
     v_cutoff_batch,
     weight16_form,
-    write_eigenvalue_csv,
 )
-from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _prime_coefficients
+from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _exact_limit, _prime_coefficients
 from molliclt.mollifier import params_desk, w_weight
 from molliclt.random_model import sample
 
@@ -151,13 +150,23 @@ def test_prime_coefficients_match_oracle():
 
 
 def test_prime_coefficient_congruences_up_to_eigen_limit():
-    """tau(p) = 1 + p^11 mod 691 and a_16(p) = 1 + p^15 mod 3617 at all 1229 primes p <= 10^4."""
-    got = _prime_coefficients(10_000)
-    primes = [int(p) for p in primes_up_to(10_000)]
-    assert len(primes) == 1229
+    """tau(p) = 1 + p^11 mod 691 and a_16(p) = 1 + p^15 mod 3617 at every prime up to the exact range."""
+    limit = _exact_limit(_crt_moduli())
+    got = _prime_coefficients(limit)
+    primes = [int(p) for p in primes_up_to(limit)]
+    assert len(primes) == 2574
     for p in primes:
         assert (got["delta"][p] - 1 - p**11) % 691 == 0, p
         assert (got["weight16"][p] - 1 - p**15) % 3617 == 0, p
+
+
+def test_limit_past_exact_range_is_refused():
+    """The int64 dot products bind first: 23058 = (2^63 - 1) // (max modulus - 1)^2."""
+    limit = _exact_limit(_crt_moduli())
+    assert limit == (2**63 - 1) // (max(_crt_moduli()) - 1) ** 2 == 23058
+    for build in (delta_form, weight16_form):
+        with pytest.raises(ValueError, match=f"limit {limit + 1} exceeds .* at most {limit}$"):
+            build(limit + 1)
 
 
 # --- normalized eigenforms -----------------------------------------------
@@ -192,17 +201,6 @@ def test_lambda_p_beyond_cache_names_remedy():
         d.lambda_p(10007)
     with pytest.raises(ValueError, match="not prime"):
         d.lambda_p(10)
-
-
-def test_eigenvalue_csv(tmp_path):
-    path = str(tmp_path / "eigen.csv")
-    write_eigenvalue_csv(delta_form(50), path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "# form: delta (weight 12, level 1)"
-    assert lines[1] == "p,lambda_f"
-    first = lines[2].split(",")
-    assert first[0] == "2"
-    assert float(first[1]) == pytest.approx(-0.5303300858899106)
 
 
 # --- Satake parameters and prime powers ---------------------------------

@@ -346,16 +346,6 @@ def test_prime_sums_all_orthogonality_second_moment(table101):
     assert abs(np.mean(np.abs(sums) ** 2) - want) < 1e-12
 
 
-def test_prime_sum_weights_callable_and_array_agree(table101):
-    p = params_desk(101, [0.25], c0=1.0)
-    fn = lambda v: 1.0 / (1.0 + v)
-    arr = np.array([fn(v) for v in p.intervals[0].primes])
-    for a in (3, 77):
-        assert abs(
-            prime_sum_polynomial(p, fn).evaluate(table101, a) - prime_sum_polynomial(p, arr).evaluate(table101, a)
-        ) < 1e-14
-
-
 # --- Hecke-weighted variant ---------------------------------------------
 
 

@@ -13,14 +13,12 @@ from molliclt import random_model
 from molliclt.arith import nu, primes_up_to, smooth_integers
 from molliclt.mollifier import DirichletPolynomial, params_desk, prime_sum_polynomial
 from molliclt.random_model import (
-    d_factor,
     e_trunc,
     e_trunc_exact,
     exact_expectation,
     mc_expectation,
     moment_identity_check,
     sample,
-    tail_census,
     x_of_n,
     x_table,
 )
@@ -28,8 +26,8 @@ from molliclt.random_model import (
 SMALL_PRIMES = np.array([2, 3, 5, 7], dtype=np.int64)
 
 
-def _moment_identity(table, params, k, weights=None):
-    poly = prime_sum_polynomial(params, weights)
+def _moment_identity(table, params, k):
+    poly = prime_sum_polynomial(params)
     return moment_identity_check(poly.evaluate_all(table), poly, k)
 
 
@@ -279,21 +277,6 @@ def test_power_identity_prime_sum_vs_smooth_enumeration():
         assert lhs == math.factorial(ell) * rhs
 
 
-def test_d_factor_hand_case():
-    evals = [0.3, -0.2]
-    ells = [2, 4]
-    k = 1.5
-    want = 1.0
-    for ev, ell in zip(evals, ells):
-        want *= (1 + math.exp(-ell)) * e_trunc(ell, 2 * k * ev)
-    assert d_factor(evals, ells, k) == pytest.approx(want, rel=1e-14)
-
-
-def test_d_factor_rejects_odd_caps():
-    with pytest.raises(ValueError):
-        d_factor([0.1], [3], 1.0)
-
-
 # --- moment identity --------------------------------------------------------
 
 
@@ -315,8 +298,9 @@ def test_moment_identity_guard_on_collision_risk(table101):
 
 
 def test_moment_identity_weighted(table101):
-    params = params_desk(101, [0.25])
-    out = _moment_identity(table101, params, 1, weights=lambda p: 1.0 / p)
+    primes = params_desk(101, [0.25]).intervals[0].primes
+    poly = DirichletPolynomial(primes, (1.0 / primes).astype(np.complex128))
+    out = moment_identity_check(poly.evaluate_all(table101), poly, 1)
     assert out.char_side == pytest.approx(out.random_side, abs=1e-14)
     assert out.bound == pytest.approx(sum(p**-3 for p in (2, 3)), rel=1e-12)
 
@@ -324,20 +308,3 @@ def test_moment_identity_weighted(table101):
 def test_moment_identity_validates_k(table101):
     with pytest.raises(ValueError):
         _moment_identity(table101, params_desk(101, [0.25]), 0)
-
-
-# --- tail census -------------------------------------------------------------
-
-
-def test_tail_census_counts(table101):
-    params = params_desk(101, [0.25])
-    out = tail_census(table101, params, 1.0)
-    assert 0 <= out.count <= table101.m - 1
-    assert out.bound == pytest.approx(101 * math.exp(-1.0 / 9.0), rel=1e-12)
-    deeper = tail_census(table101, params, 3.0)
-    assert deeper.count <= out.count
-
-
-def test_tail_census_validates(table101):
-    with pytest.raises(ValueError):
-        tail_census(table101, params_desk(101, [0.25]), 0.0)

@@ -21,7 +21,6 @@ from molliclt.stats import (
     char_fn_weighted,
     clt_experiment,
     fejer_K,
-    fejer_hat,
     gauss_cdf,
     ks_distance,
     normalized_log_values,
@@ -268,11 +267,6 @@ def test_fejer_kernel_values():
     assert fejer_K(0.5) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-14)
 
 
-def test_fejer_hat_is_the_tent():
-    u = np.array([-2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0])
-    assert np.allclose(fejer_hat(u), [0.0, 0.0, 0.75, 1.0, 0.5, 0.0, 0.0], atol=1e-15)
-
-
 def test_trigamma_anchors():
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
     assert trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-13)
@@ -395,7 +389,7 @@ def test_typical_set_filter_tallies(table101):
     tail_piece = np.array([1.0, 1.0, 3.0, 1.0])  # tail bound is (log log 101)^2 ~ 2.34
     pieces = [np.ones(4), tail_piece]
     p = np.array([0.1, 0.2, 0.3, 10.0])
-    rep = typical_set_filter(table101, w, pieces, p, weight_band=25.0, prime_sum_limit=3.0)
+    rep = typical_set_filter(table101, w, pieces, p, prime_sum_limit=3.0)
     assert rep.dropped_weight_band == 2
     assert rep.dropped_tail_product == 1
     assert rep.dropped_prime_sum == 1
@@ -409,22 +403,6 @@ def test_typical_set_filter_single_interval_skips_tail_condition(table101):
     rep = typical_set_filter(table101, w, [np.ones(3)], np.zeros(3), prime_sum_limit=1.0)
     assert rep.dropped_tail_product == 0
     assert rep.kept_count == 3
-
-
-def test_typical_set_filter_default_prime_limit(table101):
-    # default limit is log log log q, which exists at q = 101
-    rep = typical_set_filter(table101, np.ones(2), [np.ones(2)], np.zeros(2))
-    assert rep.prime_sum_limit == pytest.approx(math.log(math.log(math.log(101))))
-
-
-def test_typical_set_filter_guards(table101):
-    from molliclt.characters import build_table
-
-    with pytest.raises(ValueError, match="at least 1"):
-        typical_set_filter(table101, np.ones(2), [np.ones(2)], np.zeros(2), weight_band=0.5)
-    tiny = build_table(5)
-    with pytest.raises(ValueError, match="pass prime_sum_limit"):
-        typical_set_filter(tiny, np.ones(2), [np.ones(2)], np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
