@@ -363,7 +363,8 @@ def smooth_integers(
         paths.extend(path)
         if len(values) > max_count:
             raise RuntimeError(
-                f"smooth enumeration exceeded {max_count} values below {cap}"
+                f"smooth enumeration exceeded {max_count} values: {len(plist)} primes "
+                f"from {plist[0]} to {plist[-1]}, Omega cap {ell}, value cap {cap}"
             )
         if ell is not None and len(path) + 1 > ell:
             return

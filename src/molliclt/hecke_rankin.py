@@ -5,21 +5,21 @@ random weight.
 
 The two shipped forms are the discriminant cusp form (weight 12) and
 the weight-16 level-1 form, presented by their prime coefficients a(p),
-recomputed from scratch when a form is built.  Under a CRT stack of
-word-sized prime moduli (int64 products stay exact) the eta^24 series is
-the eighth power of the sparse cube of the Dedekind eta q-series, which
-gives tau(p); the weight-16 a(p) is one dot product of the weight-4
-Eisenstein series with tau per prime.  Only the values at the primes are
-lifted; they do not fit in 64 bits and are kept as Python ints.
-"""
+recomputed from scratch when a form is built.  Modulo each of a CRT
+stack of primes below 2^13, eta^24 is three squarings of the Jacobi
+series of eta^3, which gives tau(p), and the weight-16 series is one
+more product, the weight-4 Eisenstein series times it.  Every product
+is one float64 FFT, exact while limit (m - 1)^2 < 2^44, so a limit past
+262272 is refused.  Only the values at the primes are lifted; they do
+not fit in 64 bits and are kept as Python ints.
+
+Every truncated local series reads one array of lambda(p^j) x^j."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
-
 import numpy as np
 
 from ._special import gamma
@@ -62,27 +62,43 @@ _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 # ---------------------------------------------------------------------------
 # integer coefficients at the primes
 
-def _crt_moduli() -> list[int]:
-    """The largest five primes below 2e7; :func:`_exact_limit` gives their range."""
-    iv = sieve_primes(2 * 10**7 - 400, 2 * 10**7)
-    return [int(p) for p in iv.primes[-5:]]
+_MODULI_BELOW = 2**13
+# _mulmod stays exact while limit (m - 1)^2 < 2^44 for every modulus m: 262272
+_MAX_LIMIT = (2**44 - 1) // (_MODULI_BELOW - 2) ** 2
 
 
-def _exact_limit(moduli: list[int]) -> int:
-    """Largest limit at which :func:`_prime_coefficients` is exact under ``moduli``.
+def _crt_moduli(limit: int) -> list[int]:
+    """Primes below 2^13, largest first, until their product clears 4 limit^7.5.
 
-    The per-prime dot product adds up to ``limit`` int64 products of
-    residues below max(moduli), which must stay below 2^63 (the eta^24
-    products add far fewer).  The centered CRT lift recovers a(p) while
-    the product of the moduli exceeds 2 |a(p)|, and Deligne bounds the
-    weight-16 |a(p)| by 2 p^7.5, so 4 limit^7.5 must stay below it.
+    Deligne bounds the weight-16 |a(p)| by 2 p^7.5 (and tau by less), and
+    the centered CRT lift recovers a(p) while the product exceeds 2 |a(p)|.
     """
-    dot = (2**63 - 1) // (max(moduli) - 1) ** 2
-    big_m = math.prod(moduli)
-    crt = int((big_m / 4) ** (2 / 15))
-    while 16 * crt**15 >= big_m**2:
-        crt -= 1
-    return min(dot, crt)
+    moduli: list[int] = []
+    for m in sieve_primes(1, _MODULI_BELOW).primes[::-1].tolist():
+        if math.prod(moduli) ** 2 > 16 * limit**15:
+            break
+        moduli.append(m)
+    return moduli
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+    """First len(a) coefficients of the product of two residue series, mod ``mod``.
+
+    One float64 rfft/irfft product, rounded with np.rint.  Each raw
+    coefficient is a sum of at most len(a) products of residues, so it
+    is below len(a) (mod - 1)^2, which callers keep under 2^44; far below
+    2^53, the transform's rounding error stays well under 1/4.  A raw
+    coefficient more than 1/4 from an integer raises RuntimeError.
+    """
+    length = len(a)
+    size = 1 << (2 * length - 2).bit_length()  # no wraparound below index length
+    fa = np.fft.rfft(a, size)
+    fb = fa if b is a else np.fft.rfft(b, size)
+    raw = np.fft.irfft(fa * fb, size)[:length]
+    exact = np.rint(raw)
+    if (gap := float(np.max(np.abs(raw - exact), initial=0.0))) > 0.25:
+        raise RuntimeError(f"FFT product mod {mod} is not exact: a raw coefficient lies {gap:.3g} from an integer")
+    return exact.astype(np.int64) % mod
 
 
 def _eta_cube(length: int, mod: int) -> np.ndarray:
@@ -93,22 +109,6 @@ def _eta_cube(length: int, mod: int) -> np.ndarray:
         term = (2 * k + 1) if k % 2 == 0 else -(2 * k + 1)
         out[k * (k + 1) // 2] = term % mod
         k += 1
-    return out
-
-
-def _eta_24(length: int, mod: int) -> np.ndarray:
-    """Series of prod (1 - q^n)^24 mod ``mod`` as (eta^3)^8: seven products
-    by the about sqrt(2 length) Jacobi terms of eta^3, each one adding at
-    most that many int64 products below mod^2 per coefficient.
-    """
-    e3 = _eta_cube(length, mod)
-    shifts = np.flatnonzero(e3)
-    out = e3.copy()
-    for _ in range(7):
-        acc = np.zeros(length, dtype=np.int64)
-        for t in shifts:
-            acc[t:] += e3[t] * out[: length - t]
-        out = acc % mod
     return out
 
 
@@ -123,26 +123,28 @@ def _sigma3(length: int) -> np.ndarray:
 def _prime_coefficients(limit: int) -> dict[str, dict[int, int]]:
     """Exact coefficients a(n) of both shipped forms at n = 1 and every prime n <= limit.
 
-    Delta's a(n) is the eta^24 coefficient of q^(n-1).  The weight-16
-    form is the weight-4 Eisenstein series times the discriminant form,
-    so a(n) = sum over k < n of e4(k) tau(n - k): one int64 dot product
-    per n and CRT modulus.  Only these values are lifted (Python ints:
-    they exceed 64 bits).  a(1) = 1 for both forms is the normalization.
-    A limit past the moduli's exact range raises ValueError.
+    Per CRT modulus, eta^24 is three squarings of eta^3 and Delta's a(n)
+    is its coefficient of q^(n-1); the weight-16 form is the weight-4
+    Eisenstein series times the discriminant form, one more product.
+    Only the values at the primes are lifted (Python ints: they exceed
+    64 bits).  a(1) = 1 for both forms is the normalization.  A limit
+    past _MAX_LIMIT, where the FFT products stop being exact, raises
+    ValueError.
     """
-    moduli = _crt_moduli()
-    if limit > (exact := _exact_limit(moduli)):
-        raise ValueError(f"eigenvalue limit {limit} exceeds the exact range of the CRT moduli: at most {exact}")
-    ns = [1] + [int(p) for p in sieve_primes(1, limit).primes]
+    if limit > _MAX_LIMIT:
+        raise ValueError(f"eigenvalue limit {limit} exceeds the exact range of the FFT products: at most {_MAX_LIMIT}")
+    moduli = _crt_moduli(limit)
+    ns = np.array([1] + sieve_primes(1, limit).primes.tolist())
     e4 = 240 * _sigma3(limit)
     e4[0] = 1
     residues_delta = []
     residues_w16 = []
     for m in moduli:
-        eta24 = _eta_24(limit, m)  # tau(n) = eta24[n - 1]
-        e4_m = e4 % m
-        residues_delta.append([int(eta24[n - 1]) for n in ns])
-        residues_w16.append([int(np.dot(e4_m[:n], eta24[n - 1 :: -1])) % m for n in ns])
+        eta24 = _eta_cube(limit, m)
+        for _ in range(3):
+            eta24 = _mulmod(eta24, eta24, m)
+        residues_delta.append(eta24[ns - 1].tolist())
+        residues_w16.append(_mulmod(e4 % m, eta24, m)[ns - 1].tolist())
     # CRT lift with centered representatives
     big_m = math.prod(moduli)
     crt_coeff = [(big_m // m) * pow(big_m // m, -1, m) for m in moduli]
@@ -150,7 +152,7 @@ def _prime_coefficients(limit: int) -> dict[str, dict[int, int]]:
 
     def lift(rows: list[list[int]]) -> dict[int, int]:
         out = {}
-        for n, column in zip(ns, zip(*rows)):
+        for n, column in zip(ns.tolist(), zip(*rows)):
             r = sum(res * c for res, c in zip(column, crt_coeff)) % big_m
             out[n] = r - big_m if r > half else r
         return out
@@ -254,6 +256,24 @@ def lambda_table(f: HeckeForm, limit: int) -> np.ndarray:
     return multiplicative_table(limit, lambda p, e: lambda_prime_power(f, p, e), np.float64)
 
 
+def _lambda_powers(f: HeckeForm, p: int, x: complex) -> np.ndarray:
+    """lambda_f(p^j) x^j for j < _TRUNC_MAX_TERMS, by the recursion of :func:`lambda_prime_power`."""
+    lam = f.lambda_p(p)
+    powers = [1.0, lam]
+    for _ in range(_TRUNC_MAX_TERMS - 2):
+        powers.append(lam * powers[-1] - powers[-2])
+    return np.array(powers) * x ** np.arange(_TRUNC_MAX_TERMS)
+
+
+def _series_sum(terms: np.ndarray, failure: str) -> complex:
+    """Sum of a truncated series whose last _TRUNC_LOOKAHEAD terms must
+    fall below _TRUNC_TOL in modulus, else RuntimeError(failure).
+    """
+    if np.any(np.abs(terms[-_TRUNC_LOOKAHEAD:]) >= _TRUNC_TOL):
+        raise RuntimeError(failure)
+    return complex(terms.sum())
+
+
 # ---------------------------------------------------------------------------
 # Rankin-Selberg pair and local factors
 
@@ -278,29 +298,6 @@ def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, Satake
     return satake(pair.f.lambda_p(p)), satake(pair.g.lambda_p(p))
 
 
-def _settled_sum(terms: Iterator[complex], failure: str) -> complex:
-    """Sum ``terms`` until _TRUNC_LOOKAHEAD consecutive ones fall below
-    _TRUNC_TOL in modulus.  The term generators stop after at most
-    _TRUNC_MAX_TERMS terms; running out first raises RuntimeError(failure).
-    """
-    total = 0.0j
-    quiet = 0
-    for term in terms:
-        total += term
-        quiet = quiet + 1 if abs(term) < _TRUNC_TOL else 0
-        if quiet >= _TRUNC_LOOKAHEAD:
-            return total
-    raise RuntimeError(failure)
-
-
-def _diagonal_terms(pair: RankinSelbergPair, p: int, x: complex) -> Iterator[complex]:
-    """lambda_f(p^j) lambda_g(p^j) x^j for j = 0, 1, ..., _TRUNC_MAX_TERMS - 1."""
-    term_x = 1.0 + 0.0j
-    for j in range(_TRUNC_MAX_TERMS):
-        yield lambda_prime_power(pair.f, p, j) * lambda_prime_power(pair.g, p, j) * term_x
-        term_x *= x
-
-
 def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex, path: str = "product") -> complex:
     """Local factor of the convolution L-function at p: four Satake factors.
 
@@ -323,8 +320,8 @@ def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex, path: str = "pr
                 out /= d
         return out
     if path == "series":
-        total = _settled_sum(_diagonal_terms(pair, p, x), f"local series did not settle at p={p}, s={s}")
-        return total / (1.0 - x * x)
+        terms = _lambda_powers(pair.f, p, x) * _lambda_powers(pair.g, p, 1.0)
+        return _series_sum(terms, f"local series did not settle at p={p}, s={s}") / (1.0 - x * x)
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -346,43 +343,26 @@ def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str =
         if s.real <= -0.45:
             raise ValueError("series path is unreliable below Re s = -0.45")
         x = complex(p) ** (-(2.0 * s + 1.0))
-        return _settled_sum(_diagonal_terms(pair, p, x), f"expectation series did not settle at p={p}, s={s}")
+        terms = _lambda_powers(pair.f, p, x) * _lambda_powers(pair.g, p, 1.0)
+        return _series_sum(terms, f"expectation series did not settle at p={p}, s={s}")
     raise ValueError(f"unknown path {path!r}")
 
 
 # ---------------------------------------------------------------------------
 # local expectations against the exponential mollifier factor
 
-def n_coeff(
-    p: int, s: complex, k: int, h1: HeckeForm, h2: HeckeForm, params: MollifierParams
-) -> complex:
-    """Coefficient of X(p)^k in (local L-factor of h1 at exponent s) times
-    the exponential mollifier factor of h2.
+def n_coeff(p: int, s: complex, h1: HeckeForm, h2: HeckeForm, params: MollifierParams) -> np.ndarray:
+    """Coefficients of X(p)^k, k < _TRUNC_MAX_TERMS, in (local L-factor
+    of h1 at exponent s) times the exponential mollifier factor of h2.
 
-    Sum over k1 + k2 = k of
-    lambda_h1(p^k1) p^(-k1 s) (-lambda_h2(p) w(p))^k2 p^(-k2/2) / k2!,
-    with w the final-interval smoothing weight.  Zero for k < 0.  Note
+    The k-th is the sum over k1 + k2 = k of
+    lambda_h1(p^k1) p^(-k1 s) c^k2 / k2!, with c = -lambda_h2(p) w(p) / sqrt(p)
+    and w the final-interval smoothing weight: one convolution.  Note
     ``s`` is the literal exponent: callers at offset u pass u + 1/2.
     """
-    if k < 0:
-        return 0.0j
-    s = complex(s)
-    w = w_weight(p, params.J, params)
-    a2 = -h2.lambda_p(p) * w
-    total = 0.0j
-    fact = 1.0
-    for k2 in range(k + 1):
-        if k2:
-            fact *= k2
-        k1 = k - k2
-        total += (
-            lambda_prime_power(h1, p, k1)
-            * complex(p) ** (-k1 * s)
-            * a2**k2
-            * p ** (-k2 / 2.0)
-            / fact
-        )
-    return total
+    c = -h2.lambda_p(p) * w_weight(p, params.J, params) / math.sqrt(p)
+    exp_terms = np.cumprod(np.concatenate(([1.0], c / np.arange(1, _TRUNC_MAX_TERMS))))
+    return np.convolve(_lambda_powers(h1, p, complex(p) ** (-complex(s))), exp_terms)[:_TRUNC_MAX_TERMS]
 
 
 def local_expectation(
@@ -397,18 +377,17 @@ def local_expectation(
 
     The mollifier slots are fixed (f rides X, g rides the conjugate);
     ``ordering`` chooses which form's L-factor rides X.  Series over k
-    of n^(L1,f)(k) n^(L2,g)(k+a), truncated by magnitude with a
-    lookahead guard.
+    of n^(L1,f)(k) n^(L2,g)(k+a), one shifted product of the two
+    :func:`n_coeff` arrays.
     """
     if ordering not in ("fg", "gf"):
         raise ValueError(f"unknown ordering {ordering!r}")
     l1, l2 = (pair.f, pair.g) if ordering == "fg" else (pair.g, pair.f)
     sigma = complex(s) + 0.5
-    terms = (
-        n_coeff(p, sigma, k, l1, pair.f, params) * n_coeff(p, sigma, k + a, l2, pair.g, params)
-        for k in range(max(0, -a), _TRUNC_MAX_TERMS)
-    )
-    return _settled_sum(terms, f"local expectation series did not settle at p={p}, s={s}, a={a}")
+    n1 = n_coeff(p, sigma, l1, pair.f, params)
+    n2 = n_coeff(p, sigma, l2, pair.g, params)
+    terms = n1[max(0, -a) : _TRUNC_MAX_TERMS - max(0, a)] * n2[max(0, a) : _TRUNC_MAX_TERMS - max(0, -a)]
+    return _series_sum(terms, f"local expectation series did not settle at p={p}, s={s}, a={a}")
 
 
 def g_p(pair: RankinSelbergPair, p: int, s: complex, params: MollifierParams) -> complex:
@@ -648,13 +627,12 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
     for j in range(params.J + 1):
         support = smooth_integers(params.intervals[j], None, float(_EULER_D_CAP))
         values = support.values
-        exponents = range(support.max_exponent + 1)
         lam_cache: dict[str, np.ndarray] = {}
         for form in (pair.f, pair.g):
             if form.label not in lam_cache:
-                local = [[lambda_prime_power(form, int(p), e) for e in exponents] for p in support.primes]
+                local = [_lambda_powers(form, int(p), 1.0)[: support.max_exponent + 1] for p in support.primes]
                 lam_cache[form.label] = support.multiplicative(
-                    np.array(local).reshape(len(support.primes), len(exponents))
+                    np.array(local).reshape(len(support.primes), support.max_exponent + 1)
                 )
 
         gamma_f = hecke_interval_factor(params, j, pair.f)

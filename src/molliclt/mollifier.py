@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,37 +235,24 @@ def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolyno
     return _dirichlet_piece(params.supports[j])
 
 
-def hecke_interval_factor(
-    params: MollifierParams,
-    j: int,
-    form,
-    weight_fn: Callable[[int], float] | None = None,
-) -> DirichletPolynomial:
+def hecke_interval_factor(params: MollifierParams, j: int, form) -> DirichletPolynomial:
     """Interval-j coefficients a(n) lambda(n) nu(n) on the capped smooth support.
 
     ``a`` is the completely multiplicative extension of
-    a(p) = lambda_form(p) * weight(p); the default weight is the final
-    interval's smoothing w_J.  ``form`` is anything with a
-    ``lambda_p(p)`` method.  ``weight_fn`` overrides the per-prime
-    weight (degeneration tests set it to 1).
+    a(p) = lambda_form(p) * w_J(p), with w_J the final interval's
+    smoothing weight.  ``form`` is anything with a ``lambda_p(p)`` method.
     """
-    if weight_fn is None:
-        weight_fn = lambda p: w_weight(p, params.J, params)
     support = params.supports[j]
-    a_p = [form.lambda_p(int(p)) * weight_fn(int(p)) for p in support.primes]
+    a_p = [form.lambda_p(int(p)) * w_weight(int(p), params.J, params) for p in support.primes]
     exponents = range(support.max_exponent + 1)
     powers = np.array([[a ** e for e in exponents] for a in a_p]).reshape(len(a_p), len(exponents))
     coeff = support.liouville * support.multiplicative(powers) * support.nu
     return DirichletPolynomial(support.values, coeff.astype(np.complex128))
 
 
-def build_hecke_mollifier(
-    params: MollifierParams,
-    form,
-    weight_fn: Callable[[int], float] | None = None,
-) -> DirichletPolynomial:
+def build_hecke_mollifier(params: MollifierParams, form) -> DirichletPolynomial:
     """Product over intervals of the Hecke-weighted pieces (float coefficients)."""
-    return _product([hecke_interval_factor(params, j, form, weight_fn) for j in range(params.J + 1)])
+    return _product([hecke_interval_factor(params, j, form) for j in range(params.J + 1)])
 
 
 def prime_sum_polynomial(params: MollifierParams) -> DirichletPolynomial:

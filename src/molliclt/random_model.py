@@ -34,7 +34,6 @@ __all__ = [
     "ExpectationResult",
     "exact_expectation",
     "mc_expectation",
-    "e_trunc",
     "e_trunc_exact",
     "MomentIdentity",
     "moment_identity_check",
@@ -199,25 +198,12 @@ def mc_expectation(
     return ExpectationResult(value=mean, method="mc", n_samples=n_samples, standard_error=se)
 
 
-def e_trunc(ell: int, t: float) -> float:
-    """Truncated exponential: sum of t^j / j! for j <= ell (ascending recurrence)."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    term = 1.0
-    total = 1.0
-    for j in range(1, ell + 1):
-        term *= t / j
-        total += term
-    return total
-
-
 def e_trunc_exact(ell: int, t: Fraction) -> Fraction:
-    """The same sum in exact rational arithmetic.
+    """Truncated exponential: sum of t^j / j! for j <= ell, in exact rational arithmetic.
 
-    The float recurrence loses everything to cancellation for large
+    A float recurrence would lose everything to cancellation for large
     negative t once ell clears |t| (at t = -30, ell = 120 the value is
-    ~9e-14 against intermediate terms of size 8e11); identity and
-    positivity checks go through here.
+    ~9e-14 against intermediate terms of size 8e11), so the sum is kept exact.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")

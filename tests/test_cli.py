@@ -275,6 +275,13 @@ def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
     assert out == "" and os.listdir(tmp_path) == []
 
 
+# the message names the interval's primes and the Omega cap; MollifierParams.supports sets no value cap
+OVERSIZED_SUPPORT_FAILURE = (
+    "run failed: smooth enumeration exceeded 2000000 values: "
+    "22132 primes from 2 to 251179, Omega cap 2, value cap inf\n"
+)
+
+
 def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
     # theta = 0.9 puts ~22k primes in the interval with an Omega cap of 2:
     # the enumeration passes its 2e6-element guard long before 3 GB
@@ -291,7 +298,7 @@ def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
         capture_output=True, text=True, env=env, preexec_fn=limit_child, timeout=300,
     )
     assert proc.returncode == EXIT_SUITE, proc.stderr
-    assert proc.stderr.startswith("run failed: smooth enumeration exceeded 2000000 values")
+    assert proc.stderr == OVERSIZED_SUPPORT_FAILURE
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
@@ -303,7 +310,7 @@ def test_clt_enumerates_the_supports_before_any_central_value(tmp_path, monkeypa
     monkeypatch.setattr(cli, "cached_afe_values", forbidden)
     code, out, err = run_captured(["clt", "--q", "1000003", "--theta", "0.9", "--out", str(tmp_path)])
     assert code == EXIT_SUITE
-    assert err.startswith("run failed: smooth enumeration exceeded 2000000 values")
+    assert err == OVERSIZED_SUPPORT_FAILURE
     assert out == ""
 
 

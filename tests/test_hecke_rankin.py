@@ -27,7 +27,16 @@ from molliclt.hecke_rankin import (
     v_cutoff_batch,
     weight16_form,
 )
-from molliclt.hecke_rankin import _crt_moduli, _cutoff_eval, _eta_24, _eta_cube, _exact_limit, _prime_coefficients
+from molliclt.hecke_rankin import (
+    _MAX_LIMIT,
+    _TRUNC_MAX_TERMS,
+    _crt_moduli,
+    _cutoff_eval,
+    _eta_cube,
+    _lambda_powers,
+    _mulmod,
+    _prime_coefficients,
+)
 from molliclt.mollifier import params_desk, w_weight
 from molliclt.random_model import sample
 
@@ -90,15 +99,24 @@ def test_ramanujan_tau_anchors():
     assert tau[7] == -16744
 
 
-def test_eta_24_sparse_products_match_dense_squarings():
-    """(eta^3)^8 by sparse shift-and-add equals three dense squarings, per CRT modulus."""
+def test_mulmod_matches_dense_convolution():
+    """One FFT product equals the truncated dense product, at every CRT modulus of the largest limit."""
     length = 600
-    for m in _crt_moduli():
+    rng = np.random.default_rng(13)
+    for m in _crt_moduli(_MAX_LIMIT):
         e3 = _eta_cube(length, m)
-        e6 = np.convolve(e3, e3)[:length] % m
-        e12 = np.convolve(e6, e6)[:length] % m
-        e24 = np.convolve(e12, e12)[:length] % m
-        assert np.array_equal(_eta_24(length, m), e24)
+        top = np.full(length, m - 1, dtype=np.int64)
+        noise = rng.integers(0, m, length)
+        for a, b in ((e3, e3), (top, top), (noise, e3), (top, noise)):
+            assert np.array_equal(_mulmod(a, b, m), np.convolve(a, b)[:length] % m)
+
+
+def test_mulmod_raises_past_its_bound():
+    """Residues near 2^21 put raw coefficients near 2^52: the rounding guard trips."""
+    mod = 2**21 - 9
+    a = np.random.default_rng(0).integers(0, mod, 4096)
+    with pytest.raises(RuntimeError, match=f"FFT product mod {mod} is not exact"):
+        _mulmod(a, a, mod)
 
 
 def test_tau_multiplicative():
@@ -150,23 +168,24 @@ def test_prime_coefficients_match_oracle():
 
 
 def test_prime_coefficient_congruences_up_to_eigen_limit():
-    """tau(p) = 1 + p^11 mod 691 and a_16(p) = 1 + p^15 mod 3617 at every prime up to the exact range."""
-    limit = _exact_limit(_crt_moduli())
+    """tau(p) = 1 + p^11 mod 691 and a_16(p) = 1 + p^15 mod 3617 at every prime up to 1.2e5,
+    the reach of lambda(n) up to about 11 q at q = 10007."""
+    limit = 120_000
     got = _prime_coefficients(limit)
     primes = [int(p) for p in primes_up_to(limit)]
-    assert len(primes) == 2574
+    assert len(primes) == 11301
     for p in primes:
         assert (got["delta"][p] - 1 - p**11) % 691 == 0, p
         assert (got["weight16"][p] - 1 - p**15) % 3617 == 0, p
 
 
 def test_limit_past_exact_range_is_refused():
-    """The int64 dot products bind first: 23058 = (2^63 - 1) // (max modulus - 1)^2."""
-    limit = _exact_limit(_crt_moduli())
-    assert limit == (2**63 - 1) // (max(_crt_moduli()) - 1) ** 2 == 23058
+    """The FFT products bind: 262272 = (2^44 - 1) // (2^13 - 2)^2, every modulus being below 2^13."""
+    assert max(_crt_moduli(_MAX_LIMIT)) < 2**13
+    assert _MAX_LIMIT == (2**44 - 1) // (2**13 - 2) ** 2 == 262272
     for build in (delta_form, weight16_form):
-        with pytest.raises(ValueError, match=f"limit {limit + 1} exceeds .* at most {limit}$"):
-            build(limit + 1)
+        with pytest.raises(ValueError, match=f"limit {_MAX_LIMIT + 1} exceeds .* at most {_MAX_LIMIT}$"):
+            build(_MAX_LIMIT + 1)
 
 
 # --- normalized eigenforms -----------------------------------------------
@@ -245,6 +264,14 @@ def test_lambda_table_multiplicative():
         assert t[n] == pytest.approx(tau[n] / n**5.5, rel=1e-12)
 
 
+def test_lambda_powers_match_the_scalar_recursion():
+    """The lambda-power array at x = 1 is lambda_prime_power, bit for bit, at every exponent."""
+    for form in (delta_form(), weight16_form()):
+        for p in (2, 3, 97, 9973):
+            powers = _lambda_powers(form, p, 1.0)
+            assert powers.tolist() == [lambda_prime_power(form, p, j) for j in range(_TRUNC_MAX_TERMS)]
+
+
 def test_satake_prime_power_sum():
     # lambda(p^a) = sum of alpha1^i alpha2^(a-i): geometric check via Satake
     d = delta_form()
@@ -284,9 +311,20 @@ def test_n_coeff_first_two_terms(pair, desk):
     w = w_weight(p, desk.J, desk)
     lam_f = pair.f.lambda_p(p)
     lam_g = pair.g.lambda_p(p)
-    assert n_coeff(p, s + 0.5, 0, pair.f, pair.g, desk) == pytest.approx(1.0)
+    coeffs = n_coeff(p, s + 0.5, pair.f, pair.g, desk)
+    assert coeffs[0] == pytest.approx(1.0)
     want = (p**-s * lam_f - w * lam_g) / math.sqrt(p)
-    assert n_coeff(p, s + 0.5, 1, pair.f, pair.g, desk) == pytest.approx(want, rel=1e-13)
+    assert coeffs[1] == pytest.approx(want, rel=1e-13)
+
+
+def test_series_that_do_not_settle_raise(pair, desk):
+    """Near the edge of convergence the last terms stay above the tolerance."""
+    with pytest.raises(RuntimeError, match=r"^local series did not settle at p=2, s=\(0\.001\+0j\)$"):
+        rs_local_factor(pair, 2, 0.001, "series")
+    with pytest.raises(RuntimeError, match=r"^expectation series did not settle at p=2, s=\(-0\.44\+0j\)$"):
+        expectation_local_L(pair, 2, -0.44, "series")
+    with pytest.raises(RuntimeError, match=r"^local expectation series did not settle at p=2, s=-0\.49, a=1$"):
+        local_expectation(pair, 2, -0.49, 1, desk)
 
 
 def test_local_expectation_vs_angle_quadrature(pair, desk):

@@ -352,10 +352,10 @@ def test_prime_sums_all_orthogonality_second_moment(table101):
 def test_hecke_interval_factor_values(desk_quarter):
     class UnitForm:
         def lambda_p(self, p):
-            return 1.0
+            return 1.0 / w_weight(p, desk_quarter.J, desk_quarter)
 
-    # weight 1 everywhere and lambda = 1 collapses to the Dirichlet coefficients
-    factor = hecke_interval_factor(desk_quarter, 0, UnitForm(), weight_fn=lambda p: 1.0)
+    # lambda = 1 / w_J makes every a(p) one: the Dirichlet coefficients
+    factor = hecke_interval_factor(desk_quarter, 0, UnitForm())
     for n, c in zip(factor.support.tolist(), factor.coeff.tolist()):
         om = big_omega(n)
         assert c == pytest.approx(float((-1) ** om * nu(n)), rel=1e-15)
@@ -364,9 +364,9 @@ def test_hecke_interval_factor_values(desk_quarter):
 def test_hecke_mollifier_scales_by_eigenvalue_products(desk_quarter):
     class ScaledForm:
         def lambda_p(self, p):
-            return 0.5
+            return 0.5 / w_weight(p, desk_quarter.J, desk_quarter)
 
-    mol = build_hecke_mollifier(desk_quarter, ScaledForm(), weight_fn=lambda p: 1.0)
+    mol = build_hecke_mollifier(desk_quarter, ScaledForm())
     ref = build_dirichlet_mollifier(desk_quarter)
     for n in (2, 4, 6, 9):
         want = ref.coefficient(n) * 0.5 ** big_omega(n)
