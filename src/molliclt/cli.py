@@ -166,7 +166,7 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> str:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     path = os.path.join(cfg.out, f"{name}_q{cfg.q}.json")
-    atomic_write(path, (json.dumps(body, indent=2, default=repr) + "\n").encode("utf-8"))
+    atomic_write(path, (json.dumps(body, indent=2, default=repr, allow_nan=False) + "\n").encode("utf-8"))
     return path
 
 

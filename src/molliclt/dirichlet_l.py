@@ -178,9 +178,11 @@ def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarra
     power_dual = np.exp((s - 1.0) * log_n)
 
     first, dual, prefac = [], [], []
+    central = True  # the orders coincide at both parities exactly at s = 1/2
     for delta in (0, 1):
         a1 = (s + delta) / 2.0
         a2 = (1.0 - s + delta) / 2.0
+        central = central and a2 == a1
         q1 = np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
         # at s = 1/2 the orders coincide and the gamma loop runs once
         q2 = q1 if a2 == a1 else np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
@@ -191,8 +193,7 @@ def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarra
     # one transform per sum, each parity class with its own coefficients;
     # at s = 1/2 the dual sum equals the first and is not transformed again
     first_sums = batch_character_sums(table, n, *first)
-    same = all(np.array_equal(f, d) for f, d in zip(first, dual))
-    dual_sums = first_sums if same else batch_character_sums(table, n, *dual)
+    dual_sums = first_sums if central else batch_character_sums(table, n, *dual)
 
     # slot a reads label m - a, the conjugate character (parity is preserved),
     # and takes the prefactor of its parity
@@ -474,10 +475,12 @@ def twisted_second_moment_empirical(
     L-value sets come from the smoothed functional equation.
     """
     q, m = table.q, table.m
+    if q < 5:
+        raise ValueError(f"q = {q} has no even nonprincipal character: the averaged family is empty")
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(support) and int(support[-1]) >= q:
-        raise ValueError("twist length must stay below the modulus")
+        raise ValueError(f"twist length must stay below the modulus: largest support element {int(support[-1])} >= q = {q}")
     l_alpha = l_values_afe(table, 0.5 + alpha).values
     l_beta = l_values_afe(table, 0.5 + beta).values
     twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))

@@ -25,7 +25,6 @@ import numpy as np
 from ._special import gamma
 from .arith import multiplicative_table, sieve_primes, smooth_integers
 from .mollifier import DirichletPolynomial, MollifierParams, hecke_interval_factor, w_weight
-from .random_model import RandomSample, x_table
 
 __all__ = [
     "HeckeForm",
@@ -44,8 +43,6 @@ __all__ = [
     "f_p",
     "quadrature_expectation",
     "v_cutoff",
-    "v_cutoff_batch",
-    "random_twisted_L",
     "expected_weight_euler",
 ]
 
@@ -54,9 +51,9 @@ _TRUNC_TOL = 1e-16
 _TRUNC_LOOKAHEAD = 10
 _TRUNC_MAX_TERMS = 400
 _QUADRATURE_NODES = 128
-_MAX_TERM_PAIRS = 2_000_000  # random_twisted_L refuses cutoff supports needing more
 _EULER_D_CAP = 1_000_000  # largest interval-smooth D in expected_weight_euler
 _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
+_CUTOFF_WEIGHTS = (12, 16)  # the cutoff's archimedean factor is that of the shipped pair
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +171,6 @@ class HeckeForm:
 
     label: str
     weight: int
-    level: int
-    root_number: float
     lambda_cache: dict[int, float]
     cache_limit: int
 
@@ -197,12 +192,7 @@ def _form_from_coefficients(label: str, weight: int, limit: int) -> HeckeForm:
         raise AssertionError(f"{label}: coefficients are not normalized")
     half = (weight - 1) / 2.0
     cache = {n: a_n / float(n) ** half for n, a_n in coeffs.items() if n > 1}
-    # level-1 functional equation sign (-1)^(weight/2): +1 for both shipped weights
-    eps = -1.0 if (weight // 2) % 2 else 1.0
-    return HeckeForm(
-        label=label, weight=weight, level=1, root_number=eps,
-        lambda_cache=cache, cache_limit=limit,
-    )
+    return HeckeForm(label=label, weight=weight, lambda_cache=cache, cache_limit=limit)
 
 
 @lru_cache(maxsize=4)
@@ -279,19 +269,10 @@ def _series_sum(terms: np.ndarray, failure: str) -> complex:
 
 @dataclass(frozen=True)
 class RankinSelbergPair:
-    """An ordered pair of eigenforms for joint local-factor work.
-
-    Joint experiments want distinct forms; evaluators that are
-    well-defined for f = g (local factors, the Euler-product expectation)
-    accept equal labels, and the ones that are not reject them.
-    """
+    """An ordered pair of eigenforms for joint local-factor work."""
 
     f: HeckeForm
     g: HeckeForm
-
-    @property
-    def distinct(self) -> bool:
-        return self.f.label != self.g.label
 
 
 def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, SatakeParams]:
@@ -467,8 +448,8 @@ def _cutoff_node_data(
     return s, f * ws
 
 
-def _cutoff_eval(xis: np.ndarray, weights: tuple[int, int], contour_re: float, nodes: int) -> np.ndarray:
-    s, fw = _cutoff_node_data(weights, contour_re, 14.0, nodes)
+def _cutoff_eval(xis: np.ndarray, contour_re: float, nodes: int) -> np.ndarray:
+    s, fw = _cutoff_node_data(_CUTOFF_WEIGHTS, contour_re, 14.0, nodes)
     log_xi = np.log(xis)
     phase = np.exp(-np.outer(log_xi, s))
     # conjugate symmetry folds the full vertical line onto t >= 0
@@ -482,10 +463,8 @@ def _cutoff_eval(xis: np.ndarray, weights: tuple[int, int], contour_re: float, n
 _SHIFTED_CONTOUR_RE = -1.0
 
 
-def v_cutoff_batch(
-    xis: np.ndarray, weights: tuple[int, int] = (12, 16), contour_re: float = 2.0
-) -> np.ndarray:
-    """Mellin cutoff V at many arguments, with a refinement convergence check.
+def v_cutoff(xi: float, contour_re: float = 2.0) -> float:
+    """Mellin cutoff V(xi) of the shipped weights, with a refinement convergence check.
 
     V(xi) = (1/2 pi i) integral over a vertical line of the archimedean
     ratio times (cos(pi s/12))^(-48)/s times xi^(-s).  The integrand
@@ -501,104 +480,24 @@ def v_cutoff_batch(
     terms sum to about 2.6e5 for a result of -0.3, which leaves a
     refinement gap above the guard.
 
-    On each line the 20- and 28-node rules must agree to 1e-9 times the
-    larger of 1 and the line integral, else RuntimeError.
+    The 20- and 28-node rules must agree to 1e-9 times the larger of 1
+    and the line integral, else RuntimeError.
     """
-    xis = np.atleast_1d(np.asarray(xis, dtype=np.float64))
-    if np.any(xis <= 0):
+    xi = float(xi)
+    if not xi > 0:
         raise ValueError("cutoff argument must be positive")
-    out = np.empty(len(xis))
-    for shift, mask in ((False, xis >= 0.5), (True, xis < 0.5)):
-        if not np.any(mask):
-            continue
-        c = _SHIFTED_CONTOUR_RE if shift else float(contour_re)
-        coarse = _cutoff_eval(xis[mask], weights, c, 20)
-        fine = _cutoff_eval(xis[mask], weights, c, 28)
-        gap = float(np.max(np.abs(fine - coarse)))
-        guard = 1e-9 * max(1.0, float(np.max(np.abs(fine))))
-        if gap > guard:
-            raise RuntimeError(
-                f"cutoff quadrature did not converge on Re s = {c:g}: "
-                f"refinement gap {gap:.3g} > guard {guard:.3g}"
-            )
-        out[mask] = fine + (1.0 if shift else 0.0)
-    return out
-
-
-def v_cutoff(xi: float, weights: tuple[int, int] = (12, 16), contour_re: float = 2.0) -> float:
-    """Scalar cutoff value; see :func:`v_cutoff_batch`."""
-    return float(v_cutoff_batch(np.array([float(xi)]), weights, contour_re)[0])
-
-
-# ---------------------------------------------------------------------------
-# random twisted L-values
-
-def _cutoff_support_limit(q_eff: int, pair: RankinSelbergPair, v_floor: float) -> int:
-    """Largest product m1 m2 whose cutoff value still clears v_floor."""
-    scale = float(q_eff * pair.f.level * pair.g.level) ** 2
-    kappas = (pair.f.weight, pair.g.weight)
-    lo, hi = 1.0, 2.0
-    while v_cutoff(hi, kappas) >= v_floor:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e12:
-            raise RuntimeError("cutoff never fell below the floor")
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if v_cutoff(mid, kappas) >= v_floor:
-            lo = mid
-        else:
-            hi = mid
-    return max(1, int(scale * lo))
-
-
-def random_twisted_L(
-    sample: RandomSample,
-    pair: RankinSelbergPair,
-    q_eff: int,
-    v_floor: float = 1e-10,
-) -> complex:
-    """One realization of the cutoff-smoothed random twisted central L-value.
-
-    Double sum of lambda_f(m1) lambda_g(m2) X(m1) conj(X(m2)) / sqrt(m1 m2)
-    weighted by the cutoff at m1 m2 / (q_eff N)^2, symmetrized over the
-    two form orderings with the product of root numbers.  ``q_eff`` is a
-    model parameter decoupled from any arithmetic modulus: the support
-    grows like its square, which is exactly why it must stay small.
-    """
-    if not 1 <= q_eff <= 200:
-        raise ValueError("q_eff must lie in [1, 200]")
-    if not pair.distinct:
-        raise ValueError("the joint experiment needs two distinct forms")
-    d_max = _cutoff_support_limit(q_eff, pair, v_floor)
-    est = int(d_max * (math.log(d_max) + 1.0))
-    if est > _MAX_TERM_PAIRS:
+    shift = xi < 0.5
+    c = _SHIFTED_CONTOUR_RE if shift else float(contour_re)
+    coarse = _cutoff_eval(np.array([xi]), c, 20)[0]
+    fine = _cutoff_eval(np.array([xi]), c, 28)[0]
+    gap = float(abs(fine - coarse))
+    guard = 1e-9 * max(1.0, float(abs(fine)))
+    if gap > guard:
         raise RuntimeError(
-            f"cutoff support needs ~{est} term pairs (> {_MAX_TERM_PAIRS}); "
-            "lower q_eff or raise v_floor"
+            f"cutoff quadrature did not converge on Re s = {c:g}: "
+            f"refinement gap {gap:.3g} > guard {guard:.3g}"
         )
-    lam_f = lambda_table(pair.f, d_max)
-    lam_g = lambda_table(pair.g, d_max)
-    x = x_table(sample, d_max)
-    scale = float(q_eff * pair.f.level * pair.g.level) ** 2
-    v_d = v_cutoff_batch(np.arange(1, d_max + 1) / scale, (pair.f.weight, pair.g.weight))
-    inv_root = 1.0 / np.sqrt(np.arange(0, d_max + 1, dtype=np.float64).clip(min=1.0))
-
-    side_f = lam_f[: d_max + 1] * x[: d_max + 1] * inv_root
-    side_g_bar = lam_g[: d_max + 1] * np.conj(x[: d_max + 1]) * inv_root
-    side_g = lam_g[: d_max + 1] * x[: d_max + 1] * inv_root
-    side_f_bar = lam_f[: d_max + 1] * np.conj(x[: d_max + 1]) * inv_root
-
-    def ordered_sum(a_side: np.ndarray, b_side: np.ndarray) -> complex:
-        total = 0.0j
-        for m1 in range(1, d_max + 1):
-            k = d_max // m1
-            products = m1 * np.arange(1, k + 1)
-            total += a_side[m1] * np.sum(b_side[1 : k + 1] * v_d[products - 1])
-        return total
-
-    l_fg = ordered_sum(side_f, side_g_bar)
-    l_gf = ordered_sum(side_g, side_f_bar)
-    return 0.5 * (l_fg + pair.f.root_number * pair.g.root_number * l_gf)
+    return float(fine + (1.0 if shift else 0.0))
 
 
 # ---------------------------------------------------------------------------

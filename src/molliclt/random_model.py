@@ -23,14 +23,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .arith import factorize, multiplicative_table, primes_up_to
 from .mollifier import DirichletPolynomial
 
 __all__ = [
     "RandomSample",
     "sample",
-    "x_of_n",
-    "x_table",
     "ExpectationResult",
     "exact_expectation",
     "mc_expectation",
@@ -84,41 +81,11 @@ class RandomSample:
     primes: np.ndarray  # int64, ascending
     values: np.ndarray  # complex128 on the unit circle, parallel
 
-    def value_of_prime(self, p: int) -> complex:
-        i = int(np.searchsorted(self.primes, p))
-        if i >= len(self.primes) or self.primes[i] != p:
-            raise KeyError(f"prime {p} is not in this sample's assignment")
-        return complex(self.values[i])
-
 
 def sample(prime_list: Iterable[int] | np.ndarray, seed: int, index: int) -> RandomSample:
     """Draw X(p) for each listed prime at one sample index (row ``index`` of :func:`mc_expectation`)."""
     primes = _prime_array(prime_list)
     return RandomSample(primes, _draw(primes, seed, np.array([index & _MASK], dtype=np.uint64))[0])
-
-
-def x_of_n(s: RandomSample, n: int) -> complex:
-    """Completely multiplicative extension X(n); errors on unassigned primes."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1.0 + 0.0j
-    out = 1.0 + 0.0j
-    f = factorize(n)
-    for p, e in zip(f.primes, f.exponents):
-        out *= s.value_of_prime(p) ** e
-    return out
-
-
-def x_table(s: RandomSample, limit: int) -> np.ndarray:
-    """X(n) for all 1 <= n <= limit as a table (slot 0 unused, set to 0).
-
-    Every prime up to ``limit`` must be in the sample's assignment.
-    """
-    if not np.isin(primes_up_to(limit), s.primes).all():
-        raise ValueError(f"sample assignment must cover every prime up to {limit}")
-    pval = dict(zip(s.primes.tolist(), s.values.tolist()))
-    return multiplicative_table(limit, lambda p, e: pval[p] ** e, np.complex128)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,28 @@ def test_empty_first_interval_second_moment_still_runs(tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert load_report(tmp_path / "second-moment_q101.json")["passed"] is True
+
+
+@pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
+def test_second_moment_without_even_characters_is_a_run_failure(tmp_path, capsys):
+    # q = 3 has (q - 3)/2 = 0 even nonprincipal characters to average over
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("second-moment", "--q", "3", "--out", str(tmp_path))
+    assert code == EXIT_SUITE
+    err = capsys.readouterr().err
+    assert "run failed: q = 3 has no even nonprincipal character" in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "second-moment_q3.json").exists()
+
+
+def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path):
+    code, out, err = run_captured(["second-moment", "--q", "10007", "--theta", "0.2,0.3", "--out", str(tmp_path)])
+    assert code == EXIT_SUITE
+    assert err == (
+        "run failed: twist length must stay below the modulus: "
+        "largest support element 446265625 >= q = 10007\n"
+    )
 
 
 def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
@@ -534,7 +557,7 @@ def _truncated_by_a_record(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     with open(path, "wb") as fh:
-        fh.write(raw[:-24])
+        fh.write(raw[: -dirichlet_l._RECORD_DTYPE.itemsize])
 
 
 def _truncated_mid_record(path):

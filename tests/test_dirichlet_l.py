@@ -16,6 +16,7 @@ from molliclt import characters
 from molliclt.arith import primes_up_to
 from molliclt.characters import batch_character_sums, build_table
 from molliclt.dirichlet_l import (
+    _RECORD_DTYPE,
     TAIL_CUT,
     CentralValueSet,
     afe_l_value,
@@ -226,8 +227,8 @@ def test_cache_rejects_truncation_and_old_versions(tmp_path, table101):
     path.write_bytes(raw[:30])
     with pytest.raises(ValueError, match="truncated header"):
         read_cache_header(str(path))
-    # the version-1 layout: magic, version, q, s, then the same 24-byte records
-    path.write_bytes(struct.pack("<4sIQdd", b"LCHI", 1, 101, 0.5, 0.0) + raw[-100 * 24:])
+    # the version-1 layout: magic, version, q, s, then the same records
+    path.write_bytes(struct.pack("<4sIQdd", b"LCHI", 1, 101, 0.5, 0.0) + raw[-100 * _RECORD_DTYPE.itemsize :])
     with pytest.raises(ValueError, match="unsupported version 1"):
         load_l_values(str(path))
 
@@ -281,7 +282,7 @@ def test_twisted_second_moment_antidiagonal_pole_averaging(table1009):
 
 
 def test_twist_support_must_stay_below_modulus(table101):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="largest support element 103 >= q = 101$"):
         twisted_second_moment_empirical(
-            table101, 0.0, 0.0, np.array([101]), np.array([1.0 + 0j])
+            table101, 0.0, 0.0, np.array([1, 103]), np.array([1.0 + 0j, 1.0 + 0j])
         )

@@ -1,11 +1,13 @@
 """Names other code depends on: each module's ``__all__`` and the targets
-the benchmark tracer (``perfbench/traced.py``) wraps.
+the benchmark tracer (``perfbench/traced.py``) wraps; and the names each
+module imports.
 
-A deletion that leaves a stale ``__all__`` entry, or removes a function
-the tracer patches, fails here rather than only in the benchmark's own
-test run.
+A deletion that leaves a stale ``__all__`` entry, removes a function
+the tracer patches, or leaves an import nothing reads fails here rather
+than only in the benchmark's own test run (the project has no linter).
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -38,3 +40,22 @@ def test_every_traced_target_is_callable(monkeypatch):
     assert targets
     unresolved = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets if not callable(getattr(owner, attr, None))]
     assert unresolved == []
+
+
+def _unused_imports(source: str, exported) -> list[str]:
+    """Names a module imports and never reads; ``exported`` (its ``__all__``) counts as read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(exported))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    module = importlib.import_module(name)
+    assert _unused_imports(Path(module.__file__).read_text(), getattr(module, "__all__", ())) == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molliclt import random_model
-from molliclt.arith import nu, primes_up_to, smooth_integers
+from molliclt.arith import nu, smooth_integers
 from molliclt.mollifier import DirichletPolynomial, params_desk, prime_sum_polynomial
 from molliclt.random_model import (
     e_trunc_exact,
@@ -18,8 +18,6 @@ from molliclt.random_model import (
     mc_expectation,
     moment_identity_check,
     sample,
-    x_of_n,
-    x_table,
 )
 
 SMALL_PRIMES = np.array([2, 3, 5, 7], dtype=np.int64)
@@ -73,34 +71,6 @@ def test_sample_varies_with_index_and_seed():
 def test_sample_rejects_non_primes_below_two():
     with pytest.raises(ValueError):
         sample(np.array([1, 2]), seed=0, index=0)
-
-
-def test_x_of_n_completely_multiplicative():
-    s = sample(SMALL_PRIMES, seed=3, index=0)
-    for m in (2, 6, 12, 35, 49):
-        for n in (2, 3, 10, 21):
-            assert abs(x_of_n(s, m * n) - x_of_n(s, m) * x_of_n(s, n)) < 1e-12
-    assert x_of_n(s, 1) == 1
-
-
-def test_x_of_n_unassigned_prime_errors():
-    s = sample(SMALL_PRIMES, seed=3, index=0)
-    with pytest.raises(KeyError):
-        x_of_n(s, 11)
-
-
-def test_x_table_matches_pointwise():
-    s = sample(primes_up_to(50), seed=3, index=2)
-    t = x_table(s, 50)
-    for n in range(1, 51):
-        assert abs(t[n] - x_of_n(s, n)) < 1e-12
-    assert t[0] == 0
-
-
-def test_x_table_requires_full_prime_coverage():
-    s = sample(SMALL_PRIMES, seed=3, index=0)
-    with pytest.raises(ValueError):
-        x_table(s, 50)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))
