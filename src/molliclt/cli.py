@@ -165,8 +165,18 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> str:
         **payload,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
+    try:
+        text = json.dumps(body, indent=2, default=repr, allow_nan=False)
+    except ValueError:
+        bad = []
+        for key, value in body.items():
+            try:
+                json.dumps(value, default=repr, allow_nan=False)
+            except ValueError:
+                bad.append(key)
+        raise ValueError(f"{name} report field(s) {', '.join(bad)} hold a non-finite float") from None
     path = os.path.join(cfg.out, f"{name}_q{cfg.q}.json")
-    atomic_write(path, (json.dumps(body, indent=2, default=repr, allow_nan=False) + "\n").encode("utf-8"))
+    atomic_write(path, (text + "\n").encode("utf-8"))
     return path
 
 

@@ -420,15 +420,13 @@ def quadrature_expectation(
 # the smooth Mellin cutoff
 
 @lru_cache(maxsize=64)
-def _cutoff_node_data(
-    weights: tuple[int, int], contour_re: float, t_max: float, nodes_per_panel: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _cutoff_node_data(contour_re: float, t_max: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Integration nodes s = c + it on [0, t_max] and F(s) * GL-weight at each.
 
     F is the archimedean ratio (2 pi)^(-2s) Gamma(s + k1/2) Gamma(s + k2/2)
     / (Gamma(k1/2) Gamma(k2/2)) times (cos(pi s/12))^(-48) / s.
     """
-    k1, k2 = weights
+    k1, k2 = _CUTOFF_WEIGHTS
     base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     panels = int(math.ceil(t_max))
     ts = np.concatenate([(base_x + 1.0) / 2.0 + lo for lo in range(panels)])
@@ -449,7 +447,7 @@ def _cutoff_node_data(
 
 
 def _cutoff_eval(xis: np.ndarray, contour_re: float, nodes: int) -> np.ndarray:
-    s, fw = _cutoff_node_data(_CUTOFF_WEIGHTS, contour_re, 14.0, nodes)
+    s, fw = _cutoff_node_data(contour_re, 14.0, nodes)
     log_xi = np.log(xis)
     phase = np.exp(-np.outer(log_xi, s))
     # conjugate symmetry folds the full vertical line onto t >= 0

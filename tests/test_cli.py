@@ -279,6 +279,14 @@ def test_second_moment_without_even_characters_is_a_run_failure(tmp_path, capsys
     assert not (tmp_path / "second-moment_q3.json").exists()
 
 
+def test_report_with_a_non_finite_float_names_the_field(tmp_path):
+    cfg = RunConfig(q=101, out=str(tmp_path))
+    payload = {"empirical": float("nan"), "stats": {"discrepancy": float("inf")}, "passed": True}
+    with pytest.raises(ValueError, match=r"^second-moment report field\(s\) empirical, stats hold a non-finite float$"):
+        cli._write_report(cfg, "second-moment", payload)
+    assert os.listdir(tmp_path) == []
+
+
 def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path):
     code, out, err = run_captured(["second-moment", "--q", "10007", "--theta", "0.2,0.3", "--out", str(tmp_path)])
     assert code == EXIT_SUITE

@@ -282,7 +282,8 @@ def test_twisted_second_moment_antidiagonal_pole_averaging(table1009):
 
 
 def test_twist_support_must_stay_below_modulus(table101):
-    with pytest.raises(ValueError, match="largest support element 103 >= q = 101$"):
+    # the equality case: a support element equal to q is refused
+    with pytest.raises(ValueError, match="largest support element 101 >= q = 101$"):
         twisted_second_moment_empirical(
-            table101, 0.0, 0.0, np.array([1, 103]), np.array([1.0 + 0j, 1.0 + 0j])
+            table101, 0.0, 0.0, np.array([1, 101]), np.array([1.0 + 0j, 1.0 + 0j])
         )
