@@ -15,8 +15,7 @@ coefficient sum against every character at once: after reindexing
 n = g^k it is one length-(q-1) discrete Fourier transform over the
 character group.  Since ind(-1) = (q-1)/2, that transform splits into
 two numpy FFTs of half length, one per parity class, and each parity
-class may carry its own coefficients.  :func:`real_sum_pair` packs two
-real-coefficient sums into one transform as x + iy.
+class may carry its own coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "primitive_root",
     "roots_of_unity",
     "batch_character_sums",
-    "real_sum_pair",
     "gauss_sum",
     "gauss_sums_all",
     "root_numbers",
@@ -205,42 +203,6 @@ def batch_character_sums(
     z = _fold_support(table, support, coeffs)
     z_odd = z if odd_coeffs is None else _fold_support(table, support, odd_coeffs)
     return _parity_split_transform(table, z, z_odd)
-
-
-def _real_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(coeffs) and np.any(np.imag(coeffs)):
-        raise ValueError("real_sum_pair needs real coefficients")
-    return np.real(coeffs).astype(np.float64)
-
-
-def real_sum_pair(
-    table: CharacterTable,
-    support_x: np.ndarray,
-    coeffs_x: np.ndarray,
-    support_y: np.ndarray,
-    coeffs_y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two real-coefficient batch character sums (S_x, S_y) from one transform.
-
-    T is the batch sum of x + iy over the concatenated supports.  A sum
-    with real coefficients satisfies conj S(a) = S(m - a), because
-    conj chi_a = chi_(m-a), so with M[a] = conj T[m - a] the pair comes
-    back as S_x = (T + M) / 2 and S_y = (T - M) / 2i.
-    """
-    t = batch_character_sums(
-        table,
-        np.concatenate([np.asarray(support_x, dtype=np.int64), np.asarray(support_y, dtype=np.int64)]),
-        np.concatenate([_real_coeffs(coeffs_x), 1j * _real_coeffs(coeffs_y)]),
-    )
-    d = np.empty_like(t)  # M, then (T - M) / 2, then S_y
-    d[0] = t[0]
-    d[1:] = t[:0:-1]
-    np.conjugate(d, out=d)
-    np.subtract(t, d, out=d)
-    d *= 0.5
-    t -= d
-    d *= -1j
-    return t, d
 
 
 def gauss_sum(table: CharacterTable, a: int) -> complex:

@@ -1,5 +1,6 @@
 """Mollifier construction: interval parameters, smoothing weights, the
-product Dirichlet polynomials, prime sums, and the second-moment main
+product Dirichlet polynomials, prime sums, each interval's piece as the
+truncated exponential of its prime sum, and the second-moment main
 term M(alpha, beta) in three algebraically identical evaluations.
 
 The interval exponents are chosen by hand: the paper's asymptotic
@@ -32,9 +33,9 @@ __all__ = [
     "build_dirichlet_mollifier",
     "dirichlet_interval_piece",
     "hecke_interval_factor",
-    "build_hecke_mollifier",
     "prime_sum_polynomial",
     "prime_sums_all",
+    "piece_from_prime_sum",
     "m_alpha_beta",
     "m_alpha_beta_general",
 ]
@@ -184,25 +185,22 @@ class DirichletPolynomial:
 
 
 def _product(pieces: Sequence[DirichletPolynomial]) -> DirichletPolynomial:
-    """Product of pieces on disjoint prime sets: every n1 * n2 is a distinct
-    element with coefficient c1 * c2, so the product is an outer product,
-    sorted.  When every piece is exact the coefficients multiply as exact
-    rationals and the floats are rounded from them.  Raises RuntimeError
-    when the support budget is hit or an element would pass int64.
+    """Product of exact pieces on disjoint prime sets: every n1 * n2 is a
+    distinct element with coefficient c1 * c2, so the product is an outer
+    product, sorted.  The coefficients multiply as exact rationals and the
+    floats are rounded from them.  Raises RuntimeError when the support
+    budget is hit or an element would pass int64.
     """
-    exact = all(piece.exact is not None for piece in pieces)
     support = np.ones(1, dtype=np.int64)
-    coeff = np.array([Fraction(1)], dtype=object) if exact else np.ones(1, dtype=np.complex128)
+    coeff = np.array([Fraction(1)], dtype=object)
     for piece in pieces:
         if len(support) * len(piece.support) > _SUPPORT_CAP:
             raise RuntimeError("mollifier support enumeration budget exceeded")
         if (largest := int(support.max()) * int(piece.support[-1])) > _INT64_MAX:
             raise RuntimeError(f"mollifier support element {largest} exceeds the int64 limit {_INT64_MAX}")
         support = np.multiply.outer(support, piece.support).ravel()
-        coeff = np.multiply.outer(coeff, piece.exact if exact else piece.coeff).ravel()
+        coeff = np.multiply.outer(coeff, piece.exact).ravel()
     order = np.argsort(support)
-    if not exact:
-        return DirichletPolynomial(support[order], coeff[order])
     fractions = tuple(coeff[order])
     return DirichletPolynomial(support[order], np.array([complex(c) for c in fractions]), fractions)
 
@@ -225,10 +223,11 @@ def build_dirichlet_mollifier(params: MollifierParams) -> DirichletPolynomial:
 
 
 def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolynomial:
-    """The single-interval factor of the product mollifier, as a polynomial.
+    """The single-interval factor of the product mollifier, as a polynomial
+    on the interval's Omega-capped support.
 
-    Needed on its own by the typical-set filter, which bounds the tail
-    intervals (j >= 1) separately from the leading piece.
+    The reference that :func:`piece_from_prime_sum` is tested against;
+    the weighted CLT evaluates its pieces from prime sums instead.
     """
     if not 0 <= j <= params.J:
         raise ValueError(f"interval index {j} outside 0..{params.J}")
@@ -250,20 +249,16 @@ def hecke_interval_factor(params: MollifierParams, j: int, form) -> DirichletPol
     return DirichletPolynomial(support.values, coeff.astype(np.complex128))
 
 
-def build_hecke_mollifier(params: MollifierParams, form) -> DirichletPolynomial:
-    """Product over intervals of the Hecke-weighted pieces (float coefficients)."""
-    return _product([hecke_interval_factor(params, j, form) for j in range(params.J + 1)])
+def prime_sum_polynomial(params: MollifierParams, j: int = 0) -> DirichletPolynomial:
+    """Interval-j prime sum as a polynomial: c(p) = 1 on the primes of
+    interval j (c0 < p <= y for the first).
 
-
-def prime_sum_polynomial(params: MollifierParams) -> DirichletPolynomial:
-    """First-interval prime sum as a polynomial: c(p) = 1 on c0 < p <= y.
-
-    A weighted prime sum is ``DirichletPolynomial(primes, w)``.  An
+    A weighted prime sum is ``DirichletPolynomial(primes, w)``.  A first
     interval without primes raises ValueError: every statistic built on
-    the prime sum needs one.
+    its prime sum needs one.
     """
-    primes = params.intervals[0].primes
-    if len(primes) == 0:
+    primes = params.intervals[j].primes
+    if j == 0 and len(primes) == 0:
         raise ValueError(
             f"the first mollifier interval (c0, q^theta_0] = ({params.c0:.4g}, {params.y:.4g}] "
             "contains no primes; raise theta_0 or lower c0"
@@ -274,6 +269,23 @@ def prime_sum_polynomial(params: MollifierParams) -> DirichletPolynomial:
 def prime_sums_all(table: CharacterTable, params: MollifierParams) -> np.ndarray:
     """The unit-weight prime sum for every character label (batch transform)."""
     return prime_sum_polynomial(params).evaluate_all(table)
+
+
+def piece_from_prime_sum(p_values: np.ndarray, ell: int) -> np.ndarray:
+    """An interval's Liouville-nu piece from its prime sum, label by label.
+
+    With P = sum over the interval's primes of chi(p)/sqrt(p), the part of
+    sum_{Omega(n) <= ell} lambda(n) nu(n) chi(n)/sqrt(n) with Omega(n) = k
+    is (-P)^k / k! by the multinomial theorem (lambda(n) = (-1)^k and
+    nu(n) = 1/prod e! there), so the piece is the truncated exponential
+    e_ell(-P), summed here by Horner's rule.
+    """
+    out = np.ones_like(p_values, dtype=np.complex128)
+    for k in range(ell, 0, -1):
+        out *= p_values
+        out *= -1.0 / k
+        out += 1.0
+    return out
 
 
 def _pair_budget_check(n: int) -> None:

@@ -20,13 +20,9 @@ import numpy as np
 
 from ._io import atomic_write
 from ._special import trigamma
-from .characters import CharacterTable, real_sum_pair
+from .characters import CharacterTable
 from .dirichlet_l import CentralValueSet, l_values_afe
-from .mollifier import (
-    MollifierParams,
-    dirichlet_interval_piece,
-    prime_sum_polynomial,
-)
+from .mollifier import MollifierParams, piece_from_prime_sum, prime_sum_polynomial
 
 __all__ = [
     "WeightedEmpiricalMeasure",
@@ -436,15 +432,13 @@ def clt_experiment(
         if wrong:
             raise ValueError("l_values do not fit this run: " + "; ".join(wrong))
 
-    pieces = [dirichlet_interval_piece(params, j) for j in range(params.J + 1)]
-    lead, primes = pieces[0], prime_sum_polynomial(params)
-    # the leading piece and the prime sum have real coefficients and share
-    # one transform; each tail piece (j >= 1) gets its own
-    lead_all, p_all = real_sum_pair(table, lead.support, lead.scaled_coeff, primes.support, primes.scaled_coeff)
-    piece_vals = [lead_all[1:]] + [piece.evaluate_all(table)[1:] for piece in pieces[1:]]
+    # one transform per interval gives its prime sum P_j, and the piece is
+    # e_ell_j(-P_j): no support is enumerated.  P_0 is also the observable.
+    p_sums = [prime_sum_polynomial(params, j).evaluate_all(table)[1:] for j in range(params.J + 1)]
+    piece_vals = [piece_from_prime_sum(p, ell) for p, ell in zip(p_sums, params.ell)]
     sigma_hat = math.sqrt(0.5 * params.intervals[0].reciprocal_sum())
-    obs = p_all[1:].real / sigma_hat
-    del p_all
+    obs = p_sums[0].real / sigma_hat
+    del p_sums
 
     # the three weightings of the observations, stacked so every pass
     # over them (phases, grid cells, interval masks) is made once:

@@ -15,7 +15,6 @@ from molliclt.characters import (
     gauss_sum,
     gauss_sums_all,
     primitive_root,
-    real_sum_pair,
     root_numbers,
     roots_of_unity,
 )
@@ -227,39 +226,6 @@ def test_batch_sums_property_fft_vs_naive(case):
     got = batch_character_sums(t, support, coeffs)
     bound = 1e-10 * (1.0 + np.sum(np.abs(coeffs)))
     assert np.max(np.abs(got - naive_character_sums(t, support, coeffs))) <= bound
-
-
-@st.composite
-def real_pair_cases(draw):
-    q = draw(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
-    parts = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
-    def terms():
-        support = draw(st.lists(st.integers(min_value=0, max_value=4 * q), min_size=0, max_size=20))
-        support += [q * k for k in draw(st.lists(st.integers(0, 3), max_size=2))]
-        return np.array(support, dtype=np.int64), np.array([draw(parts) for _ in support], dtype=np.float64)
-
-    return q, terms(), terms()
-
-
-@given(real_pair_cases())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_real_sum_pair_matches_two_batch_sums(case):
-    q, (sx, cx), (sy, cy) = case
-    t = build_table(q)
-    got_x, got_y = real_sum_pair(t, sx, cx, sy, cy)
-    bound = 1e-10 * (1.0 + np.sum(np.abs(cx)) + np.sum(np.abs(cy)))
-    assert np.max(np.abs(got_x - batch_character_sums(t, sx, cx))) <= bound
-    assert np.max(np.abs(got_y - batch_character_sums(t, sy, cy))) <= bound
-
-
-def test_real_sum_pair_rejects_complex_coefficients(table101):
-    support = np.array([2, 3], dtype=np.int64)
-    with pytest.raises(ValueError, match="real coefficients"):
-        real_sum_pair(table101, support, np.array([1.0, 1j]), support, np.ones(2))
-    # complex dtype with zero imaginary parts is real data and is accepted
-    got_x, _ = real_sum_pair(table101, support, np.array([1.0 + 0j, 2.0 + 0j]), support, np.ones(2))
-    assert np.max(np.abs(got_x - batch_character_sums(table101, support, np.array([1.0, 2.0])))) < 1e-12
 
 
 def test_batch_sums_match_naive(table101):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molliclt import cli, dirichlet_l, mollifier, stats
+from molliclt import arith, cli, dirichlet_l, mollifier, stats
 from molliclt.arith import is_prime
 from molliclt.cli import (
     EXIT_CONFIG,
@@ -287,7 +287,11 @@ def test_report_with_a_non_finite_float_names_the_field(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path):
+def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("M(alpha, beta) computed before the twist length was checked")
+
+    monkeypatch.setattr(cli, "m_alpha_beta", forbidden)
     code, out, err = run_captured(["second-moment", "--q", "10007", "--theta", "0.2,0.3", "--out", str(tmp_path)])
     assert code == EXIT_SUITE
     assert err == (
@@ -311,6 +315,7 @@ OVERSIZED_SUPPORT_FAILURE = (
     "run failed: smooth enumeration exceeded 2000000 values: "
     "22132 primes from 2 to 251179, Omega cap 2, value cap inf\n"
 )
+OVERSIZED_SUPPORT_ARGV = ["second-moment", "--q", "1000003", "--theta", "0.9"]
 
 
 def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
@@ -325,7 +330,7 @@ def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "MOLLICLT_CACHE_DIR": str(tmp_path / "cache")}
     proc = subprocess.run(
-        [sys.executable, "-m", "molliclt.cli", "clt", "--q", "1000003", "--theta", "0.9", "--out", str(tmp_path)],
+        [sys.executable, "-m", "molliclt.cli", *OVERSIZED_SUPPORT_ARGV, "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, preexec_fn=limit_child, timeout=300,
     )
     assert proc.returncode == EXIT_SUITE, proc.stderr
@@ -333,16 +338,27 @@ def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-def test_clt_enumerates_the_supports_before_any_central_value(tmp_path, monkeypatch):
+def test_second_moment_enumerates_the_supports_before_any_second_moment(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("central values computed before the supports")
+        raise AssertionError("second moment computed before the supports")
 
-    monkeypatch.setattr(cli, "l_values_afe", forbidden)
-    monkeypatch.setattr(cli, "cached_afe_values", forbidden)
-    code, out, err = run_captured(["clt", "--q", "1000003", "--theta", "0.9", "--out", str(tmp_path)])
+    monkeypatch.setattr(cli, "twisted_second_moment", forbidden)
+    monkeypatch.setattr(cli, "m_alpha_beta", forbidden)
+    code, out, err = run_captured([*OVERSIZED_SUPPORT_ARGV, "--out", str(tmp_path)])
     assert code == EXIT_SUITE
     assert err == OVERSIZED_SUPPORT_FAILURE
     assert out == ""
+
+
+def test_clt_enumerates_no_smooth_support(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clt enumerated a smooth support")
+
+    monkeypatch.setattr(arith, "smooth_integers", forbidden)
+    monkeypatch.setattr(mollifier, "smooth_integers", forbidden)
+    code, out, err = run_captured(["clt", "--q", "10007", "--theta", "0.5", "--out", str(tmp_path)])
+    assert code == EXIT_OK, err
+    assert out.startswith("clt: ") and err == ""
 
 
 def test_unwritable_out_is_a_run_failure(tmp_path):

@@ -6,22 +6,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from molliclt.arith import PrimeInterval, big_omega, factorize, nu, primes_up_to, sieve_primes, smooth_integers
 from molliclt import hecke_rankin, mollifier
+from molliclt.characters import build_table
 from molliclt.mollifier import (
     DirichletPolynomial,
     MollifierParams,
     build_dirichlet_mollifier,
-    build_hecke_mollifier,
     check_desk_params,
     dirichlet_interval_piece,
     hecke_interval_factor,
     m_alpha_beta,
     m_alpha_beta_general,
     params_desk,
+    piece_from_prime_sum,
     prime_sum_polynomial,
     prime_sums_all,
     w_weight,
@@ -210,20 +211,49 @@ def test_each_interval_support_is_enumerated_once(monkeypatch):
 
 
 def test_product_refuses_elements_past_int64():
-    def piece(top):
-        return DirichletPolynomial(np.array([1, top], dtype=np.int64), np.ones(2, dtype=np.complex128))
+    def piece(support):
+        support = np.asarray(support, dtype=np.int64)
+        return DirichletPolynomial(support, np.ones(len(support), dtype=np.complex128), (Fraction(1),) * len(support))
 
-    fits = mollifier._product([piece(2**31), piece(3**19)])
+    fits = mollifier._product([piece([1, 2**31]), piece([1, 3**19])])
     assert fits.support.tolist() == [1, 3**19, 2**31, 2**31 * 3**19]
     with pytest.raises(RuntimeError, match="exceeds the int64 limit 9223372036854775807"):
-        mollifier._product([piece(2**40), piece(3**25)])
+        mollifier._product([piece([1, 2**40]), piece([1, 3**25])])
     with pytest.raises(RuntimeError, match="enumeration budget"):
-        mollifier._product([piece(2)] + [DirichletPolynomial(np.arange(1, 2001), np.ones(2000))] * 2)
+        mollifier._product([piece([1, 2])] + [piece(np.arange(1, 2001))] * 2)
 
 
 def test_interval_piece_index_validation(desk_quarter):
     with pytest.raises(ValueError):
         dirichlet_interval_piece(desk_quarter, 1)
+
+
+@st.composite
+def piece_cases(draw):
+    q = draw(st.sampled_from([101, 1009, 10007, 100003]))
+    # J + 1 = 1..3 interval exponents; the Omega caps they imply run from 2 to 8
+    hundredths = draw(st.lists(st.integers(min_value=10, max_value=55), min_size=1, max_size=3, unique=True))
+    return q, tuple(sorted(h / 100 for h in hundredths))
+
+
+@given(piece_cases())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_piece_from_prime_sum_matches_the_support_route(case):
+    """e_ell(-P_j) against the interval's Omega-capped polynomial, every label.
+
+    The gap is taken relative to the largest value, not label by label:
+    a piece such as 1 - P + P^2/2 vanishes at P = 1 +- i.
+    """
+    q, theta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a tail interval may hold no prime
+        p = params_desk(q, theta)
+    assume(len(p.intervals[0]) > 0)
+    table = build_table(q)
+    for j, ell in enumerate(p.ell):
+        got = piece_from_prime_sum(prime_sum_polynomial(p, j).evaluate_all(table), ell)
+        ref = dirichlet_interval_piece(p, j).evaluate_all(table)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (q, theta, j, ell)
 
 
 def test_evaluate_matches_direct_character_sum(table101):
@@ -360,14 +390,3 @@ def test_hecke_interval_factor_values(desk_quarter):
         om = big_omega(n)
         assert c == pytest.approx(float((-1) ** om * nu(n)), rel=1e-15)
 
-
-def test_hecke_mollifier_scales_by_eigenvalue_products(desk_quarter):
-    class ScaledForm:
-        def lambda_p(self, p):
-            return 0.5 / w_weight(p, desk_quarter.J, desk_quarter)
-
-    mol = build_hecke_mollifier(desk_quarter, ScaledForm())
-    ref = build_dirichlet_mollifier(desk_quarter)
-    for n in (2, 4, 6, 9):
-        want = ref.coefficient(n) * 0.5 ** big_omega(n)
-        assert mol.coefficient(n) == pytest.approx(want, rel=1e-14)
