@@ -22,6 +22,7 @@ __all__ = [
     "FactoredSupport",
     "PrimeInterval",
     "primes_up_to",
+    "check_sieve_limits",
     "sieve_primes",
     "is_prime",
     "factorize",
@@ -112,21 +113,27 @@ def primes_up_to(limit: int) -> np.ndarray:
     return base[: int(np.searchsorted(base, limit, side="right"))]
 
 
-def sieve_primes(lo: float, hi: float) -> PrimeInterval:
-    """Primes in ``(lo, hi]`` via a segmented sieve.
+def check_sieve_limits(lo: float, hi: float) -> None:
+    """Raise ValueError if :func:`sieve_primes` cannot sieve ``(lo, hi]``.
 
-    The bounds may be non-integral (interval endpoints like ``q**theta``
-    rarely are).  ``hi`` may not exceed 10**9 and the span ``hi - lo``
-    is capped to keep the segment in memory.
+    ``hi`` may not exceed 10**9 and the span ``hi - lo`` is capped to
+    keep the segment in memory.
     """
-    if hi < lo:
-        raise ValueError(f"empty interval: ({lo}, {hi}]")
     if hi > _MAX_SIEVE_HI:
         raise ValueError(f"sieve bound {hi} exceeds supported maximum {_MAX_SIEVE_HI}")
     if hi - lo > _MAX_SIEVE_SPAN:
-        raise ValueError(
-            f"sieve span {hi - lo:.3g} exceeds memory budget {_MAX_SIEVE_SPAN}"
-        )
+        raise ValueError(f"sieve span {hi - lo:.3g} exceeds memory budget {_MAX_SIEVE_SPAN}")
+
+
+def sieve_primes(lo: float, hi: float) -> PrimeInterval:
+    """Primes in ``(lo, hi]`` via a segmented sieve, within :func:`check_sieve_limits`.
+
+    The bounds may be non-integral (interval endpoints like ``q**theta``
+    rarely are).
+    """
+    if hi < lo:
+        raise ValueError(f"empty interval: ({lo}, {hi}]")
+    check_sieve_limits(lo, hi)
     first = math.floor(lo) + 1  # smallest integer > lo
     last = math.floor(hi)  # largest integer <= hi
     if last < first or last < 2:

@@ -26,7 +26,6 @@ from ._io import atomic_write
 from .arith import is_prime
 from .characters import MAX_MODULUS, build_table, gauss_sums_all
 from .dirichlet_l import (
-    TAIL_CUT,
     CentralValueSet,
     cached_afe_values,
     l_values_afe,
@@ -193,12 +192,12 @@ def _central_values(cfg: RunConfig, table) -> tuple[CentralValueSet, str]:
     or mismatched file is ignored.  Nothing here writes the cache.
     """
     try:
-        cached = cached_afe_values(_cache_path(cfg), table, 0.5, TAIL_CUT)
+        cached = cached_afe_values(_cache_path(cfg), table, 0.5)
     except (OSError, ValueError):
         cached = None
     if cached is not None:
         return cached, "cache"
-    return l_values_afe(table, 0.5, residuals=True), "computed"
+    return l_values_afe(table, 0.5), "computed"
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +231,10 @@ def cmd_characters(cfg: RunConfig) -> Outcome:
 
 def cmd_lvalues(cfg: RunConfig) -> Outcome:
     table = build_table(cfg.q)
-    values = l_values_afe(table, 0.5, residuals=True)
+    values = l_values_afe(table, 0.5)
     stats = values.residual_stats
     cache = _cache_path(cfg)
-    save_l_values(cache, cfg.q, 0.5, values.values, tail_cut=TAIL_CUT, residual_stats=stats)
+    save_l_values(cache, values)
     oracle_max = None
     if cfg.q <= 2000:
         oracle = l_values_oracle(table, 0.5)

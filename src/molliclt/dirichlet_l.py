@@ -142,8 +142,8 @@ class CentralValueSet:
 
     ``values`` has length q - 1 and is indexed by label; slot 0 (the
     principal character, out of scope for the statistics) holds NaN.
-    ``residual_stats`` summarizes the functional-equation residuals when
-    they were requested at build time, else None.
+    ``residual_stats`` summarizes the functional-equation residuals of
+    an AFE set at s = 1/2, else None.
     """
 
     q: int
@@ -167,32 +167,38 @@ def _oracle_values(table: CharacterTable, s: complex) -> np.ndarray:
     return out
 
 
-def _afe_values(table: CharacterTable, s: complex, tail_cut: float) -> np.ndarray:
-    s = complex(s)
-    q = table.q
-    n_max = math.isqrt(int(tail_cut * q / math.pi)) + 2
+def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[complex]]:
+    """The AFE's n range 1..N (N the first n with pi n^2 / q >= TAIL_CUT),
+    per parity delta the first and dual coefficient vectors
+    n^-s Q((s+delta)/2, pi n^2/q) and n^(s-1) Q((1-s+delta)/2, pi n^2/q),
+    and per parity the dual sum's prefactor.  At s = 1/2 the dual vector
+    is the first one and the gamma loop runs once.
+    """
+    n_max = math.isqrt(int(TAIL_CUT * q / math.pi)) + 2
     n = np.arange(1, n_max + 1, dtype=np.int64)
     xs = math.pi * n.astype(np.float64) ** 2 / q
     log_n = np.log(n.astype(np.float64))
     power_first = np.exp(-s * log_n)
     power_dual = np.exp((s - 1.0) * log_n)
 
-    first, dual, prefac = [], [], []
-    central = True  # the orders coincide at both parities exactly at s = 1/2
+    coeffs, prefac = [], []
     for delta in (0, 1):
         a1 = (s + delta) / 2.0
         a2 = (1.0 - s + delta) / 2.0
-        central = central and a2 == a1
-        q1 = np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
-        # at s = 1/2 the orders coincide and the gamma loop runs once
-        q2 = q1 if a2 == a1 else np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
-        first.append(power_first * q1)
-        dual.append(power_dual * q2)
+        first = power_first * np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
+        dual = first if a2 == a1 else power_dual * np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
+        coeffs.append((first, dual))
         prefac.append((math.pi / q) ** (s - 0.5) * gamma(a2) / gamma(a1))
+    return n, coeffs, prefac
 
+
+def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
+    n, coeffs, prefac = _afe_terms(table.q, s)
     # one transform per sum, each parity class with its own coefficients;
     # at s = 1/2 the dual sum equals the first and is not transformed again
+    first, dual = zip(*coeffs)
     first_sums = batch_character_sums(table, n, *first)
+    central = all(d is f for f, d in coeffs)
     dual_sums = first_sums if central else batch_character_sums(table, n, *dual)
 
     # slot a reads label m - a, the conjugate character (parity is preserved),
@@ -257,38 +263,32 @@ def l_values_oracle(table: CharacterTable, s: complex) -> CentralValueSet:
     return CentralValueSet(q=table.q, s=s, values=_oracle_values(table, s), method="oracle")
 
 
-def l_values_afe(
-    table: CharacterTable,
-    s: complex,
-    tail_cut: float = TAIL_CUT,
-    residuals: bool = False,
-) -> CentralValueSet:
+def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
     """Central value set by the smoothed approximate functional equation.
 
-    Both sums run to the first n with pi n^2 / q >= ``tail_cut``; beyond
+    Both sums run to the first n with pi n^2 / q >= TAIL_CUT; beyond
     that the incomplete-gamma weights are below 1e-16 and the tail is
     dropped.  One batch transform per sum, the parity-0 and parity-1
     weights riding as one pair; at s = 1/2 the two sums coincide and one
     transform serves both.  The chi-bar sum is read off by the label flip
     a -> m - a, and the root numbers come from the table.  Valid in a
-    small disc around the central point.
+    small disc around the central point.  At s = 1/2 the set carries its
+    functional-equation residual statistics; elsewhere they are None.
     """
     s = complex(s)
     if abs(s - 0.5) > 0.1:
         raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
-    values = _afe_values(table, s, tail_cut)
-    stats = None
-    if residuals:
-        dual = None if abs(s - 0.5) <= 1e-12 else _afe_values(table, 1.0 - s, tail_cut)
-        stats = fe_residual_stats(table, s, values, dual)
+    values = _afe_values(table, s)
+    stats = fe_residual_stats(table, s, values) if s == 0.5 else None
     return CentralValueSet(q=table.q, s=s, values=values, method="afe", residual_stats=stats)
 
 
-def afe_l_value(table: CharacterTable, a: int, s: complex, tail_cut: float = TAIL_CUT) -> complex:
-    """L(s, chi_a) for a single nonprincipal label, same smoothing as the batch.
+def afe_l_value(table: CharacterTable, a: int, s: complex) -> complex:
+    """L(s, chi_a) for a single nonprincipal label, from the batch's terms.
 
-    Direct O(sqrt(q)) sums; useful as a spot check against the batch
-    transforms without building the whole set.
+    Direct O(sqrt(q)) character sums and the label's own root number: a
+    spot check on the batch transforms, the label flip a -> m - a and the
+    table's root numbers without building the whole set.
     """
     s = complex(s)
     if a % table.m == 0:
@@ -296,22 +296,12 @@ def afe_l_value(table: CharacterTable, a: int, s: complex, tail_cut: float = TAI
     if abs(s - 0.5) > 0.1:
         raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
     a = a % table.m
-    q = table.q
+    n, coeffs, prefac = _afe_terms(table.q, s)
     delta = table.delta(a)
-    a1 = (s + delta) / 2.0
-    a2 = (1.0 - s + delta) / 2.0
-    n_max = math.isqrt(int(tail_cut * q / math.pi)) + 2
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    xs = math.pi * n.astype(np.float64) ** 2 / q
-    q1 = np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
-    q2 = np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
-    chi = table.chi_values(a, n)
-    chi_bar = table.chi_values(table.conjugate_label(a), n)
-    nf = n.astype(np.float64)
-    first = np.sum(chi * nf ** (-s) * q1)
-    second = np.sum(chi_bar * nf ** (s - 1.0) * q2)
-    prefac = (math.pi / q) ** (s - 0.5) * gamma(a2) / gamma(a1)
-    return complex(first + root_number(table, a) * prefac * second)
+    first, dual = coeffs[delta]
+    own = np.sum(table.chi_values(a, n) * first)
+    conj = np.sum(table.chi_values(table.conjugate_label(a), n) * dual)
+    return complex(own + root_number(table, a) * prefac[delta] * conj)
 
 
 def root_number(table: CharacterTable, a: int) -> complex:
@@ -347,39 +337,28 @@ class CacheHeader:
     count: int
 
 
-def save_l_values(
-    path: str,
-    q: int,
-    s: complex,
-    values: np.ndarray,
-    labels: np.ndarray | None = None,
-    *,
-    tail_cut: float,
-    residual_stats: dict[str, float],
-) -> None:
-    """Write a binary cache of AFE values atomically: fixed header, then packed records.
+def save_l_values(path: str, value_set: CentralValueSet) -> None:
+    """Write a binary cache of an AFE value set atomically: fixed header, then packed records.
 
     Header layout (little-endian, unpadded): magic ``LCHI``, format
     version (u32), modulus (u64), s as two doubles, the AFE tail cut
     (double), the AFE format version (u32), and the FE residual max and
-    mean (doubles).  Each record is a u32 label and the value's real and
-    imaginary parts as doubles.  The file is written under a temporary
-    name in the same directory and renamed into place.
+    mean (doubles).  Each record is a u32 label (0..m-1 in order) and the
+    value's real and imaginary parts as doubles.  The file is written
+    under a temporary name in the same directory and renamed into place.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    if labels is None:
-        labels = np.arange(len(values))
-    labels = np.asarray(labels)
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
+    stats = value_set.residual_stats
+    if stats is None:
+        raise ValueError("the cache header records FE residual statistics; this value set has none")
+    values = np.asarray(value_set.values, dtype=np.complex128)
     records = np.empty(len(values), dtype=_RECORD_DTYPE)
-    records["label"] = labels
+    records["label"] = np.arange(len(values))
     records["re"] = values.real
     records["im"] = values.imag
-    s = complex(s)
+    s = complex(value_set.s)
     header = _HEADER.pack(
-        _CACHE_MAGIC, _CACHE_VERSION, q, s.real, s.imag,
-        tail_cut, _AFE_VERSION, residual_stats["max"], residual_stats["mean"],
+        _CACHE_MAGIC, _CACHE_VERSION, value_set.q, s.real, s.imag,
+        TAIL_CUT, _AFE_VERSION, stats["max"], stats["mean"],
     )
     atomic_write(path, header + records.tobytes())
 
@@ -422,18 +401,18 @@ def load_l_values(path: str) -> tuple[int, complex, np.ndarray, np.ndarray]:
     return header.q, header.s, records["label"].astype(np.int64), values
 
 
-def cached_afe_values(path: str, table: CharacterTable, s: complex, tail_cut: float) -> CentralValueSet | None:
-    """The AFE value set at ``s`` with ``tail_cut`` from a cache, or None if the cache holds other values.
+def cached_afe_values(path: str, table: CharacterTable, s: complex) -> CentralValueSet | None:
+    """The AFE value set at ``s`` from a cache, or None if the cache holds other values.
 
-    A hit needs the cache's modulus, s, tail cut, AFE version and record
-    count to match, and its labels to run 0..m-1; the gate outcome of
-    the run that wrote it plays no part.  The result is bit for bit what
-    ``l_values_afe(table, s, tail_cut, residuals=True)`` computes, with
-    the residual statistics read from the header.  An unreadable file
-    raises OSError or ValueError.
+    A hit needs the cache's modulus, s, tail cut (TAIL_CUT), AFE version
+    and record count to match, and its labels to run 0..m-1; the gate
+    outcome of the run that wrote it plays no part.  The result is bit
+    for bit what ``l_values_afe(table, s)`` computes, with the residual
+    statistics read from the header.  An unreadable file raises OSError
+    or ValueError.
     """
     head = read_cache_header(path)
-    want = (table.q, complex(s), tail_cut, _AFE_VERSION, table.m)
+    want = (table.q, complex(s), TAIL_CUT, _AFE_VERSION, table.m)
     if (head.q, head.s, head.tail_cut, head.afe_version, head.count) != want:
         return None
     _, _, labels, values = load_l_values(path)

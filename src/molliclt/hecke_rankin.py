@@ -513,7 +513,12 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
     (f with X, g with the conjugate); the orderings swap only which
     L-factor rides which side.  The cutoff is taken at its central value
     1 on this support.  Real output; equal labels are permitted here.
+    Raises ValueError when x = q^theta_J passes _EULER_TAIL_LIMIT.
     """
+    if params.x > _EULER_TAIL_LIMIT:
+        raise ValueError(
+            f"the mollifier range x = q^theta_J = {params.x:.6g} passes the eigenvalue limit {_EULER_TAIL_LIMIT}"
+        )
     small = sieve_primes(1.0, params.c0).primes
     tail = sieve_primes(params.x, float(_EULER_TAIL_LIMIT)).primes
     outer = 1.0

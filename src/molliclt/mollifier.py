@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import FactoredSupport, PrimeInterval, factorize, sieve_primes, smooth_integers
+from .arith import FactoredSupport, PrimeInterval, check_sieve_limits, factorize, sieve_primes, smooth_integers
 from .characters import CharacterTable, batch_character_sums
 
 __all__ = [
@@ -95,8 +95,9 @@ def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[f
     """The input rules of :func:`params_desk`, checked without sieving anything.
 
     theta must be non-empty, finite, positive and strictly increasing,
-    and 1 <= c0 < q^theta_0.  Raises ValueError naming the broken rule;
-    returns theta as a tuple of floats.
+    1 <= c0 < q^theta_0, and each interval (c0, q^theta_0],
+    (q^theta_(j-1), q^theta_j] must lie within the sieve limits.  Raises
+    ValueError naming the broken rule; returns theta as a tuple of floats.
     """
     theta = tuple(float(t) for t in theta_list)
     if not theta:
@@ -108,6 +109,9 @@ def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[f
     y = float(q) ** theta[0]
     if not 1 <= c0 < y:
         raise ValueError(f"c0 must lie in [1, q^theta_0) = [1, {y:.6g}), got {c0}")
+    bounds = (c0,) + tuple(float(q) ** t for t in theta)
+    for lo, hi in zip(bounds, bounds[1:]):
+        check_sieve_limits(lo, hi)
     return theta
 
 

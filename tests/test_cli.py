@@ -29,7 +29,7 @@ from molliclt.cli import (
     _theta_tuple,
     main,
 )
-from molliclt.dirichlet_l import load_l_values, save_l_values
+from molliclt.dirichlet_l import CentralValueSet, load_l_values, save_l_values
 
 
 def run(*argv):
@@ -159,6 +159,7 @@ def test_paper_mode_settings_are_rejected(tmp_path):
     (["random", "--q", "10007", "--theta", "0.25", "--c0", "0"], "c0 must lie in [1, q^theta_0)"),
     (["random", "--q", "10007", "--mc", "99"], "mc_samples (--mc) must be at least 100"),
     (["random", "--q", "10007", "--mc", "10000000000"], "mc_samples (--mc) must be at most 1000000"),
+    (["clt", "--q", "10007", "--theta", "2"], "sieve span 1e+08 exceeds memory budget 50000000"),
 ])
 def test_out_of_range_inputs_exit_config_before_any_work(argv, rule, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -298,6 +299,15 @@ def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path, monke
         "run failed: twist length must stay below the modulus: "
         "largest support element 446265625 >= q = 10007\n"
     )
+
+
+@pytest.mark.parametrize("q, theta, x", [("10007", "1.0", "10007"), ("100003", "0.8", "10000.2")])
+def test_random_past_the_eigenvalue_limit_names_both_numbers(q, theta, x, tmp_path):
+    # the Euler-product weight sieves (x, 10^4]; past it the run fails naming x
+    code, out, err = run_captured(["random", "--q", q, "--theta", theta, "--out", str(tmp_path)])
+    assert code == EXIT_SUITE
+    assert err == f"run failed: the mollifier range x = q^theta_J = {x} passes the eigenvalue limit 10000\n"
+    assert out == "" and os.listdir(tmp_path) == []
 
 
 def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
@@ -552,14 +562,20 @@ def test_clt_cache_hit_does_not_recompute(cached_1009, monkeypatch, capsys):
     assert '"l_values_source": "cache"' in hit["clt_q1009.json"]
 
 
+def _resave(path, q=1009):
+    """Rewrite the cache at ``path`` with its own values and zero residual statistics."""
+    _, _, _, values = load_l_values(path)
+    save_l_values(path, CentralValueSet(q=q, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
+
+
 def _wrong_q(path):
-    _, _, labels, values = load_l_values(path)
-    save_l_values(path, 1013, 0.5, values, labels, tail_cut=40.0, residual_stats={"max": 0.0, "mean": 0.0})
+    _resave(path, q=1013)
 
 
 def _wrong_tail_cut(path):
-    _, _, labels, values = load_l_values(path)
-    save_l_values(path, 1009, 0.5, values, labels, tail_cut=20.0, residual_stats={"max": 0.0, "mean": 0.0})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet_l, "TAIL_CUT", 20.0)
+        _resave(path)
 
 
 def _version_1(path):
@@ -571,10 +587,9 @@ def _version_1(path):
 
 
 def _other_afe_version(path):
-    _, _, labels, values = load_l_values(path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dirichlet_l, "_AFE_VERSION", dirichlet_l._AFE_VERSION + 1)
-        save_l_values(path, 1009, 0.5, values, labels, tail_cut=40.0, residual_stats={"max": 0.0, "mean": 0.0})
+        _resave(path)
 
 
 def _truncated_by_a_record(path):

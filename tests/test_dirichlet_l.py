@@ -1,10 +1,9 @@
 """Central L-values: Hurwitz oracle, smoothed functional equation, caches, moments."""
 
+import dataclasses
 import math
 import os
 import struct
-
-import inspect
 
 import mpmath
 import numpy as np
@@ -12,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molliclt import characters
+from molliclt import characters, dirichlet_l
 from molliclt.arith import primes_up_to
 from molliclt.characters import batch_character_sums, build_table
 from molliclt.dirichlet_l import (
+    _HEADER,
     _RECORD_DTYPE,
-    TAIL_CUT,
     CentralValueSet,
     afe_l_value,
     cached_afe_values,
@@ -80,10 +79,20 @@ def test_afe_vs_hurwitz_property(q):
     assert gap < 1e-8, q
 
 
-def test_one_tail_cut_for_every_afe_route():
-    # a cached value set is reused only under the cut it was computed with
-    for fn in (l_values_afe, afe_l_value):
-        assert inspect.signature(fn).parameters["tail_cut"].default == TAIL_CUT == 40.0
+def test_tail_cut_is_read_by_every_afe_route(table1009, tmp_path, monkeypatch):
+    # a cut of 4 stops both sums far too early: the routes still agree
+    # with each other, and the cache records the cut they used
+    monkeypatch.setattr(dirichlet_l, "TAIL_CUT", 4.0)
+    vals = l_values_afe(table1009, 0.5)
+    oracle = l_values_oracle(table1009, 0.5)
+    for a in (1, 2, 503, 1007):
+        single = afe_l_value(table1009, a, 0.5)
+        assert abs(single - vals.values[a]) < 1e-10
+        assert abs(single - oracle.values[a]) > 1e-8
+    assert np.min(np.abs(vals.values[1:] - oracle.values[1:])) > 1e-8
+    path = str(tmp_path / "cache.bin")
+    save_l_values(path, vals)
+    assert read_cache_header(path).tail_cut == 4.0
 
 
 def test_functional_equation_residuals_q101(table101):
@@ -105,6 +114,21 @@ def test_afe_singleton_matches_batch(table101):
     batch = l_values_afe(table101, 0.5)
     for a in (1, 2, 50, 99):
         assert abs(afe_l_value(table101, a, 0.5) - batch.values[a]) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.52, 0.48])
+def test_afe_singleton_matches_batch_off_center(table1009, s):
+    # off the central point the dual sum has its own gamma order and transform
+    batch = l_values_afe(table1009, s)
+    for a in (2, 503):  # one even and one odd label
+        assert table1009.delta(a) == a % 2
+        assert abs(afe_l_value(table1009, a, s) - batch.values[a]) < 1e-10
+
+
+def test_afe_value_set_carries_residuals_exactly_at_the_center(table1009):
+    vals = l_values_afe(table1009, 0.5)
+    assert vals.residual_stats == fe_residual_stats(table1009, 0.5, vals.values)
+    assert l_values_afe(table1009, 0.52).residual_stats is None
 
 
 def test_root_numbers_computed_once_per_table(monkeypatch):
@@ -153,13 +177,12 @@ def test_oracle_vs_hurwitz_combination_mod3():
         assert abs(orc.values[1] - want) < 1e-12
 
 
-HEALTH = {"max": 1e-13, "mean": 1e-15}  # residual statistics for caches whose header is not under test
 
 
 def test_cache_roundtrip(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    save_l_values(path, vals)
     q, s, labels, loaded = load_l_values(path)
     assert q == 101 and s == 0.5
     assert np.array_equal(labels, np.arange(100))
@@ -173,41 +196,45 @@ def test_cache_roundtrip_keeps_signed_zeros_and_non_finite_parts(tmp_path):
     values.real = np.repeat(parts, len(parts))
     values.imag = np.tile(parts, len(parts))
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, values, tail_cut=40.0, residual_stats=HEALTH)
+    save_l_values(path, CentralValueSet(q=101, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
     _, _, _, loaded = load_l_values(path)
     assert loaded.tobytes() == values.tobytes()
 
 
 def test_cache_header_carries_afe_settings_and_health(tmp_path, table101):
-    vals = l_values_afe(table101, 0.5, tail_cut=40.0, residuals=True)
+    vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=vals.residual_stats)
+    save_l_values(path, vals)
     head = read_cache_header(path)
     assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 1, 100)
     assert head.fe_residual_max == vals.residual_stats["max"]
     assert head.fe_residual_mean == vals.residual_stats["mean"]
+    # a set without residual statistics has nothing to put in the header
+    with pytest.raises(ValueError, match="FE residual statistics"):
+        save_l_values(path, l_values_oracle(table101, 0.5))
 
 
 def test_cached_afe_values_equal_a_computation(tmp_path, table101):
-    vals = l_values_afe(table101, 0.5, tail_cut=40.0, residuals=True)
+    vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=vals.residual_stats)
-    hit = cached_afe_values(path, table101, 0.5, 40.0)
+    save_l_values(path, vals)
+    hit = cached_afe_values(path, table101, 0.5)
     assert hit.values.tobytes() == vals.values.tobytes()
     assert (hit.q, hit.s, hit.method, hit.residual_stats) == (vals.q, vals.s, vals.method, vals.residual_stats)
-    assert cached_afe_values(path, table101, 0.5, 20.0) is None
-    assert cached_afe_values(path, table101, 0.55, 40.0) is None
-    assert cached_afe_values(path, build_table(103), 0.5, 40.0) is None
+    assert cached_afe_values(path, table101, 0.55) is None
+    assert cached_afe_values(path, build_table(103), 0.5) is None
     # the same values under permuted labels are not the run's values
-    save_l_values(path, 101, 0.5, vals.values, labels=np.arange(100)[::-1],
-                  tail_cut=40.0, residual_stats=vals.residual_stats)
-    assert cached_afe_values(path, table101, 0.5, 40.0) is None
+    raw = open(path, "rb").read()
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size).copy()
+    records["label"] = records["label"][::-1]
+    open(path, "wb").write(raw[: _HEADER.size] + records.tobytes())
+    assert cached_afe_values(path, table101, 0.5) is None
 
 
 def test_cache_rejects_corruption(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    save_l_values(path, vals)
     raw = bytearray(open(path, "rb").read())
     raw[0] ^= 0xFF
     open(path, "wb").write(bytes(raw))
@@ -218,7 +245,7 @@ def test_cache_rejects_corruption(tmp_path, table101):
 def test_cache_rejects_truncation_and_old_versions(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
     path = tmp_path / "cache.bin"
-    save_l_values(str(path), 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    save_l_values(str(path), vals)
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
     for reader in (load_l_values, read_cache_header):
@@ -236,7 +263,7 @@ def test_cache_rejects_truncation_and_old_versions(tmp_path, table101):
 def test_cache_write_is_atomic(tmp_path, table101, monkeypatch):
     vals = l_values_afe(table101, 0.5)
     path = tmp_path / "cache.bin"
-    save_l_values(str(path), 101, 0.5, vals.values, tail_cut=40.0, residual_stats=HEALTH)
+    save_l_values(str(path), vals)
     before = path.read_bytes()
 
     def interrupted(src, dst):
@@ -244,7 +271,7 @@ def test_cache_write_is_atomic(tmp_path, table101, monkeypatch):
 
     monkeypatch.setattr(os, "replace", interrupted)
     with pytest.raises(OSError, match="interrupted"):
-        save_l_values(str(path), 101, 0.5, 2 * vals.values, tail_cut=40.0, residual_stats=HEALTH)
+        save_l_values(str(path), dataclasses.replace(vals, values=2 * vals.values))
     # the old cache is intact and no temporary file is left behind
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["cache.bin"]

@@ -1,10 +1,12 @@
-"""Names other code depends on: each module's ``__all__`` and the targets
-the benchmark tracer (``perfbench/traced.py``) wraps; and the names each
+"""Names other code depends on: each module's ``__all__``, the targets
+the benchmark tracer (``perfbench/traced.py``) wraps, and the L-value
+check of the benchmark runner (``perfbench/run.py``); and the names each
 module imports.
 
 A deletion that leaves a stale ``__all__`` entry, removes a function
-the tracer patches, or leaves an import nothing reads fails here rather
-than only in the benchmark's own test run (the project has no linter).
+the tracer patches, changes a signature the benchmark's output check
+calls, or leaves an import nothing reads fails here rather than only in
+the benchmark's own runs (the project has no linter).
 """
 
 import ast
@@ -17,9 +19,19 @@ from pathlib import Path
 import pytest
 
 import molliclt
+from molliclt.cli import main
+from molliclt.dirichlet_l import CentralValueSet, load_l_values, read_cache_header, save_l_values
 
 MODULES = ["molliclt"] + sorted(f"molliclt.{info.name}" for info in pkgutil.iter_modules(molliclt.__path__))
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED = PERFBENCH / "traced.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,13 +45,27 @@ def test_every_traced_target_is_callable(monkeypatch):
     # executing the file only defines its tables (the patching happens in
     # its main()) and prepends src/ to sys.path, which is restored after
     monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
+    traced = _load(TRACED, "perfbench_traced")
     targets = traced.SPANS + traced.COUNTERS
     assert targets
     unresolved = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets if not callable(getattr(owner, attr, None))]
     assert unresolved == []
+
+
+def test_benchmark_l_value_check_reads_an_lvalues_cache(tmp_path, monkeypatch):
+    # the benchmark counts an lvalues run as correct only if this check passes
+    monkeypatch.delenv("MOLLICLT_CACHE_DIR", raising=False)
+    check_l_values = _load(PERFBENCH / "run.py", "perfbench_run").check_l_values
+    assert main(["lvalues", "--q", "101", "--out", str(tmp_path)]) == 0
+    cache = tmp_path / "cache" / "lvalues_q101.bin"
+    labels = [1, 2, 50, 99]
+    assert check_l_values(cache, 101, labels) is None
+    head = read_cache_header(str(cache))
+    _, s, _, values = load_l_values(str(cache))
+    values[50] += 1e-6
+    stats = {"max": head.fe_residual_max, "mean": head.fe_residual_mean}
+    save_l_values(str(cache), CentralValueSet(q=101, s=s, values=values, method="afe", residual_stats=stats))
+    assert "chi_50" in check_l_values(cache, 101, labels)
 
 
 def _unused_imports(source: str, exported) -> list[str]:
