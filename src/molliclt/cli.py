@@ -35,6 +35,7 @@ from .dirichlet_l import (
 )
 from .hecke_rankin import (
     RankinSelbergPair,
+    check_euler_range,
     delta_form,
     expected_weight_euler,
     f_p,
@@ -90,8 +91,9 @@ class RunConfig:
     mc_samples: int = 2000
     out: str = "."
 
-    def validate(self) -> None:
-        """Every input rule, checked before any table build or sieve."""
+    def validate(self, command: str | None = None) -> None:
+        """Every input rule, checked before any table build or sieve; with
+        ``command``, also the rules of that command."""
         if self.q is None:
             raise ValueError("missing required field: q")
         if not (3 <= self.q <= MAX_MODULUS and is_prime(self.q)):
@@ -100,7 +102,9 @@ class RunConfig:
             raise ValueError(f"mc_samples (--mc) must be at least 100, got {self.mc_samples}")
         if self.mc_samples > _MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples (--mc) must be at most {_MAX_MC_SAMPLES}, got {self.mc_samples}")
-        check_desk_params(self.q, self.theta, self.c0)
+        theta = check_desk_params(self.q, self.theta, self.c0)
+        if command == "random":
+            check_euler_range(float(self.q) ** theta[-1])
 
     def mollifier_params(self) -> MollifierParams:
         return params_desk(self.q, self.theta, c0=self.c0)
@@ -391,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        cfg.validate()
+        cfg.validate(args.command)
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

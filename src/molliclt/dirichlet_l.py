@@ -318,7 +318,7 @@ _CACHE_MAGIC = b"LCHI"
 _CACHE_VERSION = 2
 # Bump whenever the AFE arithmetic changes: caches written before then no
 # longer hold the values this code computes, and are not reused.
-_AFE_VERSION = 1
+_AFE_VERSION = 2
 # magic, version, q, Re s, Im s, tail cut, AFE version, FE residual max, mean
 _HEADER = struct.Struct("<4sIQdddIdd")
 _RECORD_DTYPE = np.dtype([("label", "<u4"), ("re", "<f8"), ("im", "<f8")])

@@ -43,6 +43,7 @@ __all__ = [
     "f_p",
     "quadrature_expectation",
     "v_cutoff",
+    "check_euler_range",
     "expected_weight_euler",
 ]
 
@@ -501,6 +502,13 @@ def v_cutoff(xi: float, contour_re: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 # Euler-product evaluation of the expected random weight
 
+def check_euler_range(x: float) -> None:
+    """Raise ValueError when the mollifier range x = q^theta_J passes the
+    eigenvalue limit of :func:`expected_weight_euler`."""
+    if x > _EULER_TAIL_LIMIT:
+        raise ValueError(f"the mollifier range x = q^theta_J = {x:.6g} passes the eigenvalue limit {_EULER_TAIL_LIMIT}")
+
+
 def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> tuple[float, float]:
     """E(random central L x random mollifier) for both form orderings.
 
@@ -515,10 +523,7 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
     1 on this support.  Real output; equal labels are permitted here.
     Raises ValueError when x = q^theta_J passes _EULER_TAIL_LIMIT.
     """
-    if params.x > _EULER_TAIL_LIMIT:
-        raise ValueError(
-            f"the mollifier range x = q^theta_J = {params.x:.6g} passes the eigenvalue limit {_EULER_TAIL_LIMIT}"
-        )
+    check_euler_range(params.x)
     small = sieve_primes(1.0, params.c0).primes
     tail = sieve_primes(params.x, float(_EULER_TAIL_LIMIT)).primes
     outer = 1.0

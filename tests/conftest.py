@@ -5,8 +5,10 @@ L-value sets computed from it do not, so anything expensive derived from
 these fixtures is cached by the test that owns it.
 """
 
+import numpy as np
 import pytest
 
+from molliclt import characters
 from molliclt.characters import build_table
 from molliclt.mollifier import params_desk
 
@@ -36,3 +38,17 @@ def desk_quarter():
 def desk_half():
     """Single interval (1, q^0.5] at q=10007: 25 primes, the CLT configuration."""
     return params_desk(10007, [0.5], c0=1.0)
+
+
+@pytest.fixture
+def ifft_calls(monkeypatch):
+    """Lengths of the FFTs the character transforms run, in call order."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(x, *args, **kwargs):
+        calls.append(len(x))
+        return ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(characters.np.fft, "ifft", counted)
+    return calls

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from molliclt import arith, cli, dirichlet_l, mollifier, stats
 from molliclt.arith import is_prime
+from molliclt.characters import build_table
 from molliclt.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -302,11 +303,16 @@ def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path, monke
 
 
 @pytest.mark.parametrize("q, theta, x", [("10007", "1.0", "10007"), ("100003", "0.8", "10000.2")])
-def test_random_past_the_eigenvalue_limit_names_both_numbers(q, theta, x, tmp_path):
-    # the Euler-product weight sieves (x, 10^4]; past it the run fails naming x
+def test_random_past_the_eigenvalue_limit_names_both_numbers(q, theta, x, tmp_path, monkeypatch):
+    # the Euler-product weight sieves (x, 10^4]; past it the configuration
+    # is refused naming x, before any table is built
+    def forbidden(q):
+        raise AssertionError("table built for a refused configuration")
+
+    monkeypatch.setattr(cli, "build_table", forbidden)
     code, out, err = run_captured(["random", "--q", q, "--theta", theta, "--out", str(tmp_path)])
-    assert code == EXIT_SUITE
-    assert err == f"run failed: the mollifier range x = q^theta_J = {x} passes the eigenvalue limit 10000\n"
+    assert code == EXIT_CONFIG
+    assert err == f"invalid configuration: the mollifier range x = q^theta_J = {x} passes the eigenvalue limit 10000\n"
     assert out == "" and os.listdir(tmp_path) == []
 
 
@@ -481,6 +487,17 @@ def test_random_command_makes_one_transform(tmp_path, monkeypatch, capsys):
     assert calls == [101]
 
 
+@pytest.mark.parametrize("q, ffts", [(1009, 3), (2003, 2)])
+def test_lvalues_transform_count(q, ffts, tmp_path, monkeypatch, ifft_calls, capsys):
+    # a fresh table, so the Gauss sums are transformed in this run
+    monkeypatch.setattr(cli, "build_table", build_table.__wrapped__)
+    assert run("lvalues", "--q", str(q), "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    # the Gauss sums, the AFE sum (at s = 1/2 the dual sum is the same
+    # transform), and at q <= 2000 the Hurwitz oracle
+    assert ifft_calls == [(q - 1) // 2] * ffts
+
+
 def test_random_command(tmp_path, capsys):
     code = run("random", "--q", "101", "--theta", "0.25", "--seed", "3",
                "--mc", "500", "--out", str(tmp_path))
@@ -604,6 +621,26 @@ def _truncated_mid_record(path):
         raw = fh.read()
     with open(path, "wb") as fh:
         fh.write(raw[:-5])
+
+
+def test_clt_cache_hit_runs_one_transform(cached_1009, monkeypatch, ifft_calls, capsys):
+    out, _ = cached_1009
+    monkeypatch.setattr(cli, "build_table", build_table.__wrapped__)
+    ifft_calls.clear()
+    assert '"l_values_source": "cache"' in clt_outputs(out, capsys)["clt_q1009.json"]
+    assert ifft_calls == [504]  # the prime sum P_0; no Gauss sums, no AFE
+
+
+def test_clt_recomputes_from_an_afe_version_1_cache(cached_1009, capsys):
+    # values cached before the one-FFT transform differ in their last bits
+    out, _ = cached_1009
+    cache = str(out / "cache" / "lvalues_q1009.bin")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirichlet_l, "_AFE_VERSION", 1)
+        _resave(cache)
+    assert dirichlet_l.read_cache_header(cache).afe_version == 1
+    clt_outputs(out, capsys)
+    assert load_report(out / "clt_q1009.json")["l_values_source"] == "computed"
 
 
 @pytest.mark.parametrize("spoil", [
