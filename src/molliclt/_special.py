@@ -1,10 +1,10 @@
-"""Scalar special functions used by the L-value and contour machinery.
+"""Special functions used by the L-value and contour machinery.
 
-Only what the package actually needs: a complex Lanczos gamma, the
-regularized upper incomplete gamma on complex order and positive real
-argument, and a vectorized trigamma.  Accuracy targets are a couple of
-ulps beyond what the calling code requires, not library-grade
-completeness.
+Only what the package actually needs: a scalar complex Lanczos gamma,
+the regularized upper incomplete gamma on complex order, elementwise
+over an array of nonnegative real arguments, and a vectorized trigamma.
+Accuracy targets are a couple of ulps beyond what the calling code
+requires, not library-grade completeness.
 """
 
 from __future__ import annotations
@@ -53,60 +53,75 @@ def gamma(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def _lower_series(a: complex, x: float) -> complex:
-    """P(a, x) by the standard ascending series; wants x below ~a+1."""
-    term = 1.0 / a
-    total = term
+def _lower_series(a: complex, x: np.ndarray) -> np.ndarray:
+    """Gamma(a) P(a, x) by the standard ascending series, elementwise; wants x below ~a+1.
+
+    An element stops updating at its first term below 1e-17 of its running sum.
+    """
+    term = np.full(x.shape, 1.0 / a, dtype=np.complex128)
+    total = term.copy()
+    live = np.ones(x.shape, dtype=bool)
     for n in range(1, 500):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
+        term[live] *= x[live] / (a + n)
+        total[live] += term[live]
+        live &= ~(np.abs(term) < 1e-17 * np.abs(total))
+        if not live.any():
             break
     else:
-        raise RuntimeError(f"incomplete gamma series failed to converge at a={a}, x={x}")
-    return total * cmath.exp(-x + a * math.log(x)) / gamma(a)
+        raise RuntimeError(f"incomplete gamma series failed to converge at a={a}, x={x[live][0]}")
+    return total * np.exp(-x + a * np.log(x))
 
 
-def _upper_cf(a: complex, x: float) -> complex:
-    """Q(a, x) by the Lentz-evaluated continued fraction; wants x >= ~1."""
+def _upper_cf(a: complex, x: np.ndarray) -> np.ndarray:
+    """Gamma(a) Q(a, x) by the Lentz-evaluated continued fraction, elementwise; wants x >= ~1.
+
+    An element leaves the recurrence once its last factor is within 1e-16 of one.
+    """
     tiny = 1e-300
+    total = np.empty(x.shape, dtype=np.complex128)
+    live = np.arange(x.size)
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    c = np.full(x.size, 1.0 / tiny, dtype=np.complex128)
+    d = 1.0 / np.where(b != 0, b, tiny)
     h = d
     for i in range(1, 500):
+        if not live.size:
+            break
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        total[live[done]] = h[done]
+        live, b, c, d, h = (v[~done] for v in (live, b, c, d, h))
     else:
-        raise RuntimeError(f"incomplete gamma fraction failed to converge at a={a}, x={x}")
-    return cmath.exp(-x + a * math.log(x)) * h / gamma(a)
+        raise RuntimeError(f"incomplete gamma fraction failed to converge at a={a}, x={x[live[0]]}")
+    return np.exp(-x + a * np.log(x)) * total
 
 
-def upper_regularized_gamma(a: complex, x: float) -> complex:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for complex a and real x >= 0.
+def upper_regularized_gamma(a: complex, x: np.ndarray | float) -> np.ndarray | complex:
+    """Q(a, x) = Gamma(a, x) / Gamma(a) for complex a, elementwise over real x >= 0.
 
     Ascending series below the crossover argument, continued fraction
-    above it.  The crossover at 1.5 is tuned for the small |a| this
-    package uses (orders of size at most a few).
+    above it, Gamma(a) computed once for the whole array.  The crossover
+    at 1.5 is tuned for the small |a| this package uses (orders of size
+    at most a few).  A scalar x gives a scalar.
     """
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0 + 0.0j
-    if x < 1.5:
-        return 1.0 - _lower_series(a, x)
-    return _upper_cf(a, x)
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < 0):
+        raise ValueError(f"argument must be nonnegative, got {x[x < 0][0]}")
+    out = np.ones(x.shape, dtype=np.complex128)
+    series = (x > 0) & (x < 1.5)
+    fraction = ~(x < 1.5)
+    g = gamma(a)
+    out[series] = 1.0 - _lower_series(a, x[series]) / g
+    out[fraction] = _upper_cf(a, x[fraction]) / g
+    return out[()]
 
 
 # psi'(x) asymptotic tail coefficients: B_{2k} for 2k = 2..14.

@@ -8,12 +8,13 @@ can audit the other:
   exact up to Euler-Maclaurin truncation, cost O(q) per character class;
 
 * a smoothed approximate functional equation whose two sums are cut by
-  regularized upper incomplete gamma factors, cost O(sqrt(q)) terms per
-  character and one batch transform for all characters at once.
+  regularized upper incomplete gamma factors, O(sqrt(q)) terms whose
+  weights take one array call per gamma order, and one batch transform
+  for all characters at once.
 
-Also here: functional-equation residuals of a computed value set, a
-small binary cache, and the averaged twisted second moment together
-with its two-term asymptotic prediction.
+Also here: functional-equation residuals of a value set at the central
+point, a small binary cache, and the averaged twisted second moment
+together with its two-term asymptotic prediction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "l_values_afe",
     "afe_l_value",
     "root_number",
-    "completed_l_values",
     "fe_residual_stats",
     "CacheHeader",
     "save_l_values",
@@ -171,10 +171,13 @@ def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, n
     """The AFE's n range 1..N (N the first n with pi n^2 / q >= TAIL_CUT),
     per parity delta the first and dual coefficient vectors
     n^-s Q((s+delta)/2, pi n^2/q) and n^(s-1) Q((1-s+delta)/2, pi n^2/q),
-    and per parity the dual sum's prefactor.  At s = 1/2 the dual vector
-    is the first one and the gamma loop runs once.
+    and per parity the dual sum's prefactor.  Each weight vector is one
+    array call of the incomplete gamma; at s = 1/2 the dual vector is the
+    first one and is not computed again.  Valid for |s - 1/2| <= 0.1.
     """
-    n_max = math.isqrt(int(TAIL_CUT * q / math.pi)) + 2
+    if abs(s - 0.5) > 0.1:
+        raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
+    n_max = math.ceil(math.sqrt(TAIL_CUT * q / math.pi))
     n = np.arange(1, n_max + 1, dtype=np.int64)
     xs = math.pi * n.astype(np.float64) ** 2 / q
     log_n = np.log(n.astype(np.float64))
@@ -185,8 +188,8 @@ def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, n
     for delta in (0, 1):
         a1 = (s + delta) / 2.0
         a2 = (1.0 - s + delta) / 2.0
-        first = power_first * np.array([upper_regularized_gamma(a1, float(v)) for v in xs])
-        dual = first if a2 == a1 else power_dual * np.array([upper_regularized_gamma(a2, float(v)) for v in xs])
+        first = power_first * upper_regularized_gamma(a1, xs)
+        dual = first if a2 == a1 else power_dual * upper_regularized_gamma(a2, xs)
         coeffs.append((first, dual))
         prefac.append((math.pi / q) ** (s - 0.5) * gamma(a2) / gamma(a1))
     return n, coeffs, prefac
@@ -211,41 +214,23 @@ def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
     return out
 
 
-def completed_l_values(table: CharacterTable, s: complex, l_values: np.ndarray) -> np.ndarray:
-    """Multiply L-values by the archimedean factor (q/pi)^((s+delta)/2) Gamma((s+delta)/2).
+def fe_residual_stats(table: CharacterTable, s: complex, values: np.ndarray) -> dict[str, float]:
+    """Relative functional-equation residuals at s = 1/2 over all nonprincipal labels.
 
-    The completed function satisfies the reflection
-    completed(s, chi) = eps(chi) * completed(1 - s, chi-bar), which is
-    the identity the residuals below measure.
+    For each label the residual is |L(1/2, chi) - eps(chi) L(1/2, chi-bar)|
+    scaled by the larger of the two magnitudes.  The completed function
+    multiplies L(1/2, chi) by (q/pi)^((1/2+delta)/2) Gamma((1/2+delta)/2);
+    chi and chi-bar have the same parity delta, so that factor is the
+    same positive number on both sides and cancels in the relative
+    residual, and the values are compared as they are.  Off the central
+    point the reflection pairs s with 1 - s and ``s`` is rejected.
     """
-    out = np.asarray(l_values, dtype=np.complex128).copy()
-    for delta in (0, 1):
-        a1 = (s + delta) / 2.0
-        out[delta::2] *= (table.q / math.pi) ** a1 * gamma(a1)  # labels of parity delta
-    return out
-
-
-def fe_residual_stats(
-    table: CharacterTable,
-    s: complex,
-    values_s: np.ndarray,
-    values_dual: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Relative functional-equation residuals over all nonprincipal labels.
-
-    For each label the residual is
-    |Lambda(s, chi) - eps(chi) Lambda(1-s, chi-bar)| scaled by the larger
-    of the two magnitudes.  ``values_dual`` holds L(1-s, .); omit it at
-    the central point, where the two sets coincide.
-    """
-    s = complex(s)
-    if values_dual is None and abs(s - 0.5) > 1e-12:
-        raise ValueError("values_dual is required away from the central point")
-    lam_s = completed_l_values(table, s, values_s)
-    lam_d = lam_s if values_dual is None else completed_l_values(table, 1.0 - s, values_dual)
+    if abs(complex(s) - 0.5) > 1e-12:
+        raise ValueError(f"functional-equation residuals are taken at s = 1/2 only, got s = {s}")
+    values = np.asarray(values, dtype=np.complex128)
     # labels 1..m-1 against their conjugates m-1..1
-    lhs = lam_s[1:]
-    rhs = root_numbers(table)[1:] * lam_d[:0:-1]
+    lhs = values[1:]
+    rhs = root_numbers(table)[1:] * values[:0:-1]
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     res = np.abs(lhs - rhs) / scale
     return {"max": float(res.max()), "mean": float(res.mean())}
@@ -276,8 +261,6 @@ def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
     functional-equation residual statistics; elsewhere they are None.
     """
     s = complex(s)
-    if abs(s - 0.5) > 0.1:
-        raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
     values = _afe_values(table, s)
     stats = fe_residual_stats(table, s, values) if s == 0.5 else None
     return CentralValueSet(q=table.q, s=s, values=values, method="afe", residual_stats=stats)
@@ -293,8 +276,6 @@ def afe_l_value(table: CharacterTable, a: int, s: complex) -> complex:
     s = complex(s)
     if a % table.m == 0:
         raise ValueError("principal label has no functional equation")
-    if abs(s - 0.5) > 0.1:
-        raise ValueError("the smoothed functional equation is tuned for |s - 1/2| <= 0.1")
     a = a % table.m
     n, coeffs, prefac = _afe_terms(table.q, s)
     delta = table.delta(a)
@@ -318,7 +299,7 @@ _CACHE_MAGIC = b"LCHI"
 _CACHE_VERSION = 2
 # Bump whenever the AFE arithmetic changes: caches written before then no
 # longer hold the values this code computes, and are not reused.
-_AFE_VERSION = 2
+_AFE_VERSION = 3
 # magic, version, q, Re s, Im s, tail cut, AFE version, FE residual max, mean
 _HEADER = struct.Struct("<4sIQdddIdd")
 _RECORD_DTYPE = np.dtype([("label", "<u4"), ("re", "<f8"), ("im", "<f8")])

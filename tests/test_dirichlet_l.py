@@ -101,13 +101,38 @@ def test_functional_equation_residuals_q101(table101):
     assert stats["max"] < 1e-8
 
 
-def test_fe_residuals_off_center_need_dual(table101):
+def test_fe_residuals_off_center_raise(table101):
     vals = l_values_afe(table101, 0.6)
     with pytest.raises(ValueError):
         fe_residual_stats(table101, 0.6, vals.values)
-    dual = l_values_afe(table101, 0.4)
-    stats = fe_residual_stats(table101, 0.6, vals.values, dual.values)
-    assert stats["max"] < 1e-8
+
+
+def test_afe_rejects_s_outside_its_disc(table101):
+    with pytest.raises(ValueError, match="tuned"):
+        l_values_afe(table101, 0.65)
+    with pytest.raises(ValueError, match="tuned"):
+        afe_l_value(table101, 1, 0.65)
+
+
+@pytest.mark.parametrize("q, want", [(101, 36), (1009, 114), (10007, 357), (1000003, 3569)])
+def test_afe_sums_end_at_the_documented_cut(q, want):
+    n, _, _ = dirichlet_l._afe_terms(q, 0.5)
+    assert np.array_equal(n, np.arange(1, want + 1))
+    assert math.pi * want**2 / q >= dirichlet_l.TAIL_CUT > math.pi * (want - 1) ** 2 / q
+
+
+@pytest.mark.parametrize("s, calls", [(0.5, 2), (0.52, 4)])
+def test_afe_weights_take_one_gamma_call_per_order(monkeypatch, s, calls):
+    orders = []
+    real = dirichlet_l.upper_regularized_gamma
+
+    def counted(a, x):
+        orders.append(a)
+        return real(a, x)
+
+    monkeypatch.setattr(dirichlet_l, "upper_regularized_gamma", counted)
+    dirichlet_l._afe_terms(1009, complex(s))
+    assert len(orders) == calls
 
 
 def test_afe_singleton_matches_batch(table101):
@@ -206,7 +231,7 @@ def test_cache_header_carries_afe_settings_and_health(tmp_path, table101):
     path = str(tmp_path / "cache.bin")
     save_l_values(path, vals)
     head = read_cache_header(path)
-    assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 2, 100)
+    assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 3, 100)
     assert head.fe_residual_max == vals.residual_stats["max"]
     assert head.fe_residual_mean == vals.residual_stats["mean"]
     # a set without residual statistics has nothing to put in the header
