@@ -33,6 +33,7 @@ __all__ = [
     "multiplicative_table",
 ]
 
+SUPPORT_BUDGET = 2_000_000  # enumeration budget: count of support integers
 _BASE_LIMIT = 1_000_000
 _MAX_SIEVE_HI = 1_000_000_000
 _MAX_SIEVE_SPAN = 50_000_000
@@ -341,7 +342,7 @@ def smooth_integers(
     interval: PrimeInterval | np.ndarray | list[int],
     ell: int | None,
     cap: float,
-    max_count: int = 2_000_000,
+    max_count: int = SUPPORT_BUDGET,
 ) -> FactoredSupport:
     """Integers ``n <= cap`` whose prime factors all lie in the interval.
 

@@ -123,8 +123,7 @@ def build_table(q: int) -> CharacterTable:
     """
     if q < 3 or q > MAX_MODULUS:
         raise ValueError(f"modulus must lie in [3, {MAX_MODULUS}], got {q}")
-    f = factorize(q)
-    if f.primes != (q,):
+    if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     g = primitive_root(q)
     m = q - 1

@@ -256,7 +256,7 @@ def cmd_clt(cfg: RunConfig) -> Outcome:
     params = cfg.mollifier_params()
     table = build_table(cfg.q)
     l_values, source = _central_values(cfg, table)
-    report = clt_experiment(table, params, l_values=l_values)
+    report = clt_experiment(table, params, l_values)
     base = os.path.join(cfg.out, f"clt_q{cfg.q}")
     write_interval_csv(report, base + "_intervals.csv")
     write_charfn_csv(report.u_grid, report.phi, base + "_charfn_weighted.csv")

@@ -30,6 +30,7 @@ import numpy as np
 from ._io import atomic_write
 from ._special import gamma, upper_regularized_gamma
 from .characters import CharacterTable, batch_character_sums, gauss_sum, root_numbers
+from .mollifier import m_alpha_beta_general
 
 __all__ = [
     "TAIL_CUT",
@@ -452,8 +453,6 @@ def twisted_second_moment_empirical(
 def _twisted_main_terms(
     alpha: complex, beta: complex, support: np.ndarray, coeffs: np.ndarray
 ) -> tuple[complex, complex]:
-    from .mollifier import m_alpha_beta_general  # deferred: mollifier imports nothing from here
-
     m_direct = m_alpha_beta_general(support, coeffs, alpha, beta)
     term1 = zeta(1.0 + alpha + beta) * m_direct
     g_ratio = (

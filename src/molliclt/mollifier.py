@@ -21,7 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import FactoredSupport, PrimeInterval, check_sieve_limits, factorize, sieve_primes, smooth_integers
+from .arith import (
+    SUPPORT_BUDGET, FactoredSupport, PrimeInterval, check_sieve_limits, factorize, sieve_primes, smooth_integers
+)
 from .characters import CharacterTable, batch_character_sums
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "m_alpha_beta_general",
 ]
 
-_SUPPORT_CAP = 2_000_000  # enumeration budget (count of support integers)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # largest support element an int64 array holds
 
 
@@ -71,9 +72,7 @@ class MollifierParams:
     @cached_property
     def supports(self) -> tuple[FactoredSupport, ...]:
         """Each interval's Omega-capped smooth support, enumerated once per params."""
-        return tuple(
-            smooth_integers(iv, ell, math.inf, _SUPPORT_CAP) for iv, ell in zip(self.intervals, self.ell)
-        )
+        return tuple(smooth_integers(iv, ell, math.inf) for iv, ell in zip(self.intervals, self.ell))
 
 
 def _ell_from_theta(theta: float) -> int:
@@ -198,7 +197,7 @@ def _product(pieces: Sequence[DirichletPolynomial]) -> DirichletPolynomial:
     support = np.ones(1, dtype=np.int64)
     coeff = np.array([Fraction(1)], dtype=object)
     for piece in pieces:
-        if len(support) * len(piece.support) > _SUPPORT_CAP:
+        if len(support) * len(piece.support) > SUPPORT_BUDGET:
             raise RuntimeError("mollifier support enumeration budget exceeded")
         if (largest := int(support.max()) * int(piece.support[-1])) > _INT64_MAX:
             raise RuntimeError(f"mollifier support element {largest} exceeds the int64 limit {_INT64_MAX}")

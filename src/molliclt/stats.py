@@ -21,7 +21,7 @@ import numpy as np
 from ._io import atomic_write
 from ._special import trigamma
 from .characters import CharacterTable
-from .dirichlet_l import CentralValueSet, l_values_afe
+from .dirichlet_l import CentralValueSet
 from .mollifier import MollifierParams, piece_from_prime_sum, prime_sum_polynomial
 
 __all__ = [
@@ -373,7 +373,6 @@ class IntervalRow:
     lo: float
     hi: float
     mu: complex
-    mu_filtered: complex
     gauss: float
 
     @property
@@ -400,37 +399,29 @@ class CLTReport:
     wall_time: float
 
 
-def clt_experiment(
-    table: CharacterTable,
-    params: MollifierParams,
-    intervals: Sequence[tuple[float, float]] = _DEFAULT_INTERVALS,
-    u_grid: Sequence[float] = _DEFAULT_U_GRID,
-    l_values: CentralValueSet | None = None,
-) -> CLTReport:
+def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: CentralValueSet) -> CLTReport:
     """Run the full weighted central-limit pipeline at one modulus.
 
     Observable: the real part of the first-interval prime sum P, scaled
     by sigma_hat = sqrt(0.5 sum 1/p) over the same primes.  Weight:
     central L-value times the mollifier, evaluated per character.  The
-    report carries the weighted interval measures raw and
-    typical-set-filtered, both characteristic function tables against
-    the Gaussian target, and grid KS distances.
-    Deterministic: no sampling anywhere.  A supplied ``l_values`` must
-    hold L(1/2, chi) for this modulus, one value per label.
+    report carries the weighted measures of _DEFAULT_INTERVALS, both
+    characteristic function tables on _DEFAULT_U_GRID against the
+    Gaussian target, and grid KS distances raw, plain and
+    typical-set-filtered.
+    Deterministic: no sampling anywhere.  ``l_values`` must hold
+    L(1/2, chi) for this modulus, one value per label.
     """
     t0 = time.perf_counter()
-    if l_values is None:
-        l_values = l_values_afe(table, 0.5)
-    else:
-        wrong = [
-            f"{name} {got} where the run needs {want}"
-            for name, got, want in (
-                ("q", l_values.q, table.q), ("s", l_values.s, 0.5), ("length", len(l_values.values), table.m)
-            )
-            if got != want
-        ]
-        if wrong:
-            raise ValueError("l_values do not fit this run: " + "; ".join(wrong))
+    wrong = [
+        f"{name} {got} where the run needs {want}"
+        for name, got, want in (
+            ("q", l_values.q, table.q), ("s", l_values.s, 0.5), ("length", len(l_values.values), table.m)
+        )
+        if got != want
+    ]
+    if wrong:
+        raise ValueError("l_values do not fit this run: " + "; ".join(wrong))
 
     # one transform per interval gives its prime sum P_j, and the piece is
     # e_ell_j(-P_j): no support is enumerated.  P_0 is also the observable.
@@ -440,9 +431,9 @@ def clt_experiment(
     obs = p_sums[0].real / sigma_hat
     del p_sums
 
-    # the three weightings of the observations, stacked so every pass
-    # over them (phases, grid cells, interval masks) is made once:
-    # raw W = L M, unit (plain), and W on the typical set only
+    # the three weightings of the observations, stacked so the phases and
+    # grid cells are computed once for all of them: raw W = L M, unit
+    # (plain), and W on the typical set only
     l_arr = np.asarray(l_values.values[1:])
     stack = np.empty((3, len(l_arr)), dtype=np.complex128)
     w = np.multiply(l_arr, piece_vals[0], out=stack[0])
@@ -450,42 +441,36 @@ def clt_experiment(
         w *= extra
     stack[1] = 1.0
 
-    phi, psi = char_fn_weighted(stack[:2], obs, u_grid)
+    phi, psi = char_fn_weighted(stack[:2], obs, _DEFAULT_U_GRID)
 
     filt = typical_set_filter(table, w, piece_vals, obs, prime_sum_limit=_P_SIGMA_FACTOR)
     stack[2] = w
     stack[2][~filt.kept] = 0.0
-    measure = WeightedEmpiricalMeasure(obs=obs, wt=stack)
 
-    rows = []
-    for lo, hi in intervals:
-        mu, _, mu_filtered = measure.interval(lo, hi)
-        rows.append(
-            IntervalRow(
-                lo=float(lo), hi=float(hi),
-                mu=complex(mu), mu_filtered=complex(mu_filtered),
-                gauss=gauss_cdf(hi) - gauss_cdf(lo),
-            )
-        )
+    weighted = WeightedEmpiricalMeasure(obs=obs, wt=w)
+    rows = tuple(
+        IntervalRow(lo=lo, hi=hi, mu=weighted.interval(lo, hi), gauss=gauss_cdf(hi) - gauss_cdf(lo))
+        for lo, hi in _DEFAULT_INTERVALS
+    )
 
-    ks_weighted, ks_plain, ks_weighted_filtered = (float(d) for d in ks_distance(measure))
-    exclusions = int(np.sum(~(np.abs(l_arr) >= _ZERO_CUTOFF)))
-    report = CLTReport(
+    ks_weighted, ks_plain, ks_weighted_filtered = (
+        float(d) for d in ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=stack))
+    )
+    return CLTReport(
         q=table.q,
         sigma_hat=sigma_hat,
-        exclusion_count=exclusions,
-        rows=tuple(rows),
-        u_grid=tuple(float(u) for u in u_grid),
+        exclusion_count=int(np.sum(~(np.abs(l_arr) >= _ZERO_CUTOFF))),
+        rows=rows,
+        u_grid=_DEFAULT_U_GRID,
         psi=tuple(complex(p) for p in psi),
         phi=tuple(complex(p) for p in phi),
         ks_weighted=ks_weighted,
         ks_weighted_filtered=ks_weighted_filtered,
         ks_plain=ks_plain,
         filter_report=filt,
-        total_weight=complex(measure.total[0]),
+        total_weight=weighted.total,
         wall_time=time.perf_counter() - t0,
     )
-    return report
 
 
 def write_interval_csv(report: CLTReport, path: str) -> None:

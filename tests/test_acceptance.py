@@ -53,7 +53,7 @@ def pair():
 
 @pytest.fixture(scope="module")
 def clt_report(table10007, desk_half):
-    return clt_experiment(table10007, desk_half)
+    return clt_experiment(table10007, desk_half, l_values_afe(table10007, 0.5))
 
 
 def test_criterion_01_orthogonality_exhaustive(table101):
@@ -271,7 +271,7 @@ def test_criterion_12_weighted_clt_experiment(clt_report, table10007, desk_half)
     assert worst_im <= 0.1
     assert clt_report.ks_weighted <= 0.25
     assert clt_report.wall_time < 300.0
-    rerun = clt_experiment(table10007, desk_half)
+    rerun = clt_experiment(table10007, desk_half, l_values_afe(table10007, 0.5))
     assert rerun.rows == clt_report.rows
     assert rerun.phi == clt_report.phi
     assert rerun.total_weight == clt_report.total_weight

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molliclt import arith, cli, dirichlet_l, mollifier, stats
+from molliclt import arith, cli, dirichlet_l, mollifier
 from molliclt.arith import is_prime
 from molliclt.characters import build_table
 from molliclt.cli import (
@@ -574,7 +574,6 @@ def test_clt_cache_hit_does_not_recompute(cached_1009, monkeypatch, capsys):
         raise AssertionError("l_values_afe called on a cache hit")
 
     monkeypatch.setattr(cli, "l_values_afe", forbidden)
-    monkeypatch.setattr(stats, "l_values_afe", forbidden)
     hit = clt_outputs(out, capsys)
     assert '"l_values_source": "cache"' in hit["clt_q1009.json"]
 

@@ -169,7 +169,7 @@ def test_root_numbers_computed_once_per_table(monkeypatch):
     t = build_table.__wrapped__(1009)  # a fresh table, outside the build cache
     vals = l_values_afe(t, 0.5)
     stats = fe_residual_stats(t, 0.5, vals.values)
-    clt_experiment(t, params_desk(1009, [0.5], c0=1.0))
+    clt_experiment(t, params_desk(1009, [0.5], c0=1.0), vals)
     assert calls == [1009]
     assert stats["max"] < 1e-8
     assert not characters.root_numbers(t).flags.writeable
@@ -241,30 +241,30 @@ def test_cache_header_carries_afe_settings_and_health(tmp_path, table101):
 
 def test_cached_afe_values_equal_a_computation(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
-    path = str(tmp_path / "cache.bin")
-    save_l_values(path, vals)
-    hit = cached_afe_values(path, table101, 0.5)
+    path = tmp_path / "cache.bin"
+    save_l_values(str(path), vals)
+    hit = cached_afe_values(str(path), table101, 0.5)
     assert hit.values.tobytes() == vals.values.tobytes()
     assert (hit.q, hit.s, hit.method, hit.residual_stats) == (vals.q, vals.s, vals.method, vals.residual_stats)
-    assert cached_afe_values(path, table101, 0.55) is None
-    assert cached_afe_values(path, build_table(103), 0.5) is None
+    assert cached_afe_values(str(path), table101, 0.55) is None
+    assert cached_afe_values(str(path), build_table(103), 0.5) is None
     # the same values under permuted labels are not the run's values
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size).copy()
     records["label"] = records["label"][::-1]
-    open(path, "wb").write(raw[: _HEADER.size] + records.tobytes())
-    assert cached_afe_values(path, table101, 0.5) is None
+    path.write_bytes(raw[: _HEADER.size] + records.tobytes())
+    assert cached_afe_values(str(path), table101, 0.5) is None
 
 
 def test_cache_rejects_corruption(tmp_path, table101):
     vals = l_values_afe(table101, 0.5)
-    path = str(tmp_path / "cache.bin")
-    save_l_values(path, vals)
-    raw = bytearray(open(path, "rb").read())
+    path = tmp_path / "cache.bin"
+    save_l_values(str(path), vals)
+    raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
-        load_l_values(path)
+        load_l_values(str(path))
 
 
 def test_cache_rejects_truncation_and_old_versions(tmp_path, table101):

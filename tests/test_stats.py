@@ -411,7 +411,7 @@ def test_typical_set_filter_single_interval_skips_tail_condition(table101):
 @pytest.fixture(scope="module")
 def report1009(table1009):
     params = params_desk(1009, [0.5], c0=1.0)
-    return clt_experiment(table1009, params), params
+    return clt_experiment(table1009, params, l_values_afe(table1009, 0.5)), params
 
 
 def test_clt_report_shape_and_sigma(report1009, table1009):
@@ -423,7 +423,7 @@ def test_clt_report_shape_and_sigma(report1009, table1009):
     # with two intervals P still sums over the first, (1, 1009^0.2] = {2, 3},
     # and so does its scale
     two = params_desk(1009, [0.2, 0.5], c0=1.0)
-    assert clt_experiment(table1009, two).sigma_hat == pytest.approx(math.sqrt(0.5 * (1 / 2 + 1 / 3)), rel=1e-14)
+    assert clt_experiment(table1009, two, l_values_afe(table1009, 0.5)).sigma_hat == pytest.approx(math.sqrt(0.5 * (1 / 2 + 1 / 3)), rel=1e-14)
     assert len(report.rows) == 6
     assert len(report.psi) == len(report.u_grid) == len(report.phi) == 12
     assert report.exclusion_count == 0
@@ -455,15 +455,6 @@ def test_clt_ks_statistics(report1009):
     assert abs(report.total_weight.imag) < 1e-9 * abs(report.total_weight)
 
 
-def test_clt_accepts_precomputed_l_values(table1009, report1009):
-    report, params = report1009
-    lv = l_values_afe(table1009, 0.5)
-    again = clt_experiment(table1009, params, l_values=lv)
-    assert again.sigma_hat == report.sigma_hat
-    assert again.ks_weighted == report.ks_weighted
-    assert again.psi == report.psi
-
-
 def test_clt_rejects_l_values_of_another_run(table1009, table101, report1009):
     _, params = report1009
     lv = l_values_afe(table1009, 0.5)
@@ -478,21 +469,11 @@ def test_clt_rejects_l_values_of_another_run(table1009, table101, report1009):
 
 def test_clt_is_deterministic(table1009, report1009):
     report, params = report1009
-    rerun = clt_experiment(table1009, params)
+    rerun = clt_experiment(table1009, params, l_values_afe(table1009, 0.5))
     assert rerun.rows == report.rows
     assert rerun.phi == report.phi
     assert rerun.total_weight == report.total_weight
     assert rerun.filter_report.kept_count == report.filter_report.kept_count
-
-
-def test_clt_custom_grids(table1009, report1009):
-    _, params = report1009
-    rep = clt_experiment(
-        table1009, params, intervals=((-1.0, 1.0),), u_grid=(0.5, 1.0)
-    )
-    assert len(rep.rows) == 1
-    assert rep.u_grid == (0.5, 1.0)
-    assert rep.rows[0].mu == pytest.approx(0.6827, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
