@@ -28,6 +28,7 @@ from .characters import MAX_MODULUS, build_table, gauss_sums_all
 from .dirichlet_l import (
     CentralValueSet,
     cached_afe_values,
+    check_even_family,
     l_values_afe,
     l_values_oracle,
     save_l_values,
@@ -105,6 +106,8 @@ class RunConfig:
         theta = check_desk_params(self.q, self.theta, self.c0)
         if command == "random":
             check_euler_range(float(self.q) ** theta[-1])
+        if command == "second-moment":
+            check_even_family(self.q)
 
     def mollifier_params(self) -> MollifierParams:
         return params_desk(self.q, self.theta, c0=self.c0)
@@ -350,7 +353,7 @@ def cmd_second_moment(cfg: RunConfig) -> Outcome:
     params = cfg.mollifier_params()
     alpha, beta = 0.02, 0.015
     mol = build_dirichlet_mollifier(params)
-    # before the three routes: the twist-length and even-family rules fail here
+    # before the three routes: the twist-length rule fails here
     moment = twisted_second_moment(table, alpha, beta, mol.support, mol.coeff)
     variants = {
         name: m_alpha_beta(params, alpha, beta, variant=name, mol=mol)

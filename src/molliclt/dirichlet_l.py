@@ -48,6 +48,7 @@ __all__ = [
     "load_l_values",
     "cached_afe_values",
     "TwistedSecondMoment",
+    "check_even_family",
     "twisted_second_moment_empirical",
     "twisted_second_moment",
 ]
@@ -422,6 +423,12 @@ class TwistedSecondMoment:
         return abs(self.empirical - self.predicted)
 
 
+def check_even_family(q: int) -> None:
+    """Raise ValueError when q has no even nonprincipal character to average over."""
+    if q < 5:
+        raise ValueError(f"q = {q} has no even nonprincipal character: the averaged family is empty")
+
+
 def twisted_second_moment_empirical(
     table: CharacterTable,
     alpha: complex,
@@ -436,8 +443,7 @@ def twisted_second_moment_empirical(
     L-value sets come from the smoothed functional equation.
     """
     q, m = table.q, table.m
-    if q < 5:
-        raise ValueError(f"q = {q} has no even nonprincipal character: the averaged family is empty")
+    check_even_family(q)
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(support) and int(support[-1]) >= q:

@@ -1,7 +1,10 @@
-"""Weighted empirical measures over character families, characteristic
-functions, Gaussian comparison, Fejer and Beurling-Selberg smoothing,
-typical-set filtering, and the end-to-end weighted central-limit
-experiment.
+"""Weighted statistics of one observation per character: grid KS
+distances against the Gaussian, one per weight row, from a single
+binning of the observations; characteristic functions whose phases are
+products of step phases along the frequency grid; interval measures
+from one floor cell per observation; Fejer and Beurling-Selberg
+smoothing, typical-set filtering, and the end-to-end weighted
+central-limit experiment.
 
 The experiment's comparison bands are desk-scale observations, not
 asymptotic statements; every tolerance lives in the test suite, and the
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +27,6 @@ from .dirichlet_l import CentralValueSet
 from .mollifier import MollifierParams, piece_from_prime_sum, prime_sum_polynomial
 
 __all__ = [
-    "WeightedEmpiricalMeasure",
     "gauss_cdf",
     "ks_distance",
     "normalized_log_values",
@@ -60,70 +61,30 @@ def gauss_cdf(t):
     return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
 
 
-@dataclass(frozen=True)
-class WeightedEmpiricalMeasure:
-    """Complex-weighted point masses: one observation per character.
+def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray]) -> list[float]:
+    """Sup over _KS_GRID of |weighted CDF - standard normal CDF|, one per weight row.
 
-    ``wt`` is one weight per observation, or a (k, n) stack of k
-    weightings of the same n observations; every query then answers
-    once per row, each row normalized by its own total.
-    """
-
-    obs: np.ndarray
-    wt: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.wt)[-1:] != (len(self.obs),):
-            raise ValueError("observation and weight sequences differ in length")
-
-    @cached_property
-    def total(self) -> complex | np.ndarray:
-        total = np.sum(self.wt, axis=-1)
-        return complex(total) if np.ndim(total) == 0 else total
-
-    def _normalize(self, sums):
-        total = self.total
-        if np.any(total == 0):
-            raise ValueError("zero total weight")
-        out = sums / total
-        return complex(out) if np.ndim(out) == 0 else out
-
-    def interval(self, lo: float, hi: float) -> complex | np.ndarray:
-        mask = (self.obs > lo) & (self.obs < hi)
-        return self._normalize(np.sum(self.wt[..., mask], axis=-1))
-
-    def cdf(self, t: float) -> complex | np.ndarray:
-        return self._normalize(np.sum(self.wt[..., self.obs <= t], axis=-1))
-
-
-def _checked_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or len(grid) == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-        raise ValueError("KS grid must be a nonempty, finite, strictly ascending 1-d array")
-    return grid
-
-
-def ks_distance(measure: WeightedEmpiricalMeasure, grid: np.ndarray | None = None) -> float | np.ndarray:
-    """Sup over a fixed grid of |weighted CDF - standard normal CDF|.
-
-    The weighted CDF is complex in general; the distance uses the
+    Each row weights the same observations and is normalized by its own
+    total.  The weighted CDF is complex in general; the distance uses the
     complex modulus directly, so a drifting imaginary part shows up here
     rather than being silently discarded.  The observations are binned
-    onto the grid once (obs <= grid[j] exactly when its cell is <= j),
-    so each weighting costs one bincount and a cumulative sum over
-    len(grid) + 1 cells; a stacked measure gives one distance per row.
+    onto the grid once (obs <= grid[j] exactly when its cell is <= j), so
+    a real row costs one bincount, a complex row two, and each a
+    cumulative sum over len(_KS_GRID) + 1 cells.
     """
-    grid = _KS_GRID if grid is None else _checked_grid(grid)
-    cell = np.searchsorted(grid, measure.obs, side="left")
-    wt = np.atleast_2d(measure.wt)
-    mass = np.zeros((len(wt), len(grid) + 1), dtype=np.complex128)
-    for row, out in zip(wt, mass):
-        out.real = np.bincount(cell, weights=row.real, minlength=len(grid) + 1)
+    cell = np.searchsorted(_KS_GRID, obs, side="left")
+    cells = len(_KS_GRID) + 1
+    target = gauss_cdf(_KS_GRID)
+    dists = []
+    for row in rows:
+        total = np.sum(row)
+        if total == 0:
+            raise ValueError("zero total weight")
+        mass = np.bincount(cell, weights=row.real, minlength=cells)
         if np.iscomplexobj(row):
-            out.imag = np.bincount(cell, weights=row.imag, minlength=len(grid) + 1)
-    cdf = measure._normalize(np.cumsum(mass[:, :-1], axis=1).T)  # (len(grid), rows)
-    dist = np.max(np.abs(cdf - gauss_cdf(grid)[:, None]), axis=0)
-    return float(dist[0]) if np.ndim(measure.wt) == 1 else dist
+            mass = mass + 1j * np.bincount(cell, weights=row.imag, minlength=cells)
+        dists.append(float(np.max(np.abs(np.cumsum(mass[:-1]) / total - target))))
+    return dists
 
 
 def normalized_log_values(
@@ -168,7 +129,7 @@ def char_fn_plain(obs: np.ndarray, u: float | np.ndarray, v: float = 0.0) -> com
 
     ``u`` is a scalar or an array; the result has its shape.
     """
-    return char_fn_weighted(np.ones(len(obs)), obs, u, v)
+    return _char_fn(None, obs, u, v)
 
 
 def char_fn_weighted(
@@ -176,40 +137,58 @@ def char_fn_weighted(
 ) -> complex | np.ndarray:
     """Weight-normalized characteristic function at frequencies (u, v).
 
-    ``u`` is a scalar or an array, and ``wt`` one weight per observation
-    or a (k, n) stack of weightings of the same observations, each
-    normalized by its own total; the result has shape
-    ``wt.shape[:-1] + np.shape(u)``.  Each phase e^(i(u x + v y)) is
-    evaluated once per frequency from real arguments (the v y term only
-    for complex observations) and shared by every row.
+    ``wt`` is one weight per observation, ``u`` a scalar or an array;
+    the result has the shape of ``u``.
     """
-    wt = np.asarray(wt, dtype=np.complex128)
-    total = np.sum(wt, axis=-1)
-    if np.any(total == 0):
-        raise ValueError("zero total weight")
+    return _char_fn(np.asarray(wt, dtype=np.complex128), obs, u, v)
+
+
+def _unit_phase(t: np.ndarray, out: np.ndarray) -> None:
+    """e^(2 i t) into ``out`` as (1 - tan^2 + 2 i tan) / (1 + tan^2) of t,
+    overwriting ``t``: one vectorized tan costs a fraction of cos plus sin
+    or a complex exp."""
+    np.tan(t, out=t)
+    denom = t * t
+    np.subtract(1.0, denom, out=out.real)
+    denom += 1.0
+    np.divide(out.real, denom, out=out.real)
+    np.multiply(t, 2.0, out=out.imag)
+    np.divide(out.imag, denom, out=out.imag)
+
+
+def _char_fn(wt: np.ndarray | None, obs: np.ndarray, u: float | np.ndarray, v: float) -> complex | np.ndarray:
+    """Sum of the phases e^(i(u x + v y)), times ``wt`` unless it is None
+    (unit weights), over the total weight.
+
+    The phases are walked along ``u`` in the given order: each is the
+    previous one times the step phase e^(i(u_k - u_(k-1)) x), and a step
+    is recomputed only where the spacing changes, so an evenly spaced
+    grid costs one tan per observation.  The v y term (complex
+    observations only) sits in the starting phase at u = 0.  The weighted
+    sum is an einsum rather than a BLAS dot, whose bits would depend on
+    the BLAS thread count.
+    """
     obs = np.asarray(obs)
+    total = len(obs) if wt is None else np.sum(wt)
+    if total == 0:
+        raise ValueError("zero total weight")
     x = np.asarray(obs.real, dtype=np.float64)
-    y = np.asarray(obs.imag, dtype=np.float64) if np.iscomplexobj(obs) and v != 0 else None
+    phase, step = np.empty(len(x), dtype=np.complex128), np.empty(len(x), dtype=np.complex128)
+    if np.iscomplexobj(obs) and v != 0:
+        _unit_phase(0.5 * v * np.asarray(obs.imag, dtype=np.float64), out=phase)
+    else:
+        phase.fill(1.0)
     us = np.asarray(u, dtype=np.float64).ravel()
-    sums = np.empty(wt.shape[:-1] + us.shape, dtype=np.complex128)
-    t, denom = np.empty(len(x)), np.empty(len(x))
-    phase = np.empty(len(x), dtype=np.complex128)
-    re, im = phase.real, phase.imag
+    sums = np.empty(len(us), dtype=np.complex128)
+    prev, spacing = 0.0, None
     for k, uk in enumerate(us):
-        np.multiply(x, 0.5 * uk, out=t)
-        if y is not None:
-            t += 0.5 * v * y
-        # e^(i theta) = (1 - t^2 + 2 i t) / (1 + t^2) with t = tan(theta / 2):
-        # one vectorized tan per frequency costs a fraction of cos plus sin
-        np.tan(t, out=t)
-        np.multiply(t, t, out=denom)
-        np.subtract(1.0, denom, out=re)
-        denom += 1.0
-        np.divide(re, denom, out=re)
-        np.multiply(t, 2.0, out=im)
-        np.divide(im, denom, out=im)
-        sums[..., k] = wt @ phase
-    out = (sums / np.asarray(total)[..., None]).reshape(wt.shape[:-1] + np.shape(u))
+        if uk - prev != spacing:
+            spacing = uk - prev
+            _unit_phase(0.5 * spacing * x, out=step)
+        phase *= step
+        prev = uk
+        sums[k] = phase.sum() if wt is None else np.einsum("i,i->", wt, phase)
+    out = (sums / total).reshape(np.shape(u))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -364,8 +343,25 @@ def typical_set_filter(
 # ---------------------------------------------------------------------------
 # the experiment
 
+# the open unit cells of (-3, 3), as _interval_sums bins them
 _DEFAULT_INTERVALS = ((-3.0, -2.0), (-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
 _DEFAULT_U_GRID = tuple(0.25 * k for k in range(1, 13))
+
+
+def _interval_sums(obs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of ``w`` over the observations in each of _DEFAULT_INTERVALS.
+
+    One floor cell per observation and two bincounts: an observation on
+    an integer edge or outside (-3, 3) lies in no open interval and goes
+    to a spare last bin.
+    """
+    lo, count = _DEFAULT_INTERVALS[0][0], len(_DEFAULT_INTERVALS)
+    cell = np.floor(obs)
+    inside = (cell != obs) & (obs > lo) & (obs < lo + count)
+    idx = np.where(inside, cell - lo, count).astype(np.intp)
+    mass = np.bincount(idx, weights=w.real, minlength=count + 1)
+    mass = mass + 1j * np.bincount(idx, weights=w.imag, minlength=count + 1)
+    return mass[:count]
 
 
 @dataclass(frozen=True)
@@ -431,30 +427,23 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
     obs = p_sums[0].real / sigma_hat
     del p_sums
 
-    # the three weightings of the observations, stacked so the phases and
-    # grid cells are computed once for all of them: raw W = L M, unit
-    # (plain), and W on the typical set only
+    # the weight W = L M of each observation; the unit (plain) and the
+    # typical-set weightings are the other two rows the KS distances read
     l_arr = np.asarray(l_values.values[1:])
-    stack = np.empty((3, len(l_arr)), dtype=np.complex128)
-    w = np.multiply(l_arr, piece_vals[0], out=stack[0])
+    w = l_arr * piece_vals[0]
     for extra in piece_vals[1:]:
         w *= extra
-    stack[1] = 1.0
 
-    phi, psi = char_fn_weighted(stack[:2], obs, _DEFAULT_U_GRID)
-
+    phi = char_fn_weighted(w, obs, _DEFAULT_U_GRID)
+    psi = char_fn_plain(obs, _DEFAULT_U_GRID)
     filt = typical_set_filter(table, w, piece_vals, obs, prime_sum_limit=_P_SIGMA_FACTOR)
-    stack[2] = w
-    stack[2][~filt.kept] = 0.0
-
-    weighted = WeightedEmpiricalMeasure(obs=obs, wt=w)
+    total = complex(np.sum(w))
     rows = tuple(
-        IntervalRow(lo=lo, hi=hi, mu=weighted.interval(lo, hi), gauss=gauss_cdf(hi) - gauss_cdf(lo))
-        for lo, hi in _DEFAULT_INTERVALS
+        IntervalRow(lo=lo, hi=hi, mu=complex(mu), gauss=gauss_cdf(hi) - gauss_cdf(lo))
+        for (lo, hi), mu in zip(_DEFAULT_INTERVALS, _interval_sums(obs, w) / total)
     )
-
-    ks_weighted, ks_plain, ks_weighted_filtered = (
-        float(d) for d in ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=stack))
+    ks_weighted, ks_plain, ks_weighted_filtered = ks_distance(
+        obs, (w, np.ones(len(obs)), np.where(filt.kept, w, 0.0))
     )
     return CLTReport(
         q=table.q,
@@ -468,7 +457,7 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
         ks_weighted_filtered=ks_weighted_filtered,
         ks_plain=ks_plain,
         filter_report=filt,
-        total_weight=weighted.total,
+        total_weight=total,
         wall_time=time.perf_counter() - t0,
     )
 

@@ -11,7 +11,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +160,7 @@ def test_paper_mode_settings_are_rejected(tmp_path):
     (["random", "--q", "10007", "--mc", "99"], "mc_samples (--mc) must be at least 100"),
     (["random", "--q", "10007", "--mc", "10000000000"], "mc_samples (--mc) must be at most 1000000"),
     (["clt", "--q", "10007", "--theta", "2"], "sieve span 1e+08 exceeds memory budget 50000000"),
+    (["second-moment", "--q", "3"], "q = 3 has no even nonprincipal character"),
 ])
 def test_out_of_range_inputs_exit_config_before_any_work(argv, rule, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -266,19 +266,6 @@ def test_empty_first_interval_second_moment_still_runs(tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     assert load_report(tmp_path / "second-moment_q101.json")["passed"] is True
-
-
-@pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
-def test_second_moment_without_even_characters_is_a_run_failure(tmp_path, capsys):
-    # q = 3 has (q - 3)/2 = 0 even nonprincipal characters to average over
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run("second-moment", "--q", "3", "--out", str(tmp_path))
-    assert code == EXIT_SUITE
-    err = capsys.readouterr().err
-    assert "run failed: q = 3 has no even nonprincipal character" in err and "Traceback" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (tmp_path / "second-moment_q3.json").exists()
 
 
 def test_report_with_a_non_finite_float_names_the_field(tmp_path):

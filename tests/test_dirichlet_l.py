@@ -202,6 +202,12 @@ def test_oracle_vs_hurwitz_combination_mod3():
         assert abs(orc.values[1] - want) < 1e-12
 
 
+def test_twisted_moment_refuses_a_family_without_even_characters():
+    # q = 3 has (q - 3)/2 = 0 even nonprincipal characters to average over
+    with pytest.raises(ValueError, match="q = 3 has no even nonprincipal character"):
+        twisted_second_moment_empirical(build_table(3), 0.02, 0.015, np.array([1]), np.array([1.0]))
+
+
 
 
 def test_cache_roundtrip(tmp_path, table101):

@@ -15,7 +15,6 @@ from molliclt.mollifier import params_desk
 from molliclt.stats import (
     CLTReport,
     SelbergFunction,
-    WeightedEmpiricalMeasure,
     beurling_B,
     char_fn_plain,
     char_fn_weighted,
@@ -29,6 +28,7 @@ from molliclt.stats import (
     write_charfn_csv,
     write_interval_csv,
 )
+from molliclt.stats import _DEFAULT_INTERVALS, _DEFAULT_U_GRID, _interval_sums
 
 KS_GRID = np.linspace(-4.0, 4.0, 512)
 
@@ -46,64 +46,66 @@ def test_gauss_cdf_anchors():
 def test_gauss_cdf_symmetry_and_vector_form():
     ts = np.array([-2.5, -0.3, 0.0, 1.1, 3.7])
     vals = gauss_cdf(ts)
-    flipped = gauss_cdf(-ts)
-    assert np.allclose(vals + flipped[::-1][::-1] * 0 + gauss_cdf(-ts), 1.0, atol=1e-15)
+    assert np.allclose(vals + gauss_cdf(-ts), 1.0, atol=1e-15)
     assert np.all(np.diff(vals) > 0)
 
 
 # ---------------------------------------------------------------------------
-# weighted empirical measures
+# weighted measures: intervals and KS distances
+
+def masked_interval_measures(obs, wt):
+    """Reference: one boolean mask and one sum per open interval."""
+    return np.array([np.sum(wt[(obs > lo) & (obs < hi)]) for lo, hi in _DEFAULT_INTERVALS]) / np.sum(wt)
+
 
 def test_measure_total_and_interval():
-    m = WeightedEmpiricalMeasure(obs=np.array([-1.0, 0.0, 1.0]), wt=np.array([1.0, 1.0j, 1.0]))
-    assert m.total == 2.0 + 1.0j
-    assert m.cdf(0.0) == pytest.approx((1.0 + 1.0j) / (2.0 + 1.0j))
-    assert m.interval(-0.5, 0.5) == pytest.approx(1.0j / (2.0 + 1.0j))
+    rng = np.random.default_rng(3)
+    n = 5000
+    obs = 1.5 * rng.standard_normal(n)
+    wt = rng.uniform(0.2, 1.0, n) * np.exp(0.3j * rng.standard_normal(n))
+    got = _interval_sums(obs, wt) / np.sum(wt)
+    assert np.max(np.abs(got - masked_interval_measures(obs, wt))) < 1e-14
 
 
 def test_measure_interval_endpoints_are_open():
-    # mass sitting exactly on an endpoint is excluded from the open interval
-    m = WeightedEmpiricalMeasure(obs=np.array([0.0, 1.0]), wt=np.array([1.0, 1.0]))
-    assert m.interval(0.0, 1.0) == 0.0
-    assert m.interval(-0.1, 1.1) == 1.0
-    # the cdf is right-closed
-    assert m.cdf(0.0) == 0.5
-    assert m.cdf(-1e-12) == 0.0
+    # atoms on every edge -3 ... 3 and outside (-3, 3) lie in no open interval
+    obs = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, -3.5, 3.25, 1e9, -np.inf, np.inf, 0.5, -2.75])
+    wt = np.ones(len(obs), dtype=np.complex128)
+    wt[-1] = 1.0j
+    got = _interval_sums(obs, wt)
+    assert list(got) == [1.0j, 0.0, 0.0, 1.0, 0.0, 0.0]
+    assert np.array_equal(got / np.sum(wt), masked_interval_measures(obs, wt))
 
 
 def test_measure_guards():
-    with pytest.raises(ValueError, match="differ in length"):
-        WeightedEmpiricalMeasure(obs=np.zeros(3), wt=np.zeros(2))
-    cancel = WeightedEmpiricalMeasure(obs=np.array([0.0, 1.0]), wt=np.array([1.0, -1.0]))
+    obs = np.array([0.0, 1.0])
+    cancel = np.array([1.0, -1.0])
     with pytest.raises(ValueError, match="zero total"):
-        cancel.interval(-1.0, 2.0)
+        ks_distance(obs, [np.ones(2), cancel])
     with pytest.raises(ValueError, match="zero total"):
-        cancel.cdf(0.0)
+        char_fn_weighted(cancel, obs, 1.0)
     with pytest.raises(ValueError, match="zero total"):
-        ks_distance(cancel)
+        char_fn_plain(np.array([]), 1.0)
+    # a weight row of another length is refused, not broadcast
+    with pytest.raises(ValueError):
+        ks_distance(obs, [np.ones(3)])
+    with pytest.raises(ValueError):
+        char_fn_weighted(np.ones(3), obs, 1.0)
 
 
 def test_ks_distance_single_atom_matches_hand_formula():
     """One unit atom at 0: the CDF is a step, so the KS statistic against
     the Gaussian is max over the grid of |1(t >= 0) - Phi(t)|."""
-    m = WeightedEmpiricalMeasure(obs=np.array([0.0]), wt=np.array([1.0]))
     expected = float(np.max(np.abs((KS_GRID >= 0.0).astype(float) - gauss_cdf(KS_GRID))))
-    assert ks_distance(m) == pytest.approx(expected, abs=1e-15)
+    assert ks_distance(np.array([0.0]), [np.array([1.0])]) == pytest.approx([expected], abs=1e-15)
     assert 0.49 < expected < 0.5
 
 
 def test_ks_distance_gaussian_control():
     rng = np.random.default_rng(7)
     obs = rng.standard_normal(10_000)
-    m = WeightedEmpiricalMeasure(obs=obs, wt=np.ones(len(obs)))
-    assert ks_distance(m) < 0.05
-
-
-def test_ks_distance_custom_grid():
-    m = WeightedEmpiricalMeasure(obs=np.array([10.0]), wt=np.array([1.0]))
-    # a grid strictly left of the atom sees cdf 0, so the sup is Phi(grid max)
-    grid = np.array([-1.0, 0.0, 2.0])
-    assert ks_distance(m, grid=grid) == pytest.approx(gauss_cdf(2.0), abs=1e-15)
+    (dist,) = ks_distance(obs, [np.ones(len(obs))])
+    assert dist < 0.05
 
 
 def sorted_ks_distance(obs, wt, grid):
@@ -115,51 +117,24 @@ def sorted_ks_distance(obs, wt, grid):
     return float(np.max(np.abs(cum[idx] - gauss_cdf(grid))))
 
 
-@pytest.mark.parametrize("grid", [None, np.array([-1.0, 0.0, 0.25, 2.0]), np.linspace(-2.0, 3.0, 41)])
-def test_ks_distance_binned_matches_sorted_oracle(grid):
+def test_ks_distance_binned_matches_sorted_oracle():
     rng = np.random.default_rng(11)
-    ref_grid = KS_GRID if grid is None else grid
     n = 4000
     obs = rng.standard_normal(n)
     # atoms exactly on grid points pin the <= side of the cdf
-    obs[:200] = rng.choice(ref_grid, 200)
+    obs[:200] = rng.choice(KS_GRID, 200)
     wt = rng.uniform(0.2, 1.0, n) * np.exp(0.3j * rng.standard_normal(n))
     wt[rng.random(n) < 0.1] = 0.0  # zero-weight rows, as the typical-set filter leaves them
     kept = wt != 0
-    stack = np.stack([wt, np.ones(n), np.where(kept, wt, 0.0)])
-    dists = ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=stack), grid=grid)
+    rows = [wt, np.ones(n), np.where(kept, wt, 0.0)]
     want = [
-        sorted_ks_distance(obs, wt, ref_grid),
-        sorted_ks_distance(obs, np.ones(n, dtype=complex), ref_grid),
-        sorted_ks_distance(obs[kept], wt[kept], ref_grid),
+        sorted_ks_distance(obs, wt, KS_GRID),
+        sorted_ks_distance(obs, np.ones(n, dtype=complex), KS_GRID),
+        sorted_ks_distance(obs[kept], wt[kept], KS_GRID),
     ]
-    assert np.max(np.abs(dists - want)) < 1e-12
-    for row, expect in zip(stack, want):
-        assert abs(ks_distance(WeightedEmpiricalMeasure(obs=obs, wt=row), grid=grid) - expect) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [np.array([0.0, -1.0, 2.0]), np.array([0.0, 0.0, 1.0]), np.array([0.0, np.nan]), np.array([-np.inf, 0.0]),
-     np.array([])],
-)
-def test_ks_distance_rejects_bad_grid(grid):
-    m = WeightedEmpiricalMeasure(obs=np.array([0.0, 1.0]), wt=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="strictly ascending"):
-        ks_distance(m, grid=grid)
-
-
-def test_stacked_measure_answers_per_row():
-    obs = np.array([-1.0, 0.0, 0.5, 2.0])
-    rows = np.array([[1.0, 1.0j, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0j, 2.0, 0.0]])
-    stacked = WeightedEmpiricalMeasure(obs=obs, wt=rows)
-    for k, row in enumerate(rows):
-        single = WeightedEmpiricalMeasure(obs=obs, wt=row)
-        assert stacked.total[k] == single.total
-        assert stacked.interval(-0.5, 1.0)[k] == pytest.approx(single.interval(-0.5, 1.0), abs=1e-15)
-        assert stacked.cdf(0.0)[k] == pytest.approx(single.cdf(0.0), abs=1e-15)
-    with pytest.raises(ValueError, match="differ in length"):
-        WeightedEmpiricalMeasure(obs=obs, wt=rows[:, :3])
+    assert np.max(np.abs(np.array(ks_distance(obs, rows)) - want)) < 1e-12
+    for row, expect in zip(rows, want):
+        assert abs(ks_distance(obs, [row])[0] - expect) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +210,23 @@ def test_char_fn_imaginary_frequency_axis():
 def test_char_fns_array_u_match_scalar_formula():
     rng = np.random.default_rng(5)
     n = 3000
-    obs = rng.standard_normal(n)
     wt = rng.uniform(0.1, 2.0, n) * np.exp(0.4j * rng.standard_normal(n))
-    us = np.array([0.0, 0.25, 0.5, 1.3, 3.0, -2.0])
-    plain = char_fn_plain(obs, us)
-    weighted = char_fn_weighted(wt, obs, us)
-    stacked = char_fn_weighted(np.stack([wt, np.ones(n)]), obs, us)
-    assert plain.shape == weighted.shape == us.shape and stacked.shape == (2, len(us))
-    for k, u in enumerate(us):
-        phases = np.exp(1j * u * obs)
-        want_plain = np.mean(phases)
-        want_weighted = np.sum(wt * phases) / np.sum(wt)
-        assert abs(plain[k] - want_plain) < 1e-14
-        assert abs(weighted[k] - want_weighted) < 1e-14
-        assert abs(stacked[0, k] - want_weighted) < 1e-14
-        assert abs(stacked[1, k] - want_plain) < 1e-14
+    # an uneven grid (a new step phase at every spacing change, and one
+    # step back), then the run's own grid (one step phase) on |x| up to 6
+    for us, obs in (
+        (np.array([0.0, 0.25, 0.5, 1.3, 3.0, -2.0]), rng.standard_normal(n)),
+        (np.array(_DEFAULT_U_GRID), np.concatenate([[-6.0, 6.0], rng.uniform(-6.0, 6.0, n - 2)])),
+    ):
+        plain = char_fn_plain(obs, us)
+        weighted = char_fn_weighted(wt, obs, us)
+        assert plain.shape == weighted.shape == us.shape
+        for k, u in enumerate(us):
+            phases = np.exp(1j * u * obs)
+            assert abs(plain[k] - np.mean(phases)) < 1e-14
+            assert abs(weighted[k] - np.sum(wt * phases) / np.sum(wt)) < 1e-14
     # complex observations with a v frequency take the same per-u formula
-    zobs = obs + 1j * rng.standard_normal(n)
+    us = np.array([0.0, 0.25, 0.5, 1.3, 3.0, -2.0])
+    zobs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = char_fn_weighted(wt, zobs, us, v=0.7)
     for k, u in enumerate(us):
         want = np.sum(wt * np.exp(1j * (u * zobs.real + 0.7 * zobs.imag))) / np.sum(wt)
