@@ -6,10 +6,13 @@ import os
 import tempfile
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers see the old file or the new one, never a part.
+def atomic_write(path: str, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to ``path`` so readers see the old
+    file or the new one, never a part.
 
-    The file gets the mode a plain ``open`` would give it, 0666 less the umask.
+    Each chunk is written from its own buffer (a contiguous array is not
+    copied first).  The file gets the mode a plain ``open`` would give
+    it, 0666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -19,7 +22,8 @@ def atomic_write(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,8 +16,13 @@ n = g^k it is one length-(q-1) discrete Fourier transform over the
 character group.  Since ind(-1) = (q-1)/2, the even labels see only the
 coefficients folded onto half the group and the odd labels only their
 alternating fold, so each parity class may carry its own coefficients;
-for real coefficients both classes together take one numpy FFT of half
-length.
+for real coefficients both classes together take one complex transform
+of half length h = (q-1)/2.  That transform is split at the largest
+prime P of h, h = c P (the four-step FFT of Bailey, "FFTs in external or
+hierarchical memory", 1990): one numpy FFT of length P over c rows and
+one of length c over P columns, neither with a prime factor above P, so
+any Bluestein step is confined to length P instead of h.  When h is
+prime the split is the plain FFT.
 """
 
 from __future__ import annotations
@@ -51,8 +56,12 @@ def primitive_root(q: int) -> int:
         return 1
     if q < 2 or not is_prime(q):
         raise ValueError(f"modulus must be prime, got {q}")
+    return _smallest_generator(q, factorize(q - 1).primes)
+
+
+def _smallest_generator(q: int, prime_divisors: tuple[int, ...]) -> int:
+    """Smallest g whose order mod prime ``q`` is q - 1, given the primes dividing q - 1."""
     phi = q - 1
-    prime_divisors = factorize(phi).primes
     g = 2
     while True:
         if all(pow(g, phi // p, q) != 1 for p in prime_divisors):
@@ -67,7 +76,9 @@ class CharacterTable:
     ``index[n]`` is the discrete log of ``n`` base ``g`` for
     ``1 <= n < q`` (``index[0]`` is a -1 sentinel), ``power[k]`` is the
     inverse table g^k mod q, and ``roots[k] = e(k/(q-1))`` is the cached
-    root-of-unity table every evaluation path shares.
+    root-of-unity table every evaluation path shares.  ``fft_prime`` is
+    the largest prime factor of the half length (q-1)/2 (1 for q = 3),
+    where :func:`_split_ifft` splits every transform.
     """
 
     q: int
@@ -75,6 +86,7 @@ class CharacterTable:
     index: np.ndarray  # int64, length q
     power: np.ndarray  # int64, length q-1
     roots: np.ndarray  # complex128, length q-1
+    fft_prime: int
 
     @property
     def m(self) -> int:
@@ -116,7 +128,8 @@ class CharacterTable:
 def build_table(q: int) -> CharacterTable:
     """Build (and cache) the character table for prime ``3 <= q <= 10^7``.
 
-    Smallest primitive root, then the power table in blocks,
+    One factorization of q - 1 gives the smallest primitive root and the
+    transform split.  Then the power table in blocks,
     g^(iB + j) = g^(iB) * g^j mod q with B about sqrt(q), as one int64
     outer product (entries below q^2 <= 10^14); the discrete-log table
     is its inverse permutation.
@@ -125,15 +138,17 @@ def build_table(q: int) -> CharacterTable:
         raise ValueError(f"modulus must lie in [3, {MAX_MODULUS}], got {q}")
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    g = primitive_root(q)
     m = q - 1
+    primes = factorize(m).primes
+    g = _smallest_generator(q, primes)
     block = math.isqrt(m) + 1
     low = np.array([pow(g, j, q) for j in range(block)], dtype=np.int64)
     high = np.array([pow(g, i, q) for i in range(0, m, block)], dtype=np.int64)
     power = (high[:, None] * low[None, :] % q).ravel()[:m]
     index = np.full(q, -1, dtype=np.int64)
     index[power] = np.arange(m, dtype=np.int64)
-    return CharacterTable(q, g, index, power, roots_of_unity(m))
+    # the largest prime of m divides h = m / 2 unless h = 1 (q = 3)
+    return CharacterTable(q, g, index, power, roots_of_unity(m), primes[-1] if m > 2 else 1)
 
 
 def roots_of_unity(m: int) -> np.ndarray:
@@ -153,6 +168,33 @@ def roots_of_unity(m: int) -> np.ndarray:
     return out[:m]
 
 
+def _split_ifft(table: CharacterTable, x: np.ndarray) -> np.ndarray:
+    """X[b] = sum_j x[j] e(b j / h) for a complex vector x of length h = m / 2,
+    by the four-step split h = c P at P = ``table.fft_prime``.
+
+    With j = c r + s and b = k + P t (r, k < P and s, t < c),
+    e(b j / h) = e(k r / P) e(k s / h) e(t s / c): one length-P FFT along
+    the c rows of x.reshape(P, c).T (one plan serves every row), the
+    twiddles e(k s / h) = roots[2 k s] (2 k s < m, so strided slices of
+    the table, no index array), then one length-c FFT down the columns.
+    Neither length has a prime factor above P, so any Bluestein step
+    is confined to length P instead of h.  When h is prime, c = 1
+    and this is the plain length-h FFT, bit for bit.  The result is
+    written over ``x`` when it is contiguous.
+    """
+    h = len(x)
+    p = table.fft_prime
+    c = h // p
+    # norm="forward" leaves the inverse transforms unscaled: plain sums of e(+) terms
+    y = np.fft.ifft(x.reshape(p, c).T, norm="forward")  # y[s, k]
+    # the twiddles go on line by line along the shorter side of y
+    lines = y if c <= p else y.T
+    for r in range(1, len(lines)):
+        lines[r] *= table.roots[: 2 * r * lines.shape[1] : 2 * r]
+    # [t, k] -> X[k + P t], into x's buffer: x is spent
+    return np.fft.ifft(y, axis=0, norm="forward", out=x.reshape(c, p)).ravel()
+
+
 def _real_transform(table: CharacterTable, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """S[a] = sum_k c[k] e(a k / m) for real log-class vectors c = u on even
     labels and c = v on odd ones, given their half-length folds
@@ -164,7 +206,8 @@ def _real_transform(table: CharacterTable, even: np.ndarray, odd: np.ndarray) ->
     length h: the transform X of x[j] = w[2j] + i w[2j + 1] splits by
     conjugate symmetry into the transforms 2E = X + conj(X[-b]) and
     2iO = X - conj(X[-b]) of the even- and odd-indexed entries, and
-    S[b] = E[b] + e(b / m) O[b], S[b + h] = E[b] - e(b / m) O[b].
+    S[b] = E[b] + e(b / m) O[b], S[b + h] = E[b] - e(b / m) O[b].  The
+    length-h FFT is split at the largest prime of h (:func:`_split_ifft`).
     """
     h = table.m // 2
     # the steps write into a few preallocated buffers: fresh temporaries
@@ -172,8 +215,7 @@ def _real_transform(table: CharacterTable, even: np.ndarray, odd: np.ndarray) ->
     w2 = np.empty(table.m)  # 2w
     np.add(even, odd, out=w2[:h])
     np.subtract(even, odd, out=w2[h:])
-    # norm="forward" leaves the inverse transform unscaled: a plain sum of e(+bj/h) terms
-    x = np.fft.ifft(w2.view(np.complex128), norm="forward")  # 2X
+    x = _split_ifft(table, w2.view(np.complex128))  # 2X
     del w2
     flip = np.roll(x[::-1], 1)  # 2X[-b]
     np.conjugate(flip, out=flip)

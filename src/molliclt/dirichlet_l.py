@@ -198,6 +198,9 @@ def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, n
 
 
 def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
+    # the root numbers first, so their transform's buffers are gone before
+    # the sums are live
+    eps = root_numbers(table)
     n, coeffs, prefac = _afe_terms(table.q, s)
     # one transform per sum, each parity class with its own coefficients;
     # at s = 1/2 the dual sum equals the first and is not transformed again
@@ -207,11 +210,13 @@ def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
     dual_sums = first_sums if central else batch_character_sums(table, n, *dual)
 
     # slot a reads label m - a, the conjugate character (parity is preserved),
-    # and takes the prefactor of its parity
-    dual_term = np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
-    pairs = dual_term.reshape(-1, 2)  # a view: (even, odd) labels side by side
+    # and takes the prefactor of its parity; the terms combine in place
+    out = np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
+    del dual_sums
+    pairs = out.reshape(-1, 2)  # a view: (even, odd) labels side by side
     pairs *= prefac
-    out = first_sums + root_numbers(table) * dual_term
+    np.multiply(eps, out, out=out)
+    np.add(first_sums, out, out=out)
     out[0] = complex("nan")
     return out
 
@@ -301,7 +306,7 @@ _CACHE_MAGIC = b"LCHI"
 _CACHE_VERSION = 2
 # Bump whenever the AFE arithmetic changes: caches written before then no
 # longer hold the values this code computes, and are not reused.
-_AFE_VERSION = 3
+_AFE_VERSION = 4
 # magic, version, q, Re s, Im s, tail cut, AFE version, FE residual max, mean
 _HEADER = struct.Struct("<4sIQdddIdd")
 _RECORD_DTYPE = np.dtype([("label", "<u4"), ("re", "<f8"), ("im", "<f8")])
@@ -343,7 +348,7 @@ def save_l_values(path: str, value_set: CentralValueSet) -> None:
         _CACHE_MAGIC, _CACHE_VERSION, value_set.q, s.real, s.imag,
         TAIL_CUT, _AFE_VERSION, stats["max"], stats["mean"],
     )
-    atomic_write(path, header + records.tobytes())
+    atomic_write(path, header, records)
 
 
 def _parse_header(path: str, head: bytes, size: int) -> CacheHeader:

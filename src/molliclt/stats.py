@@ -47,6 +47,9 @@ __all__ = [
 
 _ZERO_CUTOFF = 1e-14
 _KS_GRID = np.linspace(-4.0, 4.0, 512)
+# the grid padded at both ends by NaN, which compares false: the cell correction's table
+_KS_PADDED = np.concatenate(([np.nan], _KS_GRID, [np.nan]))
+_CHAR_FN_BLOCK = 1 << 16  # labels per block of the characteristic-function walk
 _SELBERG_SAMPLES = 1 << 20  # Shannon samples behind SelbergFunction.fourier
 _WEIGHT_BAND = 25.0  # typical set: 1/_WEIGHT_BAND <= |W| <= _WEIGHT_BAND
 _TAIL_EXPONENT = 2.0  # typical set: tail-piece product <= (log log q)^_TAIL_EXPONENT
@@ -61,28 +64,51 @@ def gauss_cdf(t):
     return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
 
 
-def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray]) -> list[float]:
+def _ks_cells(obs: np.ndarray) -> np.ndarray:
+    """The number of _KS_GRID points below each observation, as
+    ``np.searchsorted(_KS_GRID, obs, side="left")`` gives it, by arithmetic.
+
+    The grid is evenly spaced, so ceil((obs - grid[0]) / step), clipped
+    to the grid, is the cell to within one; one comparison each way
+    against the grid points themselves makes it exact.  Observations may
+    be infinite but not NaN.
+    """
+    est = np.subtract(obs, _KS_GRID[0])
+    est /= _KS_GRID[1] - _KS_GRID[0]
+    np.ceil(est, out=est)
+    np.clip(est, 0, len(_KS_GRID), out=est)
+    cell = est.astype(np.intp)
+    del est
+    cell += _KS_PADDED[1:][cell] < obs  # grid[cell] lies below obs
+    cell -= _KS_PADDED[cell] >= obs  # grid[cell - 1] does not
+    return cell
+
+
+def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray | None]) -> list[float]:
     """Sup over _KS_GRID of |weighted CDF - standard normal CDF|, one per weight row.
 
     Each row weights the same observations and is normalized by its own
-    total.  The weighted CDF is complex in general; the distance uses the
-    complex modulus directly, so a drifting imaginary part shows up here
-    rather than being silently discarded.  The observations are binned
-    onto the grid once (obs <= grid[j] exactly when its cell is <= j), so
-    a real row costs one bincount, a complex row two, and each a
-    cumulative sum over len(_KS_GRID) + 1 cells.
+    total; None stands for unit weights.  The weighted CDF is complex in
+    general; the distance uses the complex modulus directly, so a
+    drifting imaginary part shows up here rather than being silently
+    discarded.  The observations are binned onto the grid once (obs <=
+    grid[j] exactly when its cell is <= j), so the unit row and a real
+    row cost one bincount, a complex row two, and each a cumulative sum
+    over len(_KS_GRID) + 1 cells.
     """
-    cell = np.searchsorted(_KS_GRID, obs, side="left")
+    cell = _ks_cells(obs)
     cells = len(_KS_GRID) + 1
     target = gauss_cdf(_KS_GRID)
     dists = []
     for row in rows:
-        total = np.sum(row)
+        if row is None:
+            total, mass = len(cell), np.bincount(cell, minlength=cells)
+        else:
+            total, mass = np.sum(row), np.bincount(cell, weights=row.real, minlength=cells)
+            if np.iscomplexobj(row):
+                mass = mass + 1j * np.bincount(cell, weights=row.imag, minlength=cells)
         if total == 0:
             raise ValueError("zero total weight")
-        mass = np.bincount(cell, weights=row.real, minlength=cells)
-        if np.iscomplexobj(row):
-            mass = mass + 1j * np.bincount(cell, weights=row.imag, minlength=cells)
         dists.append(float(np.max(np.abs(np.cumsum(mass[:-1]) / total - target))))
     return dists
 
@@ -160,35 +186,46 @@ def _char_fn(wt: np.ndarray | None, obs: np.ndarray, u: float | np.ndarray, v: f
     """Sum of the phases e^(i(u x + v y)), times ``wt`` unless it is None
     (unit weights), over the total weight.
 
-    The phases are walked along ``u`` in the given order: each is the
-    previous one times the step phase e^(i(u_k - u_(k-1)) x), and a step
-    is recomputed only where the spacing changes, so an evenly spaced
-    grid costs one tan per observation.  The v y term (complex
-    observations only) sits in the starting phase at u = 0.  The weighted
-    sum is an einsum rather than a BLAS dot, whose bits would depend on
-    the BLAS thread count.
+    The labels are walked in blocks of _CHAR_FN_BLOCK, so the phase
+    buffers stay small at any modulus, and the block sums add up in
+    order.  Within a block the phases are walked along ``u`` in the
+    given order: each is the previous one times the step phase
+    e^(i(u_k - u_(k-1)) x), and a step is recomputed only where the
+    spacing changes, so an evenly spaced grid costs one tan per
+    observation.  The v y term (complex observations only) sits in the
+    starting phase at u = 0.  The weighted sum is an einsum rather than a
+    BLAS dot, whose bits would depend on the BLAS thread count.
     """
     obs = np.asarray(obs)
+    if wt is not None and wt.shape != obs.shape:
+        raise ValueError("a weight row needs one weight per observation")
     total = len(obs) if wt is None else np.sum(wt)
     if total == 0:
         raise ValueError("zero total weight")
-    x = np.asarray(obs.real, dtype=np.float64)
-    phase, step = np.empty(len(x), dtype=np.complex128), np.empty(len(x), dtype=np.complex128)
-    if np.iscomplexobj(obs) and v != 0:
-        _unit_phase(0.5 * v * np.asarray(obs.imag, dtype=np.float64), out=phase)
-    else:
-        phase.fill(1.0)
     us = np.asarray(u, dtype=np.float64).ravel()
-    sums = np.empty(len(us), dtype=np.complex128)
-    prev, spacing = 0.0, None
-    for k, uk in enumerate(us):
-        if uk - prev != spacing:
-            spacing = uk - prev
-            _unit_phase(0.5 * spacing * x, out=step)
-        phase *= step
-        prev = uk
-        sums[k] = phase.sum() if wt is None else np.einsum("i,i->", wt, phase)
-    out = (sums / total).reshape(np.shape(u))
+    twisted = np.iscomplexobj(obs) and v != 0
+    size = min(len(obs), _CHAR_FN_BLOCK)
+    phase, step = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    block_sums = []
+    for start in range(0, len(obs), _CHAR_FN_BLOCK):
+        block = slice(start, start + _CHAR_FN_BLOCK)
+        x = np.asarray(obs[block].real, dtype=np.float64)
+        ph, st = phase[: len(x)], step[: len(x)]
+        if twisted:
+            _unit_phase(0.5 * v * np.asarray(obs[block].imag, dtype=np.float64), out=ph)
+        else:
+            ph.fill(1.0)
+        sums = np.empty(len(us), dtype=np.complex128)
+        prev, spacing = 0.0, None
+        for k, uk in enumerate(us):
+            if uk - prev != spacing:
+                spacing = uk - prev
+                _unit_phase(0.5 * spacing * x, out=st)
+            ph *= st
+            prev = uk
+            sums[k] = ph.sum() if wt is None else np.einsum("i,i->", wt[block], ph)
+        block_sums.append(sums)
+    out = (np.sum(block_sums, axis=0) / total).reshape(np.shape(u))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -442,9 +479,10 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
         IntervalRow(lo=lo, hi=hi, mu=complex(mu), gauss=gauss_cdf(hi) - gauss_cdf(lo))
         for (lo, hi), mu in zip(_DEFAULT_INTERVALS, _interval_sums(obs, w) / total)
     )
-    ks_weighted, ks_plain, ks_weighted_filtered = ks_distance(
-        obs, (w, np.ones(len(obs)), np.where(filt.kept, w, 0.0))
-    )
+    ks_weighted, ks_plain = ks_distance(obs, (w, None))
+    # the typical-set row: W zeroed off the typical set, in place, as W's last use
+    w[~filt.kept] = 0.0
+    (ks_weighted_filtered,) = ks_distance(obs, (w,))
     return CLTReport(
         q=table.q,
         sigma_hat=sigma_hat,

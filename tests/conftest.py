@@ -5,7 +5,6 @@ L-value sets computed from it do not, so anything expensive derived from
 these fixtures is cached by the test that owns it.
 """
 
-import numpy as np
 import pytest
 
 from molliclt import characters
@@ -42,13 +41,14 @@ def desk_half():
 
 @pytest.fixture
 def ifft_calls(monkeypatch):
-    """Lengths of the FFTs the character transforms run, in call order."""
+    """Lengths h of the split transforms (one per real character sum) the
+    character transforms run, in call order."""
     calls = []
-    ifft = np.fft.ifft
+    split_ifft = characters._split_ifft
 
-    def counted(x, *args, **kwargs):
+    def counted(table, x):
         calls.append(len(x))
-        return ifft(x, *args, **kwargs)
+        return split_ifft(table, x)
 
-    monkeypatch.setattr(characters.np.fft, "ifft", counted)
+    monkeypatch.setattr(characters, "_split_ifft", counted)
     return calls

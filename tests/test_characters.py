@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from molliclt import characters
 from molliclt.arith import primes_up_to
 from molliclt.characters import (
+    _split_ifft,
     batch_character_sums,
     build_table,
     gauss_sum,
@@ -263,6 +265,41 @@ def test_one_half_length_fft_per_real_sum(table1009, ifft_calls):
     ifft_calls.clear()
     gauss_sums_all(t)
     assert ifft_calls == [t.m // 2]
+
+
+@pytest.mark.parametrize(
+    "q, prime, exact",
+    [
+        (10007, 5003, True),  # h prime: c = 1, the plain FFT bit for bit
+        (1399, 233, False),  # h = 3 * 233
+        (100003, 2381, False),  # h = 3 * 7 * 2381
+        (1009, 7, False),  # h = 2^3 * 3^2 * 7, smooth
+        (257, 2, False),  # h = 2^7
+        (65537, 2, False),  # h = 2^15
+    ],
+)
+def test_split_ifft_matches_plain_ifft(q, prime, exact, monkeypatch):
+    t = build_table(q)
+    h = t.m // 2
+    assert t.fft_prime == prime
+    rng = np.random.default_rng(q)
+    x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    want = np.fft.ifft(x, norm="forward")
+    lengths = []
+    ifft = np.fft.ifft
+
+    def counted(a, *args, axis=-1, **kwargs):
+        lengths.append(a.shape[axis])
+        return ifft(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(characters.np.fft, "ifft", counted)
+    got = _split_ifft(t, x)
+    # one FFT of length P over all c rows, one of length c down the columns
+    assert lengths == [prime, h // prime]
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_batch_sums_match_naive(table101):

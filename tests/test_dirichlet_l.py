@@ -237,7 +237,7 @@ def test_cache_header_carries_afe_settings_and_health(tmp_path, table101):
     path = str(tmp_path / "cache.bin")
     save_l_values(path, vals)
     head = read_cache_header(path)
-    assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 3, 100)
+    assert (head.q, head.s, head.tail_cut, head.afe_version, head.count) == (101, 0.5, 40.0, 4, 100)
     assert head.fe_residual_max == vals.residual_stats["max"]
     assert head.fe_residual_mean == vals.residual_stats["mean"]
     # a set without residual statistics has nothing to put in the header

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from molliclt import stats
 from molliclt._special import trigamma
 from molliclt.dirichlet_l import CentralValueSet, l_values_afe
 from molliclt.mollifier import params_desk
@@ -28,7 +29,7 @@ from molliclt.stats import (
     write_charfn_csv,
     write_interval_csv,
 )
-from molliclt.stats import _DEFAULT_INTERVALS, _DEFAULT_U_GRID, _interval_sums
+from molliclt.stats import _DEFAULT_INTERVALS, _DEFAULT_U_GRID, _interval_sums, _ks_cells
 
 KS_GRID = np.linspace(-4.0, 4.0, 512)
 
@@ -135,6 +136,25 @@ def test_ks_distance_binned_matches_sorted_oracle():
     assert np.max(np.abs(np.array(ks_distance(obs, rows)) - want)) < 1e-12
     for row, expect in zip(rows, want):
         assert abs(ks_distance(obs, [row])[0] - expect) < 1e-12
+    # None is the unit row, to the bit
+    assert ks_distance(obs, [None]) == ks_distance(obs, [np.ones(n)])
+
+
+@pytest.mark.parametrize("points", [512, 1000])
+def test_ks_cells_match_searchsorted(points, monkeypatch):
+    # the run's grid, and one whose estimate also overshoots by one at grid points
+    grid = np.linspace(-4.0, 4.0, points)
+    monkeypatch.setattr(stats, "_KS_GRID", grid)
+    monkeypatch.setattr(stats, "_KS_PADDED", np.concatenate(([np.nan], grid, [np.nan])))
+    rng = np.random.default_rng(13)
+    obs = np.concatenate([
+        grid,
+        np.nextafter(grid, np.inf),
+        np.nextafter(grid, -np.inf),
+        [np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300],
+        rng.standard_normal(10**6),
+    ])
+    assert np.array_equal(_ks_cells(obs), np.searchsorted(grid, obs, side="left"))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +251,23 @@ def test_char_fns_array_u_match_scalar_formula():
     for k, u in enumerate(us):
         want = np.sum(wt * np.exp(1j * (u * zobs.real + 0.7 * zobs.imag))) / np.sum(wt)
         assert abs(got[k] - want) < 1e-14
+
+
+def test_char_fn_blocks_add_up(monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 3000
+    wt = rng.uniform(0.1, 2.0, n) * np.exp(0.4j * rng.standard_normal(n))
+    obs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    us = np.array(_DEFAULT_U_GRID)
+    whole = [char_fn_plain(obs, us, v=0.7), char_fn_weighted(wt, obs, us, v=0.7)]
+    for block in (7, 1000, n - 1, n):
+        monkeypatch.setattr(stats, "_CHAR_FN_BLOCK", block)
+        blocked = [char_fn_plain(obs, us, v=0.7), char_fn_weighted(wt, obs, us, v=0.7)]
+        assert np.max(np.abs(np.array(blocked) - np.array(whole))) < 1e-14
+    # a weight row longer than the observations by whole blocks is refused too
+    monkeypatch.setattr(stats, "_CHAR_FN_BLOCK", 7)
+    with pytest.raises(ValueError, match="one weight per observation"):
+        char_fn_weighted(np.ones(21), obs[:14], 1.0)
 
 
 # ---------------------------------------------------------------------------
