@@ -79,12 +79,18 @@ class CharacterTable:
     root-of-unity table every evaluation path shares.  ``fft_prime`` is
     the largest prime factor of the half length (q-1)/2 (1 for q = 3),
     where :func:`_split_ifft` splits every transform.
+
+    ``index`` and ``power`` are int32 (every entry is below q <= 10^7),
+    half the bytes of int64.  A product of a label and a log reaches
+    about q^2, past int32, and an int32 array times a Python int stays
+    int32 and wraps silently: widen the logs to int64 before any such
+    product, as :meth:`chi_values` does.
     """
 
     q: int
     g: int
-    index: np.ndarray  # int64, length q
-    power: np.ndarray  # int64, length q-1
+    index: np.ndarray  # int32, length q
+    power: np.ndarray  # int32, length q-1
     roots: np.ndarray  # complex128, length q-1
     fft_prime: int
 
@@ -112,13 +118,17 @@ class CharacterTable:
         ns = np.asarray(ns, dtype=np.int64) % self.q
         res = np.zeros(len(ns), dtype=np.complex128)
         nz = ns != 0
-        res[nz] = self.roots[(a * self.index[ns[nz]]) % self.m]
+        logs = self.index[ns[nz]].astype(np.int64)  # a ind(n) reaches q^2, past int32
+        logs *= a
+        logs %= self.m
+        res[nz] = self.roots[logs]
         return res
 
     @cached_property
     def eps(self) -> np.ndarray:
         """Root numbers, from one Gauss-sum transform on first use; read-only."""
-        eps = gauss_sums_all(self) / math.sqrt(self.q)
+        eps = gauss_sums_all(self)
+        eps /= math.sqrt(self.q)
         eps[1::2] /= 1j
         eps.flags.writeable = False
         return eps
@@ -131,8 +141,8 @@ def build_table(q: int) -> CharacterTable:
     One factorization of q - 1 gives the smallest primitive root and the
     transform split.  Then the power table in blocks,
     g^(iB + j) = g^(iB) * g^j mod q with B about sqrt(q), as one int64
-    outer product (entries below q^2 <= 10^14); the discrete-log table
-    is its inverse permutation.
+    outer product (entries below q^2 <= 10^14) reduced in place and
+    stored as int32; the discrete-log table is its inverse permutation.
     """
     if q < 3 or q > MAX_MODULUS:
         raise ValueError(f"modulus must lie in [3, {MAX_MODULUS}], got {q}")
@@ -144,9 +154,12 @@ def build_table(q: int) -> CharacterTable:
     block = math.isqrt(m) + 1
     low = np.array([pow(g, j, q) for j in range(block)], dtype=np.int64)
     high = np.array([pow(g, i, q) for i in range(0, m, block)], dtype=np.int64)
-    power = (high[:, None] * low[None, :] % q).ravel()[:m]
-    index = np.full(q, -1, dtype=np.int64)
-    index[power] = np.arange(m, dtype=np.int64)
+    blocks = high[:, None] * low[None, :]
+    blocks %= q
+    power = blocks.ravel()[:m].astype(np.int32)
+    del blocks
+    index = np.full(q, -1, dtype=np.int32)
+    index[power] = np.arange(m, dtype=np.int32)
     # the largest prime of m divides h = m / 2 unless h = 1 (q = 3)
     return CharacterTable(q, g, index, power, roots_of_unity(m), primes[-1] if m > 2 else 1)
 
@@ -168,7 +181,7 @@ def roots_of_unity(m: int) -> np.ndarray:
     return out[:m]
 
 
-def _split_ifft(table: CharacterTable, x: np.ndarray) -> np.ndarray:
+def _split_ifft(table: CharacterTable, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """X[b] = sum_j x[j] e(b j / h) for a complex vector x of length h = m / 2,
     by the four-step split h = c P at P = ``table.fft_prime``.
 
@@ -179,14 +192,15 @@ def _split_ifft(table: CharacterTable, x: np.ndarray) -> np.ndarray:
     the table, no index array), then one length-c FFT down the columns.
     Neither length has a prime factor above P, so any Bluestein step
     is confined to length P instead of h.  When h is prime, c = 1
-    and this is the plain length-h FFT, bit for bit.  The result is
-    written over ``x`` when it is contiguous.
+    and this is the plain length-h FFT, bit for bit.  The first pass is
+    written into ``scratch`` (contiguous complex, length h) and the
+    result over ``x`` when it is contiguous.
     """
     h = len(x)
     p = table.fft_prime
     c = h // p
     # norm="forward" leaves the inverse transforms unscaled: plain sums of e(+) terms
-    y = np.fft.ifft(x.reshape(p, c).T, norm="forward")  # y[s, k]
+    y = np.fft.ifft(x.reshape(p, c).T, norm="forward", out=scratch.reshape(c, p))  # y[s, k]
     # the twiddles go on line by line along the shorter side of y
     lines = y if c <= p else y.T
     for r in range(1, len(lines)):
@@ -195,10 +209,11 @@ def _split_ifft(table: CharacterTable, x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(y, axis=0, norm="forward", out=x.reshape(c, p)).ravel()
 
 
-def _real_transform(table: CharacterTable, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+def _real_transform(table: CharacterTable, folds: np.ndarray) -> np.ndarray:
     """S[a] = sum_k c[k] e(a k / m) for real log-class vectors c = u on even
-    labels and c = v on odd ones, given their half-length folds
-    even[k] = u[k] + u[k + h] and odd[k] = v[k] - v[k + h], h = m / 2.
+    labels and c = v on odd ones, given their half-length folds side by
+    side, folds = [even | odd] with even[k] = u[k] + u[k + h] and
+    odd[k] = v[k] - v[k + h], h = m / 2.  ``folds`` is overwritten.
 
     Because e(a (k + h) / m) = (-1)^a e(a k / m), S is the length-m DFT of
     the real sequence w with w[k] + w[k + h] = even[k] and
@@ -208,24 +223,28 @@ def _real_transform(table: CharacterTable, even: np.ndarray, odd: np.ndarray) ->
     2iO = X - conj(X[-b]) of the even- and odd-indexed entries, and
     S[b] = E[b] + e(b / m) O[b], S[b + h] = E[b] - e(b / m) O[b].  The
     length-h FFT is split at the largest prime of h (:func:`_split_ifft`).
+
+    Apart from one half-length difference on the way to 2w, two buffers
+    carry every step: ``folds`` holds 2w, then 2X, then 4 e(b/m) O, and
+    the output's upper half holds the split's first pass, then the flip
+    conj(2X[-b]), then S[b + h].
     """
     h = table.m // 2
-    # the steps write into a few preallocated buffers: fresh temporaries
-    # raised the peak RSS of lvalues at q = 1000003 from 190 to 205 MB
-    w2 = np.empty(table.m)  # 2w
-    np.add(even, odd, out=w2[:h])
-    np.subtract(even, odd, out=w2[h:])
-    x = _split_ifft(table, w2.view(np.complex128))  # 2X
-    del w2
-    flip = np.roll(x[::-1], 1)  # 2X[-b]
-    np.conjugate(flip, out=flip)
+    even, odd = folds[:h], folds[h:]
+    diff = even - odd
+    even += odd
+    odd[:] = diff  # 2w
+    del diff
     out = np.empty(table.m, dtype=np.complex128)
-    e4 = np.add(x, flip, out=out[:h])  # 4E
-    o4 = np.subtract(x, flip, out=x)
-    del flip
+    upper = out[h:]
+    x = _split_ifft(table, folds.view(np.complex128), scratch=upper)  # 2X
+    upper[0] = x[0].conjugate()  # conj(2X[-b])
+    np.conjugate(x[:0:-1], out=upper[1:])
+    e4 = np.add(x, upper, out=out[:h])  # 4E
+    o4 = np.subtract(x, upper, out=x)
     o4 *= table.roots[:h]
     o4 *= -1j  # 4 e(b/m) O
-    np.subtract(e4, o4, out=out[h:])
+    np.subtract(e4, o4, out=upper)
     e4 += o4
     out *= 0.25
     return out
@@ -257,12 +276,25 @@ def batch_character_sums(
     keep = residues != 0
     logs = table.index[residues[keep]]
     h = table.m // 2
+    # each support entry's log class, k < h or k + h, in support order
+    upper = logs >= h
+    classes = ((logs[~upper], ~upper), (logs[upper] - h, upper))
+
+    def halves(c: np.ndarray) -> list[np.ndarray]:
+        # z[k] and z[k + h], z[k] the sum of c(n) over ind(n) = k
+        c = c[keep]
+        return [np.bincount(ks, weights=c[side], minlength=h) for ks, side in classes]
 
     def transform(part) -> np.ndarray:
-        # fold onto log classes, z[k] = sum of c(n) over ind(n) = k, then by parity
-        z = np.bincount(logs, weights=part(coeffs)[keep], minlength=table.m)
-        z_odd = z if odd_coeffs is None else np.bincount(logs, weights=part(odd)[keep], minlength=table.m)
-        return _real_transform(table, z[:h] + z[h:], z_odd[:h] - z_odd[h:])
+        # the parity folds z[k] + z[k + h] and z_odd[k] - z_odd[k + h], side by side
+        folds = np.empty(table.m)
+        low, high = halves(part(coeffs))
+        np.add(low, high, out=folds[:h])
+        if odd_coeffs is not None:
+            low, high = halves(part(odd))
+        np.subtract(low, high, out=folds[h:])
+        del low, high
+        return _real_transform(table, folds)
 
     out = transform(np.real)
     if np.any(np.imag(coeffs)) or np.any(np.imag(odd)):
@@ -274,10 +306,17 @@ def gauss_sum(table: CharacterTable, a: int) -> complex:
     """tau(chi_a) = sum over n mod q of chi_a(n) e(n/q), computed directly."""
     if a % table.m == 0:
         raise ValueError("Gauss sum is defined here for primitive labels only (a != 0)")
-    q = table.q
-    n = np.arange(1, q, dtype=np.int64)
-    values = table.chi_values(a, n)
-    return complex(np.sum(values * np.exp(2j * np.pi * n / q)))
+    # chi_a(n) = roots[a ind(n) mod m] for n = 1..q-1, times e(n/q) in place
+    logs = table.index[1:].astype(np.int64)
+    logs *= a
+    logs %= table.m
+    chi = table.roots[logs]
+    del logs
+    terms = 2j * np.pi * np.arange(1, table.q, dtype=np.int64)
+    terms /= table.q
+    np.exp(terms, out=terms)
+    terms *= chi
+    return complex(np.sum(terms))
 
 
 def gauss_sums_all(table: CharacterTable) -> np.ndarray:
@@ -290,8 +329,14 @@ def gauss_sums_all(table: CharacterTable) -> np.ndarray:
     principal entry S[0] equals -1 (it is not a primitive Gauss sum).
     """
     h = table.m // 2
-    z = np.exp(2j * np.pi * table.power[:h] / table.q)
-    out = _real_transform(table, 2.0 * z.real, 2.0 * z.imag)
+    z = 2j * np.pi * table.power[:h]
+    z /= table.q
+    np.exp(z, out=z)
+    folds = np.empty(table.m)
+    np.multiply(2.0, z.real, out=folds[:h])
+    np.multiply(2.0, z.imag, out=folds[h:])
+    del z
+    out = _real_transform(table, folds)
     out[1::2] *= 1j
     return out
 

@@ -218,7 +218,9 @@ def cmd_characters(cfg: RunConfig) -> Outcome:
     span = min(cfg.q - 1, 100)
     # Gram matrix of the characters on [1, span] over all labels 0..q-2
     # (principal included), a block of labels at a time, with
-    # chi_a(n) = roots[a ind(n) mod m] read off the table
+    # chi_a(n) = roots[a ind(n) mod m] read off the table; the labels are
+    # int64, so the products a ind(n), up to q^2, are formed in int64 from
+    # the int32 logs
     logs = table.index[1 : span + 1]
     gram = np.zeros((span, span), dtype=np.complex128)
     for start in range(0, table.m, _GRAM_BLOCK):

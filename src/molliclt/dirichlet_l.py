@@ -235,11 +235,16 @@ def fe_residual_stats(table: CharacterTable, s: complex, values: np.ndarray) -> 
     if abs(complex(s) - 0.5) > 1e-12:
         raise ValueError(f"functional-equation residuals are taken at s = 1/2 only, got s = {s}")
     values = np.asarray(values, dtype=np.complex128)
-    # labels 1..m-1 against their conjugates m-1..1
+    # labels 1..m-1 against their conjugates m-1..1; the conjugate side's
+    # buffer then takes the difference
     lhs = values[1:]
-    rhs = root_numbers(table)[1:] * values[:0:-1]
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    res = np.abs(lhs - rhs) / scale
+    rhs = np.multiply(root_numbers(table)[1:], values[:0:-1])
+    scale = np.abs(lhs)
+    np.maximum(scale, np.abs(rhs), out=scale)
+    np.maximum(scale, 1e-300, out=scale)
+    res = np.abs(np.subtract(lhs, rhs, out=rhs))
+    del rhs
+    res /= scale
     return {"max": float(res.max()), "mean": float(res.mean())}
 
 
@@ -310,6 +315,7 @@ _AFE_VERSION = 4
 # magic, version, q, Re s, Im s, tail cut, AFE version, FE residual max, mean
 _HEADER = struct.Struct("<4sIQdddIdd")
 _RECORD_DTYPE = np.dtype([("label", "<u4"), ("re", "<f8"), ("im", "<f8")])
+_READ_CHUNK = 1 << 16  # records per read of a cache
 
 
 @dataclass(frozen=True)
@@ -376,17 +382,34 @@ def read_cache_header(path: str) -> CacheHeader:
 def load_l_values(path: str) -> tuple[int, complex, np.ndarray, np.ndarray]:
     """Read a cache written by :func:`save_l_values`.
 
-    Returns ``(q, s, labels, values)``, the values bit for bit as saved.
-    Rejects wrong magic, unknown versions, and trailing garbage.
+    Returns ``(q, s, labels, values)``: the labels as stored (u32), the
+    values bit for bit as saved.  The records are read _READ_CHUNK at a
+    time into one small buffer, so the read holds no copy of the file.
+    Rejects wrong magic, unknown versions, trailing garbage and a file
+    that ends early.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    header = _parse_header(path, raw, len(raw))
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    values = np.empty(header.count, dtype=np.complex128)
-    values.real = records["re"]
-    values.imag = records["im"]
-    return header.q, header.s, records["label"].astype(np.int64), values
+        header = _parse_header(path, fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size)
+        labels = np.empty(header.count, dtype=np.uint32)
+        values = np.empty(header.count, dtype=np.complex128)
+        chunk = np.empty(min(header.count, _READ_CHUNK), dtype=_RECORD_DTYPE)
+        for start in range(0, header.count, _READ_CHUNK):
+            records = chunk[: header.count - start]
+            if fh.readinto(records.view(np.uint8)) != records.nbytes:
+                raise ValueError(f"{path}: truncated records")
+            stop = start + len(records)
+            labels[start:stop] = records["label"]
+            values.real[start:stop] = records["re"]
+            values.imag[start:stop] = records["im"]
+    return header.q, header.s, labels, values
+
+
+def _in_order(labels: np.ndarray) -> bool:
+    """Whether labels[a] == a for every a, checked _READ_CHUNK labels at a time."""
+    return all(
+        np.array_equal(labels[start : start + _READ_CHUNK], np.arange(start, min(start + _READ_CHUNK, len(labels))))
+        for start in range(0, len(labels), _READ_CHUNK)
+    )
 
 
 def cached_afe_values(path: str, table: CharacterTable, s: complex) -> CentralValueSet | None:
@@ -404,7 +427,7 @@ def cached_afe_values(path: str, table: CharacterTable, s: complex) -> CentralVa
     if (head.q, head.s, head.tail_cut, head.afe_version, head.count) != want:
         return None
     _, _, labels, values = load_l_values(path)
-    if not np.array_equal(labels, np.arange(table.m)):
+    if not _in_order(labels):
         return None
     stats = {"max": head.fe_residual_max, "mean": head.fe_residual_mean}
     return CentralValueSet(q=table.q, s=head.s, values=values, method="afe", residual_stats=stats)

@@ -464,10 +464,12 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
     obs = p_sums[0].real / sigma_hat
     del p_sums
 
-    # the weight W = L M of each observation; the unit (plain) and the
-    # typical-set weightings are the other two rows the KS distances read
+    # the weight W = L M of each observation, in the first piece's buffer
+    # (the typical set reads only the tail pieces); the unit (plain) and
+    # the typical-set weightings are the other two rows the KS distances read
     l_arr = np.asarray(l_values.values[1:])
-    w = l_arr * piece_vals[0]
+    exclusions = int(np.count_nonzero(~(np.abs(l_arr) >= _ZERO_CUTOFF)))
+    w = np.multiply(l_arr, piece_vals[0], out=piece_vals[0])
     for extra in piece_vals[1:]:
         w *= extra
 
@@ -486,7 +488,7 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
     return CLTReport(
         q=table.q,
         sigma_hat=sigma_hat,
-        exclusion_count=int(np.sum(~(np.abs(l_arr) >= _ZERO_CUTOFF))),
+        exclusion_count=exclusions,
         rows=rows,
         u_grid=_DEFAULT_U_GRID,
         psi=tuple(complex(p) for p in psi),

@@ -46,9 +46,9 @@ def ifft_calls(monkeypatch):
     calls = []
     split_ifft = characters._split_ifft
 
-    def counted(table, x):
+    def counted(table, x, scratch):
         calls.append(len(x))
-        return split_ifft(table, x)
+        return split_ifft(table, x, scratch)
 
     monkeypatch.setattr(characters, "_split_ifft", counted)
     return calls

@@ -100,6 +100,17 @@ def test_chi_multiplicative(table101, a, m, n):
     assert abs(lhs - t.chi(a, m) * t.chi(a, n)) < 1e-12
 
 
+def test_int32_tables_widen_label_log_products():
+    # at q = 1000003 a label near m times a log near m is about 10^12, far
+    # past int32: every product must be formed in int64
+    t = build_table(1000003)
+    assert t.index.dtype == np.int32 and t.power.dtype == np.int32
+    ns = np.concatenate((t.power[-4:], [2, 3, t.q - 1, t.q + 2, 2 * t.q]))  # logs m - 4 .. m - 1 first
+    for a in (t.m - 1, t.m - 2, t.m // 2 + 1):
+        want = np.array([t.chi(a, int(n)) for n in ns])
+        assert np.array_equal(t.chi_values(a, ns), want)
+
+
 def test_conjugate_label_conjugates(table101):
     t = table101
     for a in (1, 7, 50, 99):
@@ -293,7 +304,7 @@ def test_split_ifft_matches_plain_ifft(q, prime, exact, monkeypatch):
         return ifft(a, *args, axis=axis, **kwargs)
 
     monkeypatch.setattr(characters.np.fft, "ifft", counted)
-    got = _split_ifft(t, x)
+    got = _split_ifft(t, x, np.empty(h, dtype=np.complex128))
     # one FFT of length P over all c rows, one of length c down the columns
     assert lengths == [prime, h // prime]
     if exact:

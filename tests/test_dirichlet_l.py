@@ -150,6 +150,15 @@ def test_afe_singleton_matches_batch_off_center(table1009, s):
         assert abs(afe_l_value(table1009, a, s) - batch.values[a]) < 1e-10
 
 
+def test_afe_singleton_matches_batch_at_labels_near_m():
+    # the single-label route (chi_values, gauss_sum) forms label x log products
+    # near 10^12 here, which the int32 tables must widen before multiplying
+    t = build_table(1000003)
+    batch = l_values_afe(t, 0.5)
+    for a in (t.m - 1, t.m - 2, t.m // 2 + 1):
+        assert abs(afe_l_value(t, a, 0.5) - batch.values[a]) < 1e-10
+
+
 def test_afe_value_set_carries_residuals_exactly_at_the_center(table1009):
     vals = l_values_afe(table1009, 0.5)
     assert vals.residual_stats == fe_residual_stats(table1009, 0.5, vals.values)
@@ -260,6 +269,28 @@ def test_cached_afe_values_equal_a_computation(tmp_path, table101):
     records["label"] = records["label"][::-1]
     path.write_bytes(raw[: _HEADER.size] + records.tobytes())
     assert cached_afe_values(str(path), table101, 0.5) is None
+
+
+@pytest.mark.parametrize("q, chunk", [(101, 16), (100003, None)])
+def test_streamed_cache_read_checks_every_chunk(tmp_path, monkeypatch, q, chunk):
+    # 100 labels in chunks of 16 end in a short chunk; at 100003 the real
+    # chunk size leaves a last chunk of 34466 records
+    if chunk is not None:
+        monkeypatch.setattr(dirichlet_l, "_READ_CHUNK", chunk)
+    t = build_table(q)
+    rng = np.random.default_rng(q)
+    values = rng.standard_normal(t.m) + 1j * rng.standard_normal(t.m)
+    path = tmp_path / "cache.bin"
+    save_l_values(str(path), CentralValueSet(q=q, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
+    _, _, labels, loaded = load_l_values(str(path))
+    assert np.array_equal(labels, np.arange(t.m)) and loaded.tobytes() == values.tobytes()
+    assert cached_afe_values(str(path), t, 0.5).values.tobytes() == values.tobytes()
+    # two labels swapped in the last chunk: the values are not this run's
+    raw = path.read_bytes()
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size).copy()
+    records["label"][[-3, -2]] = records["label"][[-2, -3]]
+    path.write_bytes(raw[: _HEADER.size] + records.tobytes())
+    assert cached_afe_values(str(path), t, 0.5) is None
 
 
 def test_cache_rejects_corruption(tmp_path, table101):
