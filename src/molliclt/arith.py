@@ -21,7 +21,6 @@ __all__ = [
     "FactoredInteger",
     "FactoredSupport",
     "PrimeInterval",
-    "primes_up_to",
     "check_sieve_limits",
     "sieve_primes",
     "is_prime",
@@ -104,14 +103,6 @@ def _base_primes() -> np.ndarray:
     odds = np.frombuffer(bytes(marks), dtype=np.uint8)
     primes = 2 * np.nonzero(odds == 0)[0][1:] + 1  # skip index 0 (=1)
     return np.concatenate(([2], primes)).astype(np.int64)
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """Primes ``<= limit`` as an int64 array.  ``limit <= 10**6``."""
-    if limit > _BASE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds cached sieve bound {_BASE_LIMIT}")
-    base = _base_primes()
-    return base[: int(np.searchsorted(base, limit, side="right"))]
 
 
 def check_sieve_limits(lo: float, hi: float) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "MAX_MODULUS",
     "CharacterTable",
     "build_table",
-    "primitive_root",
     "roots_of_unity",
     "batch_character_sums",
     "gauss_sum",
@@ -48,15 +47,6 @@ __all__ = [
 ]
 
 MAX_MODULUS = 10_000_000
-
-
-def primitive_root(q: int) -> int:
-    """Smallest primitive root modulo prime ``q``."""
-    if q == 2:
-        return 1
-    if q < 2 or not is_prime(q):
-        raise ValueError(f"modulus must be prime, got {q}")
-    return _smallest_generator(q, factorize(q - 1).primes)
 
 
 def _smallest_generator(q: int, prime_divisors: tuple[int, ...]) -> int:

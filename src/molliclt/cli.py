@@ -268,6 +268,7 @@ def cmd_clt(cfg: RunConfig) -> Outcome:
     write_charfn_csv(report.u_grid, report.psi, base + "_charfn_plain.csv")
     worst_im = max(abs(row.mu.imag) for row in report.rows)
     ok = report.ks_weighted <= 0.25 and worst_im <= 0.1
+    filt = report.filter_report
     return ok, {
         "sigma_hat": report.sigma_hat,
         "exclusions": report.exclusion_count,
@@ -275,7 +276,11 @@ def cmd_clt(cfg: RunConfig) -> Outcome:
         "ks_weighted_filtered": report.ks_weighted_filtered,
         "ks_plain": report.ks_plain,
         "max_interval_im": worst_im,
-        "typical_set_kept": report.filter_report.kept_count,
+        "typical_set_kept": filt.kept_count,
+        "typical_set_dropped_weight_band": filt.dropped_weight_band,
+        "typical_set_dropped_tail_product": filt.dropped_tail_product,
+        "typical_set_dropped_prime_sum": filt.dropped_prime_sum,
+        "typical_set_tail_bound": filt.tail_bound,
         # health of the central values, reported but not gated
         "fe_residual_max": l_values.residual_stats["max"],
         "fe_residual_mean": l_values.residual_stats["mean"],
@@ -371,6 +376,8 @@ def cmd_second_moment(cfg: RunConfig) -> Outcome:
         "variant_relative_spread": spread,
         "empirical": repr(moment.empirical),
         "predicted": repr(moment.predicted),
+        "diagonal_term": repr(moment.diagonal_term),
+        "reflected_term": repr(moment.reflected_term),
         "discrepancy": moment.discrepancy,
         "error_scale": moment.error_scale,
     }, f"variant spread {spread:.3e}"

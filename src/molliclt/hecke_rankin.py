@@ -280,31 +280,28 @@ def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, Satake
     return satake(pair.f.lambda_p(p)), satake(pair.g.lambda_p(p))
 
 
-def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex, path: str = "product") -> complex:
-    """Local factor of the convolution L-function at p: four Satake factors.
+def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex) -> complex:
+    """Local factor of the convolution L-function at p: the product of the
+    four Satake factors 1 / (1 - alpha_f alpha_g p^(-s)).
 
-    The series path sums lambda_f(p^j) lambda_g(p^j) p^(-js) and divides
-    by (1 - p^(-2s)), the level-one local zeta correction; the two routes
-    are independent and must agree.
+    Its series form, sum over j of lambda_f(p^j) lambda_g(p^j) p^(-js)
+    over the level-one local zeta correction (1 - p^(-2s)), is
+    :func:`expectation_local_L`'s series path at offset (s - 1)/2 over
+    that correction, so that function's two paths pin this one.
     """
     s = complex(s)
     if s.real <= 0:
         raise ValueError("local factor needs Re s > 0")
     x = complex(p) ** (-s)
-    if path == "product":
-        sf, sg = _satake_pairs(pair, p)
-        out = 1.0 + 0.0j
-        for af in (sf.alpha1, sf.alpha2):
-            for ag in (sg.alpha1, sg.alpha2):
-                d = 1.0 - af * ag * x
-                if abs(d) < 1e-12:
-                    raise ValueError(f"local factor pole at p={p}, s={s}")
-                out /= d
-        return out
-    if path == "series":
-        terms = _lambda_powers(pair.f, p, x) * _lambda_powers(pair.g, p, 1.0)
-        return _series_sum(terms, f"local series did not settle at p={p}, s={s}") / (1.0 - x * x)
-    raise ValueError(f"unknown path {path!r}")
+    sf, sg = _satake_pairs(pair, p)
+    out = 1.0 + 0.0j
+    for af in (sf.alpha1, sf.alpha2):
+        for ag in (sg.alpha1, sg.alpha2):
+            d = 1.0 - af * ag * x
+            if abs(d) < 1e-12:
+                raise ValueError(f"local factor pole at p={p}, s={s}")
+            out /= d
+    return out
 
 
 def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str = "formula") -> complex:
@@ -320,7 +317,7 @@ def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str =
     if s.real <= -0.5:
         raise ValueError("expectation needs Re s > -1/2")
     if path == "formula":
-        return (1.0 - complex(p) ** (-4.0 * s - 2.0)) * rs_local_factor(pair, p, 2.0 * s + 1.0, "product")
+        return (1.0 - complex(p) ** (-4.0 * s - 2.0)) * rs_local_factor(pair, p, 2.0 * s + 1.0)
     if path == "series":
         if s.real <= -0.45:
             raise ValueError("series path is unreliable below Re s = -0.45")
@@ -347,27 +344,16 @@ def n_coeff(p: int, s: complex, h1: HeckeForm, h2: HeckeForm, params: MollifierP
     return np.convolve(_lambda_powers(h1, p, complex(p) ** (-complex(s))), exp_terms)[:_TRUNC_MAX_TERMS]
 
 
-def local_expectation(
-    pair: RankinSelbergPair,
-    p: int,
-    s: complex,
-    a: int,
-    params: MollifierParams,
-    ordering: str = "fg",
-) -> complex:
+def local_expectation(pair: RankinSelbergPair, p: int, s: complex, a: int, params: MollifierParams) -> complex:
     """E(local twisted L-factor x exponential mollifier factor x X(p)^a).
 
-    The mollifier slots are fixed (f rides X, g rides the conjugate);
-    ``ordering`` chooses which form's L-factor rides X.  Series over k
-    of n^(L1,f)(k) n^(L2,g)(k+a), one shifted product of the two
-    :func:`n_coeff` arrays.
+    f's L-factor and mollifier factor ride X, g's ride the conjugate.
+    Series over k of n^(f,f)(k) n^(g,g)(k+a), one shifted product of
+    the two :func:`n_coeff` arrays.
     """
-    if ordering not in ("fg", "gf"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    l1, l2 = (pair.f, pair.g) if ordering == "fg" else (pair.g, pair.f)
     sigma = complex(s) + 0.5
-    n1 = n_coeff(p, sigma, l1, pair.f, params)
-    n2 = n_coeff(p, sigma, l2, pair.g, params)
+    n1 = n_coeff(p, sigma, pair.f, pair.f, params)
+    n2 = n_coeff(p, sigma, pair.g, pair.g, params)
     terms = n1[max(0, -a) : _TRUNC_MAX_TERMS - max(0, a)] * n2[max(0, a) : _TRUNC_MAX_TERMS - max(0, -a)]
     return _series_sum(terms, f"local expectation series did not settle at p={p}, s={s}, a={a}")
 

@@ -342,22 +342,13 @@ def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: com
     return complex(total)
 
 
-def m_alpha_beta_general(
-    support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex, variant: str = "direct"
-) -> complex:
-    """M(alpha, beta) for arbitrary real/complex twist coefficients.
-
-    The direct and Moebius variants work for any divisor-closed support;
-    the per-interval product additionally needs the mollifier's interval
-    structure and lives on :func:`m_alpha_beta`.
+def m_alpha_beta_general(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
+    """M(alpha, beta) of any divisor-closed support with arbitrary complex
+    coefficients, by the direct (gcd) route; the per-interval product
+    needs the mollifier's interval structure and lives on
+    :func:`m_alpha_beta`.
     """
-    support = np.asarray(support, dtype=np.int64)
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    if variant == "direct":
-        return _m_direct(support, gamma, alpha, beta)
-    if variant == "moebius":
-        return _m_moebius(support, gamma, alpha, beta)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _m_direct(np.asarray(support, dtype=np.int64), np.asarray(gamma, dtype=np.complex128), alpha, beta)
 
 
 def _m_euler_interval(support: FactoredSupport, alpha: complex, beta: complex) -> complex:
@@ -405,7 +396,8 @@ def m_alpha_beta(
     if variant in ("direct", "moebius"):
         if mol is None:
             mol = build_dirichlet_mollifier(params)
-        return m_alpha_beta_general(mol.support, mol.coeff, alpha, beta, variant)
+        route = _m_direct if variant == "direct" else _m_moebius
+        return route(mol.support, mol.coeff, alpha, beta)
     if variant == "euler":
         out = 1.0 + 0.0j
         for support in params.supports:

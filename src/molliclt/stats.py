@@ -2,9 +2,9 @@
 distances against the Gaussian, one per weight row, from a single
 binning of the observations; characteristic functions whose phases are
 products of step phases along the frequency grid; interval measures
-from one floor cell per observation; Fejer and Beurling-Selberg
-smoothing, typical-set filtering, and the end-to-end weighted
-central-limit experiment.
+from one floor cell per observation; the Beurling-Selberg minorant,
+typical-set filtering, and the end-to-end weighted central-limit
+experiment.
 
 The experiment's comparison bands are desk-scale observations, not
 asymptotic statements; every tolerance lives in the test suite, and the
@@ -29,10 +29,8 @@ from .mollifier import MollifierParams, piece_from_prime_sum, prime_sum_polynomi
 __all__ = [
     "gauss_cdf",
     "ks_distance",
-    "normalized_log_values",
     "char_fn_plain",
     "char_fn_weighted",
-    "fejer_K",
     "beurling_B",
     "SelbergFunction",
     "selberg_minorant",
@@ -111,43 +109,6 @@ def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray | None]) -> list[floa
             raise ValueError("zero total weight")
         dists.append(float(np.max(np.abs(np.cumsum(mass[:-1]) / total - target))))
     return dists
-
-
-def normalized_log_values(
-    l_values,
-    variance_mode: str = "asymptotic",
-    params: MollifierParams | None = None,
-    q: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """log|L| scaled to unit variance, plus the exclusion mask.
-
-    asymptotic mode divides by sqrt(0.5 log log q); empirical mode by
-    sqrt(0.5 sum 1/p) over the first mollifier interval, the scale the
-    desk-size experiments actually exhibit.  Central values below 1e-14
-    in modulus are masked out (their weight vanishes in every weighted
-    average) and land as 0.0 in the value slot.
-    """
-    if isinstance(l_values, CentralValueSet):
-        arr = np.asarray(l_values.values[1:])
-        q = l_values.q
-    else:
-        arr = np.asarray(l_values)
-    if variance_mode == "asymptotic":
-        if q is None:
-            raise ValueError("asymptotic mode needs the modulus q")
-        scale = math.sqrt(0.5 * math.log(math.log(q)))
-    elif variance_mode == "empirical":
-        if params is None:
-            raise ValueError("empirical mode needs mollifier params")
-        scale = math.sqrt(0.5 * params.intervals[0].reciprocal_sum())
-    else:
-        raise ValueError(f"unknown variance mode {variance_mode!r}")
-    mags = np.abs(arr)
-    excluded = ~(mags >= _ZERO_CUTOFF)  # catches NaN slots too
-    out = np.zeros(len(arr))
-    ok = ~excluded
-    out[ok] = np.log(mags[ok]) / scale
-    return out, excluded
 
 
 def char_fn_plain(obs: np.ndarray, u: float | np.ndarray, v: float = 0.0) -> complex | np.ndarray:
@@ -232,18 +193,13 @@ def _char_fn(wt: np.ndarray | None, obs: np.ndarray, u: float | np.ndarray, v: f
 # ---------------------------------------------------------------------------
 # smoothing kernels
 
-def fejer_K(x) -> np.ndarray:
-    """(sin pi x / pi x)^2 with the continuous value 1 at 0."""
-    return np.sinc(np.asarray(x, dtype=np.float64)) ** 2
-
-
 def beurling_B(x) -> np.ndarray:
     """Beurling's entire majorant of sgn(x).
 
     For x > 0 the two-sided pole series collapses (via the trigamma
     reflection) to 1 + (sin pi x / pi)^2 (2/x - 2 psi_1(1+x)), which is
     numerically stable; negative arguments come from the reflection
-    B(-x) = 2 K(x) - B(x), and a Taylor step covers the origin.
+    B(-x) = 2 sinc^2(x) - B(x), and a Taylor step covers the origin.
     """
     scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -284,11 +240,6 @@ class SelbergFunction:
     def majorant(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return 0.5 * (beurling_B(self.delta * (x - self.a)) + beurling_B(self.delta * (self.b - x)))
-
-    def fejer_bound(self, x) -> np.ndarray:
-        """The kernel sum dominating indicator minus minorant pointwise."""
-        x = np.asarray(x, dtype=np.float64)
-        return fejer_K(self.delta * (x - self.a)) + fejer_K(self.delta * (self.b - x))
 
     def fourier(self) -> tuple[np.ndarray, np.ndarray]:
         """Transform of the minorant by Shannon sampling plus FFT.
@@ -343,25 +294,25 @@ class TypicalSetReport:
 def typical_set_filter(
     table: CharacterTable,
     w_values: np.ndarray,
-    interval_factors: Sequence[np.ndarray],
+    tail_pieces: Sequence[np.ndarray],
     p_values: np.ndarray,
     prime_sum_limit: float,
 ) -> TypicalSetReport:
     """Apply the three typicality conditions and count each exclusion.
 
     (1) |W| within [1/_WEIGHT_BAND, _WEIGHT_BAND]; (2) the product of
-    the tail mollifier pieces (indices j >= 1) bounded by
-    (log log q)^_TAIL_EXPONENT; (3) |P| at most ``prime_sum_limit``, in
-    whatever units the caller normalized P to.  Conditions are evaluated
-    independently, so one character can count against several drop
-    tallies.
+    the tail mollifier pieces (intervals j >= 1, none for a single
+    interval) bounded by (log log q)^_TAIL_EXPONENT; (3) |P| at most
+    ``prime_sum_limit``, in whatever units the caller normalized P to.
+    Conditions are evaluated independently, so one character can count
+    against several drop tallies.
     """
     tail_bound = math.log(math.log(table.q)) ** _TAIL_EXPONENT
     w_abs = np.abs(np.asarray(w_values))
     cond1 = (w_abs >= 1.0 / _WEIGHT_BAND) & (w_abs <= _WEIGHT_BAND)
-    if len(interval_factors) > 1:
+    if tail_pieces:
         tail_prod = np.ones(len(w_abs))
-        for piece in interval_factors[1:]:
+        for piece in tail_pieces:
             tail_prod = tail_prod * np.abs(np.asarray(piece))
         cond2 = tail_prod <= tail_bound
     else:
@@ -465,7 +416,7 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
     del p_sums
 
     # the weight W = L M of each observation, in the first piece's buffer
-    # (the typical set reads only the tail pieces); the unit (plain) and
+    # (the typical set takes only the tail pieces); the unit (plain) and
     # the typical-set weightings are the other two rows the KS distances read
     l_arr = np.asarray(l_values.values[1:])
     exclusions = int(np.count_nonzero(~(np.abs(l_arr) >= _ZERO_CUTOFF)))
@@ -475,7 +426,7 @@ def clt_experiment(table: CharacterTable, params: MollifierParams, l_values: Cen
 
     phi = char_fn_weighted(w, obs, _DEFAULT_U_GRID)
     psi = char_fn_plain(obs, _DEFAULT_U_GRID)
-    filt = typical_set_filter(table, w, piece_vals, obs, prime_sum_limit=_P_SIGMA_FACTOR)
+    filt = typical_set_filter(table, w, piece_vals[1:], obs, prime_sum_limit=_P_SIGMA_FACTOR)
     total = complex(np.sum(w))
     rows = tuple(
         IntervalRow(lo=lo, hi=hi, mu=complex(mu), gauss=gauss_cdf(hi) - gauss_cdf(lo))

@@ -15,15 +15,14 @@ from molliclt.arith import (
     is_prime,
     liouville,
     nu,
-    primes_up_to,
     sieve_primes,
     smooth_integers,
 )
 
 
 def test_primes_up_to_anchor():
-    assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert list(primes_up_to(1)) == []
+    assert list(sieve_primes(1, 30).primes) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert list(sieve_primes(1, 1).primes) == []
 
 
 def test_sieve_primes_half_open_bounds():
@@ -42,7 +41,8 @@ def test_sieve_primes_rejects_reversed_interval():
 def test_sieve_matches_dense_sieve_on_segment():
     lo, hi = 10_000, 11_000
     seg = sieve_primes(lo, hi).primes
-    dense = [p for p in primes_up_to(hi) if p > lo]
+    # trial division, independent of both sieves
+    dense = [n for n in range(lo + 1, hi + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
     assert list(seg) == dense
 
 

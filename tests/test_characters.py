@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molliclt import characters
-from molliclt.arith import primes_up_to
+from molliclt.arith import sieve_primes
 from molliclt.characters import (
     _split_ifft,
     batch_character_sums,
     build_table,
     gauss_sum,
     gauss_sums_all,
-    primitive_root,
     root_numbers,
     roots_of_unity,
 )
@@ -45,14 +44,15 @@ def loop_table(q, g):
 
 
 def test_primitive_root_anchors():
-    assert primitive_root(5) == 2
-    assert primitive_root(7) == 3
-    assert primitive_root(10007) == 5
+    # the table's generator is the smallest primitive root
+    assert build_table(5).g == 2
+    assert build_table(7).g == 3
+    assert build_table(10007).g == 5
 
 
 def test_primitive_root_rejects_composite():
-    with pytest.raises(ValueError):
-        primitive_root(15)
+    with pytest.raises(ValueError, match="not prime"):
+        build_table(15)
 
 
 def test_index_power_inverse(table101):
@@ -227,7 +227,7 @@ def test_batch_sums_empty_support(table101):
 def transform_cases(draw):
     """A prime q below 2000, so (q-1)/2 odd or even, a support holding
     multiples of q, and complex, real, or per-parity real coefficients."""
-    q = draw(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
+    q = draw(st.sampled_from([int(p) for p in sieve_primes(2, 2000).primes]))
     kind = draw(st.sampled_from(["complex", "real", "parity pair"]))
     support = draw(st.lists(st.integers(min_value=0, max_value=4 * q), min_size=0, max_size=30))
     support += [q * k for k in draw(st.lists(st.integers(0, 3), max_size=3))]

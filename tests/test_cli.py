@@ -444,6 +444,12 @@ def test_clt_command(tmp_path, capsys):
     assert report["passed"] is True
     assert report["ks_weighted"] <= 0.25
     assert report["max_interval_im"] <= 0.1
+    # each typicality condition is tallied on its own over the 1007
+    # nonprincipal characters mod 1009
+    drops = [report[f"typical_set_dropped_{cond}"] for cond in ("weight_band", "tail_product", "prime_sum")]
+    assert all(isinstance(d, int) and d >= 0 for d in drops)
+    assert report["typical_set_kept"] + max(drops) <= 1007 <= report["typical_set_kept"] + sum(drops)
+    assert report["typical_set_tail_bound"] == pytest.approx(np.log(np.log(1009)) ** 2, rel=1e-14)
     for suffix in ("_intervals.csv", "_charfn_weighted.csv", "_charfn_plain.csv"):
         assert (tmp_path / f"clt_q1009{suffix}").exists()
 
@@ -454,6 +460,9 @@ def test_second_moment_command(tmp_path, capsys):
     capsys.readouterr()
     report = load_report(tmp_path / "second-moment_q101.json")
     assert report["passed"] is True
+    # the prediction is the sum of its two terms, each reported exactly
+    terms = complex(report["diagonal_term"]) + complex(report["reflected_term"])
+    assert terms == complex(report["predicted"])
 
 
 def test_random_command_makes_one_transform(tmp_path, monkeypatch, capsys):

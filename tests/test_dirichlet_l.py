@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molliclt import characters, dirichlet_l
-from molliclt.arith import primes_up_to
+from molliclt.arith import sieve_primes
 from molliclt.characters import batch_character_sums, build_table
 from molliclt.dirichlet_l import (
     _HEADER,
@@ -71,7 +71,7 @@ def test_oracle_vs_afe_q101(table101):
     assert gap < 1e-8
 
 
-@given(st.sampled_from([int(p) for p in primes_up_to(2000) if p >= 3]))
+@given(st.sampled_from([int(p) for p in sieve_primes(2, 2000).primes]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_afe_vs_hurwitz_property(q):
     table = build_table(q)
@@ -197,8 +197,9 @@ def test_central_values_nonzero_at_desk_scale(table101):
 def test_principal_slot_is_nan_sentinel(table101):
     vals = l_values_afe(table101, 0.5)
     assert math.isnan(vals.values[0].real)
-    with pytest.raises(ValueError):
-        vals.value(0)
+    assert math.isnan(l_values_oracle(table101, 0.5).values[0].real)
+    with pytest.raises(ValueError, match="principal label"):
+        afe_l_value(table101, table101.m, 0.5)
 
 
 def test_oracle_vs_hurwitz_combination_mod3():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from molliclt.arith import PrimeInterval, big_omega, factorize, nu, primes_up_to, sieve_primes, smooth_integers
+from molliclt.arith import PrimeInterval, big_omega, factorize, nu, sieve_primes, smooth_integers
 from molliclt import hecke_rankin, mollifier
 from molliclt.characters import build_table
 from molliclt.mollifier import (
@@ -302,7 +302,7 @@ def test_m_alpha_beta_variants_agree_multi_interval():
 @st.composite
 def interval_configs(draw):
     """Random primes <= 60 split into one or two intervals, caps 2..4, small complex shifts."""
-    chosen = sorted(draw(st.sets(st.sampled_from(primes_up_to(60).tolist()), min_size=1, max_size=6)))
+    chosen = sorted(draw(st.sets(st.sampled_from(sieve_primes(1, 60).primes.tolist()), min_size=1, max_size=6)))
     cut = draw(st.integers(1, len(chosen)))
     groups = [chosen[:cut], chosen[cut:]] if cut < len(chosen) else [chosen]
     ell = tuple(draw(st.integers(2, 4)) for _ in groups)
@@ -340,7 +340,7 @@ def test_m_alpha_beta_general_hand_case():
     )
     got = m_alpha_beta_general(support, gamma, alpha, beta)
     assert abs(got - want) < 1e-14
-    assert abs(m_alpha_beta_general(support, gamma, alpha, beta, "moebius") - want) < 1e-14
+    assert abs(mollifier._m_moebius(support, gamma, alpha, beta) - want) < 1e-14
 
 
 def test_m_alpha_beta_unknown_variant(desk_quarter):

@@ -1,12 +1,13 @@
 """Names other code depends on: each module's ``__all__``, the targets
 the benchmark tracer (``perfbench/traced.py``) wraps, and the L-value
-check of the benchmark runner (``perfbench/run.py``); and the names each
-module imports.
+check of the benchmark runner (``perfbench/run.py``); the names each
+module imports; and a reader for every exported name.
 
 A deletion that leaves a stale ``__all__`` entry, removes a function
 the tracer patches, changes a signature the benchmark's output check
 calls, or leaves an import nothing reads fails here rather than only in
-the benchmark's own runs (the project has no linter).
+the benchmark's own runs (the project has no linter).  So does an
+exported name that only the tests read.
 """
 
 import ast
@@ -23,8 +24,17 @@ from molliclt.cli import main
 from molliclt.dirichlet_l import CentralValueSet, load_l_values, read_cache_header, save_l_values
 
 MODULES = ["molliclt"] + sorted(f"molliclt.{info.name}" for info in pkgutil.iter_modules(molliclt.__path__))
+SRC = Path(molliclt.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACED = PERFBENCH / "traced.py"
+# exported names no production path reads, each with the line of
+# ROADMAP.md's "Standing decisions" that keeps it
+KEPT_WITHOUT_READER = {
+    "lambda_table": "Some oracles are kept on purpose: lambda_table ... for item 8(b)",
+    "sample": "Some oracles are kept on purpose: random_model.sample",
+    "e_trunc_exact": "Keep every function an acceptance criterion reads: e_trunc_exact",
+    "selberg_minorant": "Keep every function an acceptance criterion reads: selberg_minorant",
+}
 
 
 def _load(path: Path, name: str):
@@ -85,3 +95,39 @@ def _unused_imports(source: str, exported) -> list[str]:
 def test_every_imported_name_is_used(name):
     module = importlib.import_module(name)
     assert _unused_imports(Path(module.__file__).read_text(), getattr(module, "__all__", ())) == []
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module loads, every attribute it reads and every name it imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_exported_name_has_a_reader():
+    # a reader is src/ itself or the benchmark, where the tracer names its
+    # targets as strings; the tests do not count.  Names match by spelling,
+    # so an unrelated attribute of the same name counts as a reader too.
+    src = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_names_read, src.values()))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= _names_read(tree)
+        read |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    exported = [(stem, name) for stem, tree in src.items() for name in _exported(tree)]
+    allowed = read | set(KEPT_WITHOUT_READER)
+    assert [f"{stem}.{name}" for stem, name in exported if name not in allowed] == []
+    assert set(KEPT_WITHOUT_READER) <= {name for _, name in exported}

@@ -20,10 +20,8 @@ from molliclt.stats import (
     char_fn_plain,
     char_fn_weighted,
     clt_experiment,
-    fejer_K,
     gauss_cdf,
     ks_distance,
-    normalized_log_values,
     selberg_minorant,
     typical_set_filter,
     write_charfn_csv,
@@ -158,43 +156,6 @@ def test_ks_cells_match_searchsorted(points, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# normalization of log |L|
-
-def test_normalized_log_values_array_input():
-    q = 10007
-    scale = math.sqrt(0.5 * math.log(math.log(q)))
-    arr = np.array([math.e, math.e**2, 1e-20])
-    out, excluded = normalized_log_values(arr, "asymptotic", q=q)
-    assert out[0] == pytest.approx(1.0 / scale, rel=1e-14)
-    assert out[1] == pytest.approx(2.0 / scale, rel=1e-14)
-    assert list(excluded) == [False, False, True]
-    assert out[2] == 0.0
-
-
-def test_normalized_log_values_central_value_set(table101):
-    lv = l_values_afe(table101, 0.5)
-    out, excluded = normalized_log_values(lv, "asymptotic")
-    assert len(out) == table101.q - 2
-    assert not excluded.any()  # no vanishing central values in this family
-    assert np.all(np.isfinite(out))
-
-
-def test_normalized_log_values_empirical_mode(desk_quarter):
-    recip = desk_quarter.intervals[0].reciprocal_sum()
-    out, _ = normalized_log_values(np.array([math.e]), "empirical", params=desk_quarter)
-    assert out[0] == pytest.approx(1.0 / math.sqrt(0.5 * recip), rel=1e-14)
-
-
-def test_normalized_log_values_guards():
-    with pytest.raises(ValueError, match="needs the modulus"):
-        normalized_log_values(np.array([1.0]), "asymptotic")
-    with pytest.raises(ValueError, match="needs mollifier params"):
-        normalized_log_values(np.array([1.0]), "empirical")
-    with pytest.raises(ValueError, match="unknown variance mode"):
-        normalized_log_values(np.array([1.0]), "wrong", q=101)
-
-
-# ---------------------------------------------------------------------------
 # characteristic functions
 
 def test_char_fn_plain_single_point():
@@ -271,13 +232,7 @@ def test_char_fn_blocks_add_up(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fejer kernel and beurling majorant
-
-def test_fejer_kernel_values():
-    assert fejer_K(0.0) == 1.0
-    assert np.allclose(fejer_K(np.arange(1, 6)), 0.0, atol=1e-30)
-    assert fejer_K(0.5) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-14)
-
+# beurling majorant
 
 def test_trigamma_anchors():
     assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
@@ -337,6 +292,11 @@ def selberg():
     return selberg_minorant((-1.0, 1.0), 8.0)
 
 
+def fejer_pair(s, xs):
+    """K(delta (x - a)) + K(delta (b - x)) with the Fejer kernel K = sinc^2."""
+    return np.sinc(s.delta * (xs - s.a)) ** 2 + np.sinc(s.delta * (s.b - xs)) ** 2
+
+
 def test_selberg_constructor_and_guards():
     s = selberg_minorant((0.0, 0.5), 1.0)
     assert isinstance(s, SelbergFunction)
@@ -359,14 +319,14 @@ def test_selberg_majorant_minus_minorant_is_the_fejer_pair(selberg):
     # B(t) + B(-t) = 2 K(t) collapses the difference to the two kernels
     xs = np.linspace(-4.0, 4.0, 997)
     gap = selberg.majorant(xs) - selberg.minorant(xs)
-    assert np.allclose(gap, selberg.fejer_bound(xs), atol=1e-12)
+    assert np.allclose(gap, fejer_pair(selberg, xs), atol=1e-12)
 
 
 def test_selberg_fejer_bound_dominates_defect(selberg):
     xs = np.linspace(-6.0, 6.0, 2001)
     ind = ((xs >= selberg.a) & (xs <= selberg.b)).astype(float)
     defect = ind - selberg.minorant(xs)
-    assert np.min(selberg.fejer_bound(xs) - defect) >= -1e-9
+    assert np.min(fejer_pair(selberg, xs) - defect) >= -1e-9
 
 
 def test_selberg_narrow_interval_still_sandwiched():
@@ -399,9 +359,8 @@ def test_selberg_fourier_band_limit_and_mass(selberg):
 def test_typical_set_filter_tallies(table101):
     w = np.array([1.0, 100.0, 0.001, 5.0])
     tail_piece = np.array([1.0, 1.0, 3.0, 1.0])  # tail bound is (log log 101)^2 ~ 2.34
-    pieces = [np.ones(4), tail_piece]
     p = np.array([0.1, 0.2, 0.3, 10.0])
-    rep = typical_set_filter(table101, w, pieces, p, prime_sum_limit=3.0)
+    rep = typical_set_filter(table101, w, [tail_piece], p, prime_sum_limit=3.0)
     assert rep.dropped_weight_band == 2
     assert rep.dropped_tail_product == 1
     assert rep.dropped_prime_sum == 1
@@ -412,7 +371,7 @@ def test_typical_set_filter_tallies(table101):
 
 def test_typical_set_filter_single_interval_skips_tail_condition(table101):
     w = np.ones(3)
-    rep = typical_set_filter(table101, w, [np.ones(3)], np.zeros(3), prime_sum_limit=1.0)
+    rep = typical_set_filter(table101, w, [], np.zeros(3), prime_sum_limit=1.0)
     assert rep.dropped_tail_product == 0
     assert rep.kept_count == 3
 
