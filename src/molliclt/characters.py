@@ -40,6 +40,8 @@ __all__ = [
     "CharacterTable",
     "build_table",
     "roots_of_unity",
+    "orthogonality_gram",
+    "roots_residual",
     "batch_character_sums",
     "gauss_sum",
     "gauss_sums_all",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 MAX_MODULUS = 10_000_000
+_ROOTS_BLOCK = 1 << 16  # table entries per block of roots_residual
 
 
 def _smallest_generator(q: int, prime_divisors: tuple[int, ...]) -> int:
@@ -169,6 +172,57 @@ def roots_of_unity(m: int) -> np.ndarray:
     anchors = np.exp(2j * np.pi * np.arange(0, m, block) / m)
     out = (anchors[:, None] * offsets[None, :]).ravel()
     return out[:m]
+
+
+def orthogonality_gram(table: CharacterTable, span: int) -> np.ndarray:
+    """G[i, k] = sum over all m labels a of conj(chi_a(i + 1)) chi_a(k + 1),
+    for i, k < ``span``: m times the identity when the table is right.
+
+    Factored over the labels: with B = isqrt(m - 1) + 1 (so B^2 >= m)
+    write a = b B + j, 0 <= j < B and 0 <= b < nb = m // B.  Then
+    chi_a(n) = e(b B ind(n) / m) chi_j(n), so the full blocks sum to
+    G0 * (Phi^H Phi), entrywise, with G0 the Gram of the labels 0..B-1
+    and Phi[b, n] = roots[b B ind(n) mod m]; the ragged labels
+    nb B .. m - 1 are added directly.  Every term is read off the table,
+    O(sqrt(m) span) entries of it, in O(sqrt(m) span^2) work.  Each
+    product is one ``np.einsum`` without ``optimize``, a fixed-order sum
+    that does not go through BLAS, so the result does not depend on the
+    BLAS thread count.
+    """
+    m = table.m
+    logs = table.index[1 : span + 1].astype(np.int64)  # a ind(n) reaches q^2, past int32
+    block = math.isqrt(m - 1) + 1
+    full = m // block * block
+
+    def gram(labels: np.ndarray) -> np.ndarray:
+        # the Gram of chi_a(n), a in labels, n = 1..span
+        args = np.multiply.outer(labels, logs)
+        args %= m
+        chi = table.roots[args]
+        return np.einsum("an,ak->nk", chi.conj(), chi)
+
+    out = gram(np.arange(block, dtype=np.int64))
+    out *= gram(np.arange(0, full, block, dtype=np.int64))
+    out += gram(np.arange(full, m, dtype=np.int64))
+    return out
+
+
+def roots_residual(table: CharacterTable) -> float:
+    """max over k of |roots[k] - e(k/m)|, each e(k/m) a fresh complex
+    exponential, ``_ROOTS_BLOCK`` entries at a time.
+
+    Every slot is checked, including those the factored
+    :func:`orthogonality_gram` never reads.
+    """
+    m = table.m
+    worst = 0.0
+    for start in range(0, m, _ROOTS_BLOCK):
+        stop = min(start + _ROOTS_BLOCK, m)
+        diff = np.arange(start, stop) * (2j * np.pi / m)
+        np.exp(diff, out=diff)
+        diff -= table.roots[start:stop]
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
 def _split_ifft(table: CharacterTable, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:

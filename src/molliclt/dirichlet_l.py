@@ -50,6 +50,7 @@ __all__ = [
     "cached_afe_values",
     "TwistedSecondMoment",
     "check_even_family",
+    "check_twist_length",
     "twisted_second_moment_empirical",
     "twisted_second_moment",
 ]
@@ -452,6 +453,12 @@ def check_even_family(q: int) -> None:
         raise ValueError(f"q = {q} has no even nonprincipal character: the averaged family is empty")
 
 
+def check_twist_length(largest: int, q: int) -> None:
+    """Raise ValueError when the largest twist support element reaches q."""
+    if largest >= q:
+        raise ValueError(f"twist length must stay below the modulus: largest support element {largest} >= q = {q}")
+
+
 def twisted_second_moment_empirical(
     table: CharacterTable,
     alpha: complex,
@@ -469,8 +476,8 @@ def twisted_second_moment_empirical(
     check_even_family(q)
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if len(support) and int(support[-1]) >= q:
-        raise ValueError(f"twist length must stay below the modulus: largest support element {int(support[-1])} >= q = {q}")
+    if len(support):
+        check_twist_length(int(support[-1]), q)
     l_alpha = l_values_afe(table, 0.5 + alpha).values
     l_beta = l_values_afe(table, 0.5 + beta).values
     twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))

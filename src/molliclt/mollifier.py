@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import (
-    SUPPORT_BUDGET, FactoredSupport, PrimeInterval, check_sieve_limits, factorize, sieve_primes, smooth_integers
+    SUPPORT_BUDGET, FactoredSupport, PrimeInterval, check_sieve_limits, factorize, is_prime, sieve_primes,
+    smooth_integers,
 )
 from .characters import CharacterTable, batch_character_sums
 
@@ -31,6 +32,7 @@ __all__ = [
     "DirichletPolynomial",
     "params_desk",
     "check_desk_params",
+    "largest_support_element",
     "w_weight",
     "build_dirichlet_mollifier",
     "dirichlet_interval_piece",
@@ -128,6 +130,26 @@ def params_desk(q: int, theta_list: Iterable[float], c0: float = 1.0) -> Mollifi
         q=q, c0=c0, J=J, theta=theta, ell=ell,
         y=float(q) ** theta[0], x=float(q) ** theta[J], intervals=_build_intervals(q, c0, theta),
     )
+
+
+def largest_support_element(q: int, theta: tuple[float, ...], c0: float) -> int:
+    """The largest element of the product mollifier's support, without sieving.
+
+    Interval j's support tops out at its largest prime raised to its
+    Omega cap (at 1 when the interval holds no prime), and the product
+    support at the product of these.  Each largest prime is found by a
+    downward :func:`is_prime` search from the interval's upper end.
+    ``theta`` and ``c0`` must pass :func:`check_desk_params`.
+    """
+    bounds = [c0] + [q**t for t in theta]
+    largest = 1
+    for lo, hi, t in zip(bounds, bounds[1:], theta):
+        n = math.floor(hi)
+        while n > lo and not is_prime(n):
+            n -= 1
+        if n > lo:
+            largest *= n ** _ell_from_theta(t)
+    return largest
 
 
 def w_weight(p: float | np.ndarray, j: int, params: MollifierParams):

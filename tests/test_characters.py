@@ -16,8 +16,10 @@ from molliclt.characters import (
     build_table,
     gauss_sum,
     gauss_sums_all,
+    orthogonality_gram,
     root_numbers,
     roots_of_unity,
+    roots_residual,
 )
 
 
@@ -141,6 +143,35 @@ def test_orthogonality_exhaustive_q31():
             target = 1.0 if n1 == n2 else 0.0
             worst = max(worst, abs(avg - target))
     assert worst < 1e-12
+
+
+def direct_gram(table, span):
+    """Reference Gram: every label's character values gathered at once."""
+    logs = table.index[1 : span + 1].astype(np.int64)
+    chi = table.roots[np.outer(np.arange(table.m, dtype=np.int64), logs) % table.m]
+    return chi.conj().T @ chi
+
+
+@pytest.mark.parametrize("q", [int(p) for p in sieve_primes(2, 300).primes] + [10007])
+def test_factored_gram_matches_direct_gram(q):
+    # with B = isqrt(m - 1) + 1 and nb = m // B: the span is q - 1 < 100 up to
+    # q = 97, the ragged block is empty where B divides m (q = 3, 5, 7, 13, ...),
+    # and B > nb at q = 3, 7, 13, ...
+    t = build_table(q)
+    span = min(q - 1, 100)
+    gram = orthogonality_gram(t, span)
+    assert gram.shape == (span, span)
+    assert np.max(np.abs(gram - direct_gram(t, span))) / t.m < 1e-13
+
+
+def test_roots_residual_checks_every_slot():
+    t = build_table(100003)
+    assert roots_residual(t) < 1e-14
+    # the last slot, in the second block of 2^16
+    roots = t.roots.copy()
+    roots[-1] *= cmath.exp(1e-9j)
+    bad = characters.CharacterTable(t.q, t.g, t.index, t.power, roots, t.fft_prime)
+    assert 0.9e-9 < roots_residual(bad) < 1.1e-9
 
 
 def test_gauss_sum_magnitudes(table101):

@@ -1,11 +1,13 @@
 """Command-line surface: config parsing, validation exits, report files,
 and rerun determinism."""
 
+import cmath
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
-import resource
 import shutil
 import struct
 import subprocess
@@ -276,17 +278,34 @@ def test_report_with_a_non_finite_float_names_the_field(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path, monkeypatch):
+def refused_twist(argv, largest, tmp_path, monkeypatch):
+    """Run second-moment with ``argv``: it must exit 2 at validation, before
+    any table build or sieve, naming the largest support element and q."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("M(alpha, beta) computed before the twist length was checked")
+        raise AssertionError("work started for a refused configuration")
 
-    monkeypatch.setattr(cli, "m_alpha_beta", forbidden)
-    code, out, err = run_captured(["second-moment", "--q", "10007", "--theta", "0.2,0.3", "--out", str(tmp_path)])
-    assert code == EXIT_SUITE
+    monkeypatch.setattr(cli, "build_table", forbidden)
+    monkeypatch.setattr(mollifier, "sieve_primes", forbidden)
+    monkeypatch.setattr(mollifier, "smooth_integers", forbidden)
+    code, out, err = run_captured(["second-moment", *argv, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
     assert err == (
-        "run failed: twist length must stay below the modulus: "
-        "largest support element 446265625 >= q = 10007\n"
+        "invalid configuration: twist length must stay below the modulus: "
+        f"largest support element {largest} >= q = {argv[1]}\n"
     )
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_second_moment_twist_past_the_modulus_names_both_numbers(tmp_path, monkeypatch):
+    # each interval's largest prime to its Omega cap: 5^6 on (1, 6.31], 13^4 on (6.31, 15.85]
+    refused_twist(["--q", "10007", "--theta", "0.2,0.3"], 5**6 * 13**4, tmp_path, monkeypatch)
+
+
+def test_oversized_smooth_support_is_refused_at_validation(tmp_path, monkeypatch):
+    # theta = 0.9 puts ~22k primes in the interval with an Omega cap of 2, a
+    # support past the 2e6-element enumeration guard; its largest element
+    # 251179^2 is refused first
+    refused_twist(["--q", "1000003", "--theta", "0.9"], 251179**2, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("q, theta, x", [("10007", "1.0", "10007"), ("100003", "0.8", "10000.2")])
@@ -303,53 +322,32 @@ def test_random_past_the_eigenvalue_limit_names_both_numbers(q, theta, x, tmp_pa
     assert out == "" and os.listdir(tmp_path) == []
 
 
-def test_mollifier_past_int64_is_a_run_failure_naming_the_limit(tmp_path):
-    # four intervals with Omega caps of 4: the support products reach ~1e22
-    argv = ["second-moment", "--q", "1000003", "--theta", "0.3,0.31,0.32,0.33", "--c0", "60"]
-    code, out, err = run_captured([*argv, "--out", str(tmp_path)])
-    assert code == EXIT_SUITE
-    assert err.startswith("run failed: mollifier support element ")
-    assert "exceeds the int64 limit 9223372036854775807" in err and "Traceback" not in err
-    assert out == "" and os.listdir(tmp_path) == []
-
-
-# the message names the interval's primes and the Omega cap; MollifierParams.supports sets no value cap
-OVERSIZED_SUPPORT_FAILURE = (
-    "run failed: smooth enumeration exceeded 2000000 values: "
-    "22132 primes from 2 to 251179, Omega cap 2, value cap inf\n"
-)
-OVERSIZED_SUPPORT_ARGV = ["second-moment", "--q", "1000003", "--theta", "0.9"]
-
-
-def test_oversized_smooth_support_is_a_run_failure_under_a_memory_cap(tmp_path):
-    # theta = 0.9 puts ~22k primes in the interval with an Omega cap of 2:
-    # the enumeration passes its 2e6-element guard long before 3 GB
-    cap = 3_000_000_000
-
-    def limit_child():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": src, "MOLLICLT_CACHE_DIR": str(tmp_path / "cache")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "molliclt.cli", *OVERSIZED_SUPPORT_ARGV, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, preexec_fn=limit_child, timeout=300,
-    )
-    assert proc.returncode == EXIT_SUITE, proc.stderr
-    assert proc.stderr == OVERSIZED_SUPPORT_FAILURE
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+def test_mollifier_past_int64_is_refused_at_validation(tmp_path, monkeypatch):
+    # four intervals with Omega caps of 4: the support products pass the
+    # int64 guard of the mollifier product, and the twist-length rule
+    # refuses them first
+    largest = 61**4 * 71**4 * 83**4 * 89**4
+    assert largest > 2**63
+    argv = ["--q", "1000003", "--theta", "0.3,0.31,0.32,0.33", "--c0", "60"]
+    refused_twist(argv, largest, tmp_path, monkeypatch)
 
 
 def test_second_moment_enumerates_the_supports_before_any_second_moment(tmp_path, monkeypatch):
+    # a failing support enumeration ends the run before either second moment
+    # (the stub stands in for the enumeration guard, which no input that
+    # passes validation reaches)
+    def failing(*args, **kwargs):
+        raise RuntimeError("smooth enumeration failed")
+
     def forbidden(*args, **kwargs):
         raise AssertionError("second moment computed before the supports")
 
+    monkeypatch.setattr(mollifier, "smooth_integers", failing)
     monkeypatch.setattr(cli, "twisted_second_moment", forbidden)
     monkeypatch.setattr(cli, "m_alpha_beta", forbidden)
-    code, out, err = run_captured([*OVERSIZED_SUPPORT_ARGV, "--out", str(tmp_path)])
+    code, out, err = run_captured(["second-moment", "--q", "10007", "--out", str(tmp_path)])
     assert code == EXIT_SUITE
-    assert err == OVERSIZED_SUPPORT_FAILURE
+    assert err == "run failed: smooth enumeration failed\n"
     assert out == ""
 
 
@@ -392,6 +390,64 @@ def test_characters_command(tmp_path, capsys):
     assert report["gauss_sum_residual"] < 1e-9 * 101
     assert report["config"]["q"] == 101
     assert len(report["config_hash"]) == 64
+
+
+def mutated_characters_report(tmp_path, monkeypatch, mutate):
+    """Run characters at q = 10007 on a copy of the table whose index and
+    roots arrays ``mutate(table, index, roots)`` has changed in place;
+    return the exit code and the report."""
+    table = build_table(10007)
+    index, roots = table.index.copy(), table.roots.copy()
+    mutate(table, index, roots)
+    monkeypatch.setattr(cli, "build_table", lambda q: dataclasses.replace(table, index=index, roots=roots))
+    code, _, err = run_captured(["characters", "--q", "10007", "--out", str(tmp_path)])
+    assert err == ""
+    return code, load_report(tmp_path / "characters_q10007.json")
+
+
+def test_characters_fails_on_a_duplicated_discrete_log(tmp_path, monkeypatch):
+    def duplicate(table, index, roots):
+        index[3] = index[2]  # chi(3) = chi(2) for every label
+
+    code, report = mutated_characters_report(tmp_path, monkeypatch, duplicate)
+    assert code == EXIT_SUITE and report["passed"] is False
+    assert abs(report["orthogonality_residual"] - 1.0) < 1e-12
+    assert report["roots_residual"] < 1e-13
+
+
+def test_characters_fails_on_a_root_the_gram_does_not_read(tmp_path, monkeypatch):
+    def rotate(table, index, roots):
+        # the slots the factored Gram reads: labels 0..B-1, the block
+        # starts b B and the ragged labels, times the logs of 1..100; the
+        # Gauss-sum transform reads only roots[:m / 2] at this modulus
+        m = table.m
+        block = math.isqrt(m - 1) + 1
+        full = m // block * block
+        labels = np.concatenate([np.arange(block), np.arange(0, full, block), np.arange(full, m)])
+        read = set((np.outer(labels, table.index[1:101].astype(np.int64)) % m).ravel().tolist())
+        slot = next(k for k in range(m // 2, m) if k not in read)
+        roots[slot] *= cmath.exp(0.1j)
+
+    code, report = mutated_characters_report(tmp_path, monkeypatch, rotate)
+    assert code == EXIT_SUITE and report["passed"] is False
+    assert report["orthogonality_residual"] < 1e-15
+    assert report["gauss_sum_residual"] < 1e-9 * 10007
+    assert abs(report["roots_residual"] - 2 * math.sin(0.05)) < 1e-12
+
+
+def test_characters_report_is_independent_of_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "molliclt.cli", "characters", "--q", "10007", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        text = (tmp_path / "characters_q10007.json").read_text()
+        reports.append([line for line in text.splitlines() if '"timestamp"' not in line and '"wall_time"' not in line])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

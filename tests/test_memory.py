@@ -1,7 +1,9 @@
-"""Memory regressions: tracemalloc peaks per label at q = 100003.
+"""Memory regressions: tracemalloc peaks at q = 100003.
 
-Each bound is the peak measured on a 2-core x86-64 host with numpy 2.4
-(16.0, 48.0 and 55.5 bytes per label) plus 4 bytes per label of margin.
+Each per-label bound is the peak measured on a 2-core x86-64 host with
+numpy 2.4 (16.0, 48.0 and 55.5 bytes per label) plus 4 bytes per label
+of margin.  The characters check does not grow with the label count
+along a row, so its bound is a fixed number of MB.
 The peaks count numpy's array buffers only: pocketfft's internal
 buffers (its Bluestein plan and scratch) are not traced, so they are
 not bounded here.
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from molliclt import characters
-from molliclt.characters import build_table
+from molliclt.characters import build_table, orthogonality_gram, roots_residual
 from molliclt.dirichlet_l import l_values_afe
 from molliclt.mollifier import params_desk
 from molliclt.stats import clt_experiment
@@ -28,8 +30,8 @@ def table():
     return t
 
 
-def peak_per_label(table, call) -> float:
-    """The traced peak of ``call()`` above what was live before it, per label."""
+def traced_peak(call) -> int:
+    """The traced peak of ``call()`` in bytes, above what was live before it."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -38,7 +40,11 @@ def peak_per_label(table, call) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / table.m
+    return peak - before
+
+
+def peak_per_label(table, call) -> float:
+    return traced_peak(call) / table.m
 
 
 def test_real_transform_peak(table):
@@ -61,3 +67,14 @@ def test_clt_experiment_peak(table):
     values = l_values_afe(table, 0.5)
     params = params_desk(Q, (0.5,), c0=1.0)
     assert peak_per_label(table, lambda: clt_experiment(table, params, values)) <= 59.5
+
+
+def test_characters_check_peak(table):
+    # measured 2.17 MB: the roots check's blocks of 2^16 entries (2.0 MB)
+    # and the Gram's B x 100 gathers, B = 317 (1.6 MB), against 66 MB for
+    # the blocks of 16384 labels this check replaced
+    def check():
+        orthogonality_gram(table, 100)
+        roots_residual(table)
+
+    assert traced_peak(check) <= 3_000_000

@@ -19,6 +19,7 @@ from molliclt.mollifier import (
     check_desk_params,
     dirichlet_interval_piece,
     hecke_interval_factor,
+    largest_support_element,
     m_alpha_beta,
     m_alpha_beta_general,
     params_desk,
@@ -208,6 +209,22 @@ def test_each_interval_support_is_enumerated_once(monkeypatch):
     assert capped == [(tuple(iv.primes.tolist()), ell, math.inf) for iv, ell in zip(p.intervals, p.ell)]
     # the expected weight's own D-capped supports are a different set
     assert len(calls) - len(capped) == p.J + 1
+
+
+@pytest.mark.filterwarnings("ignore:interval .* contains no primes")
+@pytest.mark.parametrize("q", [101, 1009, 10007, 100003])
+@pytest.mark.parametrize("theta, c0", [
+    ((0.01,), 1.0),  # an empty interval
+    ((0.25,), 1.0),
+    ((0.25,), 3.0),
+    ((0.5,), 1.0),
+    ((0.2, 0.3), 1.0),
+    ((0.1, 0.2), 1.0),
+    ((0.3, 0.4), 1.0),
+])
+def test_largest_support_element_matches_the_built_mollifier(q, theta, c0):
+    params = params_desk(q, theta, c0=c0)
+    assert largest_support_element(q, params.theta, c0) == int(build_dirichlet_mollifier(params).support[-1])
 
 
 def test_product_refuses_elements_past_int64():
