@@ -1,8 +1,9 @@
 """Special functions used by the L-value and contour machinery.
 
-Only what the package actually needs: a scalar complex Lanczos gamma,
-the regularized upper incomplete gamma on complex order, elementwise
-over an array of nonnegative real arguments, and a vectorized trigamma.
+Only what the package actually needs: a complex Lanczos gamma, scalar
+and elementwise over an array, the regularized upper incomplete gamma
+on complex order, elementwise over an array of nonnegative real
+arguments, and a vectorized trigamma.
 Accuracy targets are a couple of ulps beyond what the calling code
 requires, not library-grade completeness.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["gamma", "upper_regularized_gamma", "trigamma"]
+__all__ = ["gamma", "gamma_array", "upper_regularized_gamma", "trigamma"]
 
 # Lanczos parameters (g = 607/128, 15 terms): relative error around
 # 1e-15 on the right half plane, comfortably inside the 1e-13 budget.
@@ -51,6 +52,29 @@ def gamma(z: complex) -> complex:
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+
+
+def gamma_array(z: np.ndarray) -> np.ndarray:
+    """:func:`gamma` elementwise over a complex array: the same Lanczos sum and reflection.
+
+    It agrees with the scalar form to about 1e-14 relative, not bit for
+    bit: the power t^(w + 1/2) e^(-t) is formed as one exponential.
+    Since Im t = Im w, its phase is Im w (log|t| - 1) + Re(w + 1/2) arg t,
+    which leaves no large partial phase to round.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z) - 1.0
+    acc = np.full(w.shape, _LANCZOS_C[0], dtype=np.complex128)
+    for i, c in enumerate(_LANCZOS_C[1:], start=1):
+        acc += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    log_abs, arg = np.log(np.abs(t)), np.angle(t)
+    b = w.real + 0.5
+    power = np.exp(b * log_abs - w.imag * arg - t.real + 1j * (w.imag * (log_abs - 1.0) + b * arg))
+    out = math.sqrt(2.0 * math.pi) * power * acc
+    out[left] = math.pi / (np.sin(math.pi * z[left]) * out[left])
+    return out
 
 
 def _lower_series(a: complex, x: np.ndarray) -> np.ndarray:

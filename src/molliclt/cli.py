@@ -50,6 +50,7 @@ from .mollifier import (
     MollifierParams,
     build_dirichlet_mollifier,
     check_desk_params,
+    check_pair_budget,
     largest_support_element,
     m_alpha_beta,
     params_desk,
@@ -94,8 +95,10 @@ class RunConfig:
     out: str = "."
 
     def validate(self, command: str | None = None) -> None:
-        """Every input rule, checked before any table build or sieve; with
-        ``command``, also the rules of that command."""
+        """Every input rule, checked before any table build; with
+        ``command``, also the rules of that command.  Only the
+        second-moment support count sieves, and only intervals that the
+        twist-length rule has already bounded by sqrt(q)."""
         if self.q is None:
             raise ValueError("missing required field: q")
         if not (3 <= self.q <= MAX_MODULUS and is_prime(self.q)):
@@ -110,6 +113,7 @@ class RunConfig:
         if command == "second-moment":
             check_even_family(self.q)
             check_twist_length(largest_support_element(self.q, theta, self.c0), self.q)
+            check_pair_budget(self.q, theta, self.c0)
 
     def mollifier_params(self) -> MollifierParams:
         return params_desk(self.q, self.theta, c0=self.c0)
@@ -360,9 +364,12 @@ def cmd_second_moment(cfg: RunConfig) -> Outcome:
     alpha, beta = 0.02, 0.015
     mol = build_dirichlet_mollifier(params)
     moment = twisted_second_moment(table, alpha, beta, mol.support, mol.coeff)
+    # the moment's diagonal term has already run the direct route on this
+    # mollifier; running the routes after the moment keeps their first-use
+    # memory off its peak
     variants = {
-        name: m_alpha_beta(params, alpha, beta, variant=name, mol=mol)
-        for name in ("direct", "moebius", "euler")
+        "direct": moment.m_diagonal,
+        **{name: m_alpha_beta(params, alpha, beta, variant=name, mol=mol) for name in ("moebius", "euler")},
     }
     vals = list(variants.values())
     scale = max(abs(v) for v in vals)
@@ -377,6 +384,8 @@ def cmd_second_moment(cfg: RunConfig) -> Outcome:
         "diagonal_term": repr(moment.diagonal_term),
         "reflected_term": repr(moment.reflected_term),
         "discrepancy": moment.discrepancy,
+        # health fields, reported but not gated
+        "relative_discrepancy": moment.relative_discrepancy,
         "error_scale": moment.error_scale,
     }, f"variant spread {spread:.3e}"
 

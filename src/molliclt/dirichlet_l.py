@@ -441,10 +441,15 @@ class TwistedSecondMoment:
     diagonal_term: complex
     reflected_term: complex
     error_scale: float  # q^(-1/2) * (largest twist length): the error unit
+    m_diagonal: complex | None  # M(alpha, beta) of the twist; None on the antidiagonal
 
     @property
     def discrepancy(self) -> float:
         return abs(self.empirical - self.predicted)
+
+    @property
+    def relative_discrepancy(self) -> float:
+        return self.discrepancy / abs(self.predicted)
 
 
 def check_even_family(q: int) -> None:
@@ -488,7 +493,8 @@ def twisted_second_moment_empirical(
 
 def _twisted_main_terms(
     alpha: complex, beta: complex, support: np.ndarray, coeffs: np.ndarray
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex, complex]:
+    """The diagonal and reflected terms before the (q/pi) factor, and the M(alpha, beta) the first reads."""
     m_direct = m_alpha_beta_general(support, coeffs, alpha, beta)
     term1 = zeta(1.0 + alpha + beta) * m_direct
     g_ratio = (
@@ -498,7 +504,7 @@ def _twisted_main_terms(
     )
     m_reflect = m_alpha_beta_general(support, coeffs, -beta, -alpha)
     term2 = g_ratio * zeta(1.0 - alpha - beta) * m_reflect
-    return term1, term2
+    return term1, term2, m_direct
 
 
 def twisted_second_moment(
@@ -514,7 +520,8 @@ def twisted_second_moment(
     diagonal piece and a reflected piece carrying the gamma-factor ratio
     and (q/pi)^-(alpha+beta).  On the antidiagonal alpha + beta = 0 both
     pieces have a pole that cancels in the sum; it is handled by
-    averaging the prediction at alpha +- _POLE_STEP.
+    averaging the prediction at alpha +- _POLE_STEP.  Off it, the
+    diagonal piece's M(alpha, beta) is returned as ``m_diagonal``.
     """
     q = table.q
     support = np.asarray(support, dtype=np.int64)
@@ -523,14 +530,15 @@ def twisted_second_moment(
 
     if abs(alpha + beta) < 1e-7:
         h = _POLE_STEP
-        t1p, t2p = _twisted_main_terms(alpha + h, beta, support, coeffs)
-        t1m, t2m = _twisted_main_terms(alpha - h, beta, support, coeffs)
+        t1p, t2p, _ = _twisted_main_terms(alpha + h, beta, support, coeffs)
+        t1m, t2m, _ = _twisted_main_terms(alpha - h, beta, support, coeffs)
+        m_diagonal = None
         qpi_p = (q / math.pi) ** (-(alpha + h + beta))
         qpi_m = (q / math.pi) ** (-(alpha - h + beta))
         term1 = (t1p + t1m) / 2.0
         term2 = (qpi_p * t2p + qpi_m * t2m) / 2.0
     else:
-        t1, t2 = _twisted_main_terms(alpha, beta, support, coeffs)
+        t1, t2, m_diagonal = _twisted_main_terms(alpha, beta, support, coeffs)
         term1 = t1
         term2 = (q / math.pi) ** (-(alpha + beta)) * t2
     predicted = term1 + term2
@@ -541,4 +549,5 @@ def twisted_second_moment(
         diagonal_term=complex(term1),
         reflected_term=complex(term2),
         error_scale=scale,
+        m_diagonal=m_diagonal,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from ._special import gamma
+from ._special import gamma, gamma_array
 from .arith import multiplicative_table, sieve_primes, smooth_integers
 from .mollifier import DirichletPolynomial, MollifierParams, hecke_interval_factor, w_weight
 
@@ -79,6 +79,19 @@ def _crt_moduli(limit: int) -> list[int]:
     return moduli
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth integer 2^i 3^j 5^k at least n: pocketfft's fast lengths."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """First len(a) coefficients of the product of two residue series, mod ``mod``.
 
@@ -89,7 +102,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     coefficient more than 1/4 from an integer raises RuntimeError.
     """
     length = len(a)
-    size = 1 << (2 * length - 2).bit_length()  # no wraparound below index length
+    size = _fft_size(2 * length - 1)  # no wraparound below index length
     fa = np.fft.rfft(a, size)
     fb = fa if b is a else np.fft.rfft(b, size)
     raw = np.fft.irfft(fa * fb, size)[:length]
@@ -111,9 +124,18 @@ def _eta_cube(length: int, mod: int) -> np.ndarray:
 
 
 def _sigma3(length: int) -> np.ndarray:
+    """sigma_3(n) for n < length (slot 0 set to 0): d^3 added at every multiple of d, in one pass.
+
+    The sums stay in int64: at the largest limit they pass 2^53, where a
+    float64 ``bincount`` would round them.
+    """
+    d = np.arange(1, length, dtype=np.int64)
+    counts = (length - 1) // d
+    divisors = np.repeat(d, counts)
+    # the k-th multiple of each divisor, k = 1..counts
+    k = np.arange(1, len(divisors) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     out = np.zeros(length, dtype=np.int64)
-    for d in range(1, length):
-        out[d::d] += d**3
+    np.add.at(out, divisors * k, divisors**3)
     return out
 
 
@@ -141,19 +163,16 @@ def _prime_coefficients(limit: int) -> dict[str, dict[int, int]]:
         eta24 = _eta_cube(limit, m)
         for _ in range(3):
             eta24 = _mulmod(eta24, eta24, m)
-        residues_delta.append(eta24[ns - 1].tolist())
-        residues_w16.append(_mulmod(e4 % m, eta24, m)[ns - 1].tolist())
-    # CRT lift with centered representatives
+        residues_delta.append(eta24[ns - 1])
+        residues_w16.append(_mulmod(e4 % m, eta24, m)[ns - 1])
+    # CRT lift with centered representatives, in Python ints (object arrays)
     big_m = math.prod(moduli)
-    crt_coeff = [(big_m // m) * pow(big_m // m, -1, m) for m in moduli]
+    crt_coeff = np.array([(big_m // m) * pow(big_m // m, -1, m) for m in moduli], dtype=object)
     half = big_m // 2
 
-    def lift(rows: list[list[int]]) -> dict[int, int]:
-        out = {}
-        for n, column in zip(ns.tolist(), zip(*rows)):
-            r = sum(res * c for res, c in zip(column, crt_coeff)) % big_m
-            out[n] = r - big_m if r > half else r
-        return out
+    def lift(rows: list[np.ndarray]) -> dict[int, int]:
+        r = crt_coeff @ np.array(rows, dtype=object) % big_m
+        return dict(zip(ns.tolist(), np.where(r > half, r - big_m, r).tolist()))
 
     return {"delta": lift(residues_delta), "weight16": lift(residues_w16)}
 
@@ -420,16 +439,14 @@ def _cutoff_node_data(contour_re: float, t_max: float, nodes_per_panel: int) -> 
     ws = np.tile(base_w / 2.0, panels)
     s = contour_re + 1j * ts
     norm = gamma(0.5 * k1) * gamma(0.5 * k2)
-    f = np.empty(len(s), dtype=np.complex128)
-    for i, sv in enumerate(s):
-        f[i] = (
-            (2.0 * math.pi) ** (-2.0 * sv)
-            * gamma(sv + 0.5 * k1)
-            * gamma(sv + 0.5 * k2)
-            / norm
-            * np.cos(math.pi * sv / 12.0) ** (-48.0)
-            / sv
-        )
+    f = (
+        (2.0 * math.pi) ** (-2.0 * s)
+        * gamma_array(s + 0.5 * k1)
+        * gamma_array(s + 0.5 * k2)
+        / norm
+        * np.cos(math.pi * s / 12.0) ** (-48.0)
+        / s
+    )
     return s, f * ws
 
 
@@ -495,6 +512,22 @@ def check_euler_range(x: float) -> None:
         raise ValueError(f"the mollifier range x = q^theta_J = {x:.6g} passes the eigenvalue limit {_EULER_TAIL_LIMIT}")
 
 
+def _central_local_expectations(pair: RankinSelbergPair, primes: np.ndarray) -> np.ndarray:
+    """:func:`expectation_local_L` at s = 0 for each of ``primes``, as one array.
+
+    With a = lambda_f(p), b = lambda_g(p) and x = 1/p, the four Satake
+    factors of the convolution at s = 1 multiply out (both root pairs
+    have product 1) to 1 - ab x + (a^2 + b^2 - 2) x^2 - ab x^3 + x^4,
+    so the expectation is (1 - x^2) over that quartic.
+    """
+    a = np.array([pair.f.lambda_p(p) for p in primes.tolist()])
+    b = np.array([pair.g.lambda_p(p) for p in primes.tolist()])
+    x = 1.0 / primes
+    ab = a * b
+    quartic = 1.0 + x * (-ab + x * (a * a + b * b - 2.0 + x * (-ab + x)))
+    return (1.0 - x * x) / quartic
+
+
 def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> tuple[float, float]:
     """E(random central L x random mollifier) for both form orderings.
 
@@ -512,9 +545,7 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
     check_euler_range(params.x)
     small = sieve_primes(1.0, params.c0).primes
     tail = sieve_primes(params.x, float(_EULER_TAIL_LIMIT)).primes
-    outer = 1.0
-    for p in np.concatenate([small, tail]):
-        outer *= expectation_local_L(pair, int(p), 0.0, "formula").real
+    outer = float(np.prod(_central_local_expectations(pair, np.concatenate([small, tail]))))
 
     fg_total, gf_total = outer, outer
     for j in range(params.J + 1):

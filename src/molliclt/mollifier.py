@@ -33,6 +33,7 @@ __all__ = [
     "params_desk",
     "check_desk_params",
     "largest_support_element",
+    "check_pair_budget",
     "w_weight",
     "build_dirichlet_mollifier",
     "dirichlet_interval_piece",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)  # largest support element an int64 array holds
+_PAIR_BUDGET = 40_000_000  # n^2 term pairs of a pair sum over an n-element support
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,29 @@ def largest_support_element(q: int, theta: tuple[float, ...], c0: float) -> int:
         if n > lo:
             largest *= n ** _ell_from_theta(t)
     return largest
+
+
+def check_pair_budget(q: int, theta: tuple[float, ...], c0: float) -> None:
+    """Raise ValueError when the product mollifier's support is too large for its pair sums.
+
+    The support is counted without enumerating it: interval j contributes
+    the products of at most ell_j of its pi_j primes, sum over k <= ell_j
+    of C(pi_j + k - 1, k) = C(pi_j + ell_j, ell_j) of them, and the
+    product support multiplies these counts.  An interval with ell_j = 0
+    contributes 1; the others are sieved, so call this only on inputs that
+    :func:`check_twist_length` admits: each of their largest primes is
+    then below sqrt(q).
+    """
+    bounds = [c0] + [q**t for t in theta]
+    count = 1
+    for lo, hi, t in zip(bounds, bounds[1:], theta):
+        if ell := _ell_from_theta(t):
+            count *= math.comb(len(sieve_primes(lo, hi)) + ell, ell)
+    if count * count > _PAIR_BUDGET:
+        raise ValueError(
+            f"the mollifier support has {count} elements; its pair sums need "
+            f"count^2 <= {_PAIR_BUDGET}, at most {math.isqrt(_PAIR_BUDGET)} elements"
+        )
 
 
 def w_weight(p: float | np.ndarray, j: int, params: MollifierParams):
@@ -314,7 +339,7 @@ def piece_from_prime_sum(p_values: np.ndarray, ell: int) -> np.ndarray:
 
 
 def _pair_budget_check(n: int) -> None:
-    if n * n > 40_000_000:
+    if n * n > _PAIR_BUDGET:
         raise RuntimeError(f"support of {n} elements is too large for the pair sum")
 
 

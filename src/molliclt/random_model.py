@@ -55,7 +55,12 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def _prime_array(prime_list: Iterable[int] | np.ndarray) -> np.ndarray:
-    primes = np.unique(np.asarray(list(prime_list) if not isinstance(prime_list, np.ndarray) else prime_list, dtype=np.int64))
+    """The listed primes as ascending distinct int64.
+
+    Sorted and deduplicated by hand: ``np.unique`` imports all of ``numpy.ma``.
+    """
+    primes = np.sort(np.asarray(list(prime_list) if not isinstance(prime_list, np.ndarray) else prime_list, dtype=np.int64))
+    primes = primes[np.diff(primes, prepend=primes[:1] - 1) != 0]
     if len(primes) and primes[0] < 2:
         raise ValueError("prime list contains a value below 2")
     return primes

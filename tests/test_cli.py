@@ -308,6 +308,24 @@ def test_oversized_smooth_support_is_refused_at_validation(tmp_path, monkeypatch
     refused_twist(["--q", "1000003", "--theta", "0.9"], 251179**2, tmp_path, monkeypatch)
 
 
+def test_second_moment_support_past_the_pair_budget_is_refused_at_validation(tmp_path, monkeypatch):
+    # 340 primes up to 9999991^0.48 = 2290.7 with an Omega cap of 2: C(342, 2)
+    # = 58311 elements, whose pair sums would pass n^2 <= 4e7; the largest
+    # element 2287^2 is below q, so the twist-length rule admits it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for a refused configuration")
+
+    monkeypatch.setattr(cli, "build_table", forbidden)
+    monkeypatch.setattr(mollifier, "smooth_integers", forbidden)
+    code, out, err = run_captured(["second-moment", "--q", "9999991", "--theta", "0.48", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert err == (
+        "invalid configuration: the mollifier support has 58311 elements; "
+        "its pair sums need count^2 <= 40000000, at most 6324 elements\n"
+    )
+    assert out == "" and os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("q, theta, x", [("10007", "1.0", "10007"), ("100003", "0.8", "10000.2")])
 def test_random_past_the_eigenvalue_limit_names_both_numbers(q, theta, x, tmp_path, monkeypatch):
     # the Euler-product weight sieves (x, 10^4]; past it the configuration
@@ -519,6 +537,29 @@ def test_second_moment_command(tmp_path, capsys):
     # the prediction is the sum of its two terms, each reported exactly
     terms = complex(report["diagonal_term"]) + complex(report["reflected_term"])
     assert terms == complex(report["predicted"])
+    predicted = complex(report["predicted"])
+    assert report["relative_discrepancy"] == abs(complex(report["empirical"]) - predicted) / abs(predicted)
+    assert report["relative_discrepancy"] == report["discrepancy"] / abs(predicted)
+
+
+def test_second_moment_computes_the_direct_pair_sum_twice(tmp_path, monkeypatch, capsys):
+    # the diagonal and the reflected term; the direct variant reuses the
+    # diagonal term's M(alpha, beta) instead of summing the same pairs again
+    calls = []
+    direct = mollifier._m_direct
+
+    def counted(*args):
+        calls.append(args[2:])
+        return direct(*args)
+
+    monkeypatch.setattr(mollifier, "_m_direct", counted)
+    assert run("second-moment", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [(0.02, 0.015), (-0.015, -0.02)]
+    report = load_report(tmp_path / "second-moment_q1009.json")
+    # the reused value is the direct route's, bit for bit
+    params = mollifier.params_desk(1009, (0.25,))
+    assert complex(report["m_variants"]["direct"]) == mollifier.m_alpha_beta(params, 0.02, 0.015, variant="direct")
 
 
 def test_random_command_makes_one_transform(tmp_path, monkeypatch, capsys):

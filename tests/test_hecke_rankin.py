@@ -1,6 +1,7 @@
 """Hecke eigenforms and the Rankin-Selberg random model: tau, Satake, cutoffs."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,9 +31,11 @@ from molliclt.hecke_rankin import (
     _crt_moduli,
     _cutoff_eval,
     _eta_cube,
+    _fft_size,
     _lambda_powers,
     _mulmod,
     _prime_coefficients,
+    _sigma3,
 )
 from molliclt.mollifier import params_desk, w_weight
 
@@ -105,6 +108,24 @@ def test_mulmod_matches_dense_convolution():
         noise = rng.integers(0, m, length)
         for a, b in ((e3, e3), (top, top), (noise, e3), (top, noise)):
             assert np.array_equal(_mulmod(a, b, m), np.convolve(a, b)[:length] % m)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_size_is_the_next_5_smooth_length():
+    for n in range(1, 4000):
+        assert _fft_size(n) == next(m for m in itertools.count(n) if _is_5_smooth(m)), n
+
+
+def test_sigma3_matches_the_divisor_sums():
+    want = [0] + [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(1, 2000)]
+    for length in range(2001):
+        assert _sigma3(length).tolist() == want[:length], length
 
 
 def test_mulmod_raises_past_its_bound():

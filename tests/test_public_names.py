@@ -33,6 +33,7 @@ KEPT_WITHOUT_READER = {
     "lambda_table": "Some oracles are kept on purpose: lambda_table ... for item 8(b)",
     "sample": "Some oracles are kept on purpose: random_model.sample",
     "e_trunc_exact": "Keep every function an acceptance criterion reads: e_trunc_exact",
+    "expectation_local_L": "Keep every function an acceptance criterion reads: ... expectation_local_L",
     "selberg_minorant": "Keep every function an acceptance criterion reads: selberg_minorant",
 }
 

@@ -1,6 +1,9 @@
 """Random unitary character model: sampling, exact expectations, moment identities."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -66,6 +69,21 @@ def test_sample_varies_with_index_and_seed():
     base = sample(SMALL_PRIMES, seed=9, index=4).values
     assert not np.allclose(base, sample(SMALL_PRIMES, seed=9, index=5).values)
     assert not np.allclose(base, sample(SMALL_PRIMES, seed=10, index=4).values)
+
+
+def test_random_command_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports all of numpy.ma; the prime lists are deduplicated without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(random_model.__file__)))
+    code = (
+        "import sys\n"
+        "from molliclt.cli import main\n"
+        f"assert main(['random', '--q', '1009', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "MOLLICLT_CACHE_DIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_sample_rejects_non_primes_below_two():
