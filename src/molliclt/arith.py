@@ -331,24 +331,16 @@ class FactoredSupport:
 
 def smooth_integers(
     interval: PrimeInterval | np.ndarray | list[int],
-    ell: int | None,
-    cap: float,
+    ell: int,
     max_count: int = SUPPORT_BUDGET,
 ) -> FactoredSupport:
-    """Integers ``n <= cap`` whose prime factors all lie in the interval.
+    """Integers with at most ``ell`` prime factors (with multiplicity), all in the interval.
 
     Returns them ascending, starting with 1, with the factorization of
     each over the interval's primes (see :class:`FactoredSupport`).
-    ``ell`` caps Omega(n) (``None`` for no cap); ``cap`` may be
-    ``math.inf`` when the Omega cap alone bounds the search.
-    Depth-first over the prime list, so nothing in ``[1, cap]`` is ever
-    scanned.  Enumerations larger than ``max_count`` raise
-    :class:`RuntimeError`.
+    Depth-first over the prime list.  Enumerations larger than
+    ``max_count`` raise :class:`RuntimeError`.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    if ell is None and not math.isfinite(cap):
-        raise ValueError("need a finite cap or an Omega cap to terminate")
     primes = interval.primes if isinstance(interval, PrimeInterval) else interval
     plist = sorted(int(p) for p in np.asarray(primes, dtype=np.int64))
     path: list[int] = []  # prime indices of the element being built, nondecreasing
@@ -363,16 +355,13 @@ def smooth_integers(
         if len(values) > max_count:
             raise RuntimeError(
                 f"smooth enumeration exceeded {max_count} values: {len(plist)} primes "
-                f"from {plist[0]} to {plist[-1]}, Omega cap {ell}, value cap {cap}"
+                f"from {plist[0]} to {plist[-1]}, Omega cap {ell}"
             )
-        if ell is not None and len(path) + 1 > ell:
+        if len(path) >= ell:
             return
         for j in range(idx, len(plist)):
-            p = plist[j]
-            if value * p > cap:
-                break
             path.append(j)
-            dfs(j, value * p)
+            dfs(j, value * plist[j])
             path.pop()
 
     dfs(0, 1)

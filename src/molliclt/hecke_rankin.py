@@ -23,8 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._special import gamma, gamma_array
-from .arith import multiplicative_table, sieve_primes, smooth_integers
-from .mollifier import DirichletPolynomial, MollifierParams, hecke_interval_factor, w_weight
+from .arith import multiplicative_table, sieve_primes
+from .mollifier import MollifierParams, w_weight
+from .random_model import circle_expectation
 
 __all__ = [
     "HeckeForm",
@@ -52,7 +53,6 @@ _TRUNC_TOL = 1e-16
 _TRUNC_LOOKAHEAD = 10
 _TRUNC_MAX_TERMS = 400
 _QUADRATURE_NODES = 128
-_EULER_D_CAP = 1_000_000  # largest interval-smooth D in expected_weight_euler
 _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 _CUTOFF_WEIGHTS = (12, 16)  # the cutoff's archimedean factor is that of the shipped pair
 
@@ -528,19 +528,33 @@ def _central_local_expectations(pair: RankinSelbergPair, primes: np.ndarray) -> 
     return (1.0 - x * x) / quartic
 
 
+def _interval_weights(pair: RankinSelbergPair, params: MollifierParams, j: int) -> tuple[float, float]:
+    """Interval j's factor of :func:`expected_weight_euler` for both orderings,
+    with mollifier coefficients c(p) = lambda(p) w_J(p)/sqrt(p)."""
+    primes = params.intervals[j].primes
+    lam_f, lam_g = (np.array([form.lambda_p(p) for p in primes.tolist()]) for form in (pair.f, pair.g))
+    # the Satake roots have product 1, so at z = X/sqrt(p) the local factor
+    # is 1/(1 - lambda z + z^2); lambda is real, so L(conj X) = conj L(X)
+    z = np.exp(2j * math.pi * (np.arange(_QUADRATURE_NODES) + 0.5) / _QUADRATURE_NODES) / np.sqrt(primes)[:, None]
+    l_f, l_g = (1.0 / (1.0 - lam[:, None] * z + z * z) for lam in (lam_f, lam_g))
+    scale = w_weight(primes, params.J, params) / np.sqrt(primes)
+    fg = circle_expectation(l_f * np.conj(l_g), lam_f * scale, lam_g * scale, params.ell[j])
+    gf = circle_expectation(l_g * np.conj(l_f), lam_f * scale, lam_g * scale, params.ell[j])
+    return fg.real, gf.real
+
+
 def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> tuple[float, float]:
     """E(random central L x random mollifier) for both form orderings.
 
     Euler product in three zones: bare local expectations below the
     mollifier range and on the tail above it (truncated at
-    _EULER_TAIL_LIMIT), and per-interval diagonal convolution sums inside:
-    sum over interval-smooth D <= _EULER_D_CAP of (1/D) A1(D) A2(D) with
-    A(D) = sum over factorizations D = m n, n in the capped mollifier
-    support, of lambda_L(m) gamma(n).  The mollifier slots are fixed
-    (f with X, g with the conjugate); the orderings swap only which
-    L-factor rides which side.  The cutoff is taken at its central value
-    1 on this support.  Real output; equal labels are permitted here.
-    Raises ValueError when x = q^theta_J passes _EULER_TAIL_LIMIT.
+    _EULER_TAIL_LIMIT), and inside each interval the exact model value
+    of L_f(X) L_g(conj X) M_f(X) M_g(conj X), M the interval's Omega-capped
+    mollifier factor, by :func:`circle_expectation`.  The mollifier slots
+    are fixed (f with X, g with the conjugate); the orderings swap only
+    which L-factor rides which side.  The cutoff is taken at its central
+    value 1.  Real output; equal labels are permitted here.  Raises
+    ValueError when x = q^theta_J passes _EULER_TAIL_LIMIT.
     """
     check_euler_range(params.x)
     small = sieve_primes(1.0, params.c0).primes
@@ -549,34 +563,7 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
 
     fg_total, gf_total = outer, outer
     for j in range(params.J + 1):
-        support = smooth_integers(params.intervals[j], None, float(_EULER_D_CAP))
-        values = support.values
-        lam_cache: dict[str, np.ndarray] = {}
-        for form in (pair.f, pair.g):
-            if form.label not in lam_cache:
-                local = [_lambda_powers(form, int(p), 1.0)[: support.max_exponent + 1] for p in support.primes]
-                lam_cache[form.label] = support.multiplicative(
-                    np.array(local).reshape(len(support.primes), support.max_exponent + 1)
-                )
-
-        gamma_f = hecke_interval_factor(params, j, pair.f)
-        gamma_g = hecke_interval_factor(params, j, pair.g)
-
-        def a_convolve(l_form: HeckeForm, gamma: DirichletPolynomial) -> np.ndarray:
-            lam_vals = lam_cache[l_form.label]
-            acc = np.zeros(len(values))
-            for n_m, gval in zip(gamma.support.tolist(), gamma.coeff.real.tolist()):
-                cut = int(np.searchsorted(values, _EULER_D_CAP // n_m, side="right"))
-                prods = n_m * values[:cut]
-                pos = np.searchsorted(values, prods)
-                acc[pos] += gval * lam_vals[:cut]
-            return acc
-
-        a_ff = a_convolve(pair.f, gamma_f)
-        a_gg = a_convolve(pair.g, gamma_g)
-        a_gf = a_convolve(pair.g, gamma_f)
-        a_fg = a_convolve(pair.f, gamma_g)
-        inv = 1.0 / values.astype(np.float64)
-        fg_total *= float(np.sum(a_ff * a_gg * inv))
-        gf_total *= float(np.sum(a_gf * a_fg * inv))
+        fg, gf = _interval_weights(pair, params, j)
+        fg_total *= fg
+        gf_total *= gf
     return fg_total, gf_total

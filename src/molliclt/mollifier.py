@@ -37,7 +37,6 @@ __all__ = [
     "w_weight",
     "build_dirichlet_mollifier",
     "dirichlet_interval_piece",
-    "hecke_interval_factor",
     "prime_sum_polynomial",
     "prime_sums_all",
     "piece_from_prime_sum",
@@ -76,7 +75,7 @@ class MollifierParams:
     @cached_property
     def supports(self) -> tuple[FactoredSupport, ...]:
         """Each interval's Omega-capped smooth support, enumerated once per params."""
-        return tuple(smooth_integers(iv, ell, math.inf) for iv, ell in zip(self.intervals, self.ell))
+        return tuple(smooth_integers(iv, ell) for iv, ell in zip(self.intervals, self.ell))
 
 
 def _ell_from_theta(theta: float) -> int:
@@ -282,21 +281,6 @@ def dirichlet_interval_piece(params: MollifierParams, j: int) -> DirichletPolyno
     if not 0 <= j <= params.J:
         raise ValueError(f"interval index {j} outside 0..{params.J}")
     return _dirichlet_piece(params.supports[j])
-
-
-def hecke_interval_factor(params: MollifierParams, j: int, form) -> DirichletPolynomial:
-    """Interval-j coefficients a(n) lambda(n) nu(n) on the capped smooth support.
-
-    ``a`` is the completely multiplicative extension of
-    a(p) = lambda_form(p) * w_J(p), with w_J the final interval's
-    smoothing weight.  ``form`` is anything with a ``lambda_p(p)`` method.
-    """
-    support = params.supports[j]
-    a_p = [form.lambda_p(int(p)) * w_weight(int(p), params.J, params) for p in support.primes]
-    exponents = range(support.max_exponent + 1)
-    powers = np.array([[a ** e for e in exponents] for a in a_p]).reshape(len(a_p), len(exponents))
-    coeff = support.liouville * support.multiplicative(powers) * support.nu
-    return DirichletPolynomial(support.values, coeff.astype(np.complex128))
 
 
 def prime_sum_polynomial(params: MollifierParams, j: int = 0) -> DirichletPolynomial:

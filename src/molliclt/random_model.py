@@ -9,9 +9,10 @@ no claim to be.
 
 Expectations of products of short Dirichlet polynomials in the model
 are computed exactly from the orthogonality E[X(m) conj(X(n))] = [m=n],
-with a Monte Carlo route kept alongside as an independent check.  The
-truncated exponential and the moment identity that ties the character
-average to the model live here too.
+with a Monte Carlo route kept alongside as an independent check; over
+one interval, :func:`circle_expectation` is the circle-quadrature engine.
+The truncated exponential and the moment identity that ties the
+character average to the model live here too.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "sample",
     "ExpectationResult",
     "exact_expectation",
+    "circle_expectation",
     "mc_expectation",
     "e_trunc_exact",
     "MomentIdentity",
@@ -135,6 +137,35 @@ def exact_expectation(product_spec: list[tuple[DirichletPolynomial, bool]]) -> E
         if other is not None:
             total += (c * other.conjugate()) if small is a else (other * c.conjugate())
     return ExpectationResult(value=complex(total), method="exact")
+
+
+def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray, ell: int) -> complex:
+    """E[prod_p f_p(X_p) e_ell(-sum_p c_x(p) X_p) e_ell(-sum_p c_xb(p) conj(X_p))].
+
+    Row i of ``integrand`` is the i-th prime's f_p at the N trapezoid
+    nodes exp(2 pi i (k + 1/2) / N), N = ``integrand.shape[1]``.  The X_p
+    are independent, so the expectation is the sum of the coefficients of
+    degree <= ell in s and in t of the product over the primes of
+    E[f_p(X) exp(-s c_x X - t c_xb conj X)], whose s^a t^b coefficient is
+    (-c_x)^a (-c_xb)^b / (a! b!) times the circle moment E[f_p(X) X^(a-b)].
+    """
+    n = integrand.shape[1]
+    d = np.arange(-ell, ell + 1)
+    nodes = np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
+    moments = integrand @ nodes[:, None] ** d / n  # (primes, 2 ell + 1)
+    k = np.arange(ell + 1)
+    fact = np.cumprod(np.maximum(k, 1)).astype(np.float64)
+    u, v = ((-c)[:, None] ** k / fact for c in (c_x, c_xb))
+    factors = np.zeros((len(moments), ell + 1, 2 * ell + 1), dtype=np.complex128)
+    factors[:, :, : ell + 1] = u[:, :, None] * v[:, None, :] * moments[:, ell + k[:, None] - k[None, :]]
+    # row a, column b holds the s^a t^b coefficient; a product's t-degree
+    # stays below the row width 2 ell + 1, so one flat convolution multiplies
+    acc = np.zeros((ell + 1, 2 * ell + 1), dtype=np.complex128)
+    acc[0, 0] = 1.0
+    for factor in factors:
+        acc = np.convolve(acc.ravel(), factor.ravel())[: acc.size].reshape(acc.shape)
+        acc[:, ell + 1 :] = 0.0
+    return complex(acc.sum())
 
 
 def mc_expectation(

@@ -223,7 +223,7 @@ def test_criterion_09_truncated_exponential_apparatus():
     # power-vs-polynomial identity: (sum c_p)^k / k! rebuilt from the
     # nu-weighted smooth numbers with Omega(n) = k, exactly
     weights = {2: Fraction(1, 3), 3: Fraction(-2, 5), 5: Fraction(7, 4)}
-    members = smooth_integers([2, 3, 5], None, 5.0**6)
+    members = smooth_integers([2, 3, 5], 4)
     for k in range(1, 5):
         left = sum(weights.values()) ** k / math.factorial(k)
         right = Fraction(0)

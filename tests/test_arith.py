@@ -122,31 +122,22 @@ def test_nu_multiplicative_on_coprime(m, n):
 
 
 def test_smooth_integers_omega_capped():
-    members = smooth_integers(sieve_primes(1, 10), 2, math.inf)
+    members = smooth_integers(sieve_primes(1, 10), 2)
     values = members.values.tolist()
     assert values == [1, 2, 3, 4, 5, 6, 7, 9, 10, 14, 15, 21, 25, 35, 49]
     assert all(om == big_omega(n) for n, om in zip(values, members.omega.tolist()))
 
 
-def test_smooth_integers_value_capped():
-    members = smooth_integers(sieve_primes(1, 10), None, 10)
-    assert members.values.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-
-
 def test_smooth_integers_support_is_divisor_closed():
-    values = set(smooth_integers(sieve_primes(1, 14), 3, math.inf).values.tolist())
+    values = set(smooth_integers(sieve_primes(1, 14), 3).values.tolist())
     for n in values:
         for d in factorize(n).divisors():
             assert d in values
 
 
 def test_smooth_integers_guards():
-    with pytest.raises(ValueError):
-        smooth_integers(sieve_primes(1, 10), None, math.inf)
-    with pytest.raises(ValueError):
-        smooth_integers(sieve_primes(1, 10), 2, 0.5)
     with pytest.raises(RuntimeError):
-        smooth_integers(sieve_primes(1, 100), None, 10**6, max_count=100)
+        smooth_integers(sieve_primes(1, 100), 4, max_count=100)
 
 
 def _factored_support_cases():
@@ -163,7 +154,7 @@ def _factored_support_cases():
     ids=["desk_quarter", "desk_half", "two_interval_0", "two_interval_1", "primes_to_1000"],
 )
 def test_factored_support_matches_arith_oracles(interval, ell):
-    support = smooth_integers(interval, ell, math.inf)
+    support = smooth_integers(interval, ell)
     assert support.exps.dtype == np.uint8 and np.all(support.exps > 0)
     assert list(support.primes) == list(interval.primes)
     # one triple per p^e || n, in (row, prime) order
@@ -187,7 +178,7 @@ def test_factored_support_matches_arith_oracles(interval, ell):
 
 
 def test_prime_interval_accepts_plain_list():
-    members = smooth_integers([2, 5], 2, math.inf)
+    members = smooth_integers([2, 5], 2)
     assert members.values.tolist() == [1, 2, 4, 5, 10, 25]
 
 

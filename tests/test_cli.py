@@ -369,15 +369,19 @@ def test_second_moment_enumerates_the_supports_before_any_second_moment(tmp_path
     assert out == ""
 
 
-def test_clt_enumerates_no_smooth_support(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [["clt", "--q", "10007", "--theta", "0.5"], ["random", "--q", "10007", "--theta", "0.25"]],
+                         ids=["clt", "random"])
+def test_clt_and_random_enumerate_no_smooth_support(argv, tmp_path, monkeypatch):
+    # clt evaluates its pieces from prime sums, and random's expected weight
+    # is circle quadrature over the interval primes
     def forbidden(*args, **kwargs):
-        raise AssertionError("clt enumerated a smooth support")
+        raise AssertionError(f"{argv[0]} enumerated a smooth support")
 
     monkeypatch.setattr(arith, "smooth_integers", forbidden)
     monkeypatch.setattr(mollifier, "smooth_integers", forbidden)
-    code, out, err = run_captured(["clt", "--q", "10007", "--theta", "0.5", "--out", str(tmp_path)])
+    code, out, err = run_captured([*argv, "--out", str(tmp_path)])
     assert code == EXIT_OK, err
-    assert out.startswith("clt: ") and err == ""
+    assert out.startswith(f"{argv[0]}: ") and err == ""
 
 
 def test_unwritable_out_is_a_run_failure(tmp_path):

@@ -1,5 +1,6 @@
 """Hecke eigenforms and the Rankin-Selberg random model: tau, Satake, cutoffs."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from molliclt import hecke_rankin
 from molliclt.arith import sieve_primes
 from molliclt.hecke_rankin import (
     RankinSelbergPair,
@@ -27,6 +29,7 @@ from molliclt.hecke_rankin import (
 )
 from molliclt.hecke_rankin import (
     _MAX_LIMIT,
+    _interval_weights,
     _TRUNC_MAX_TERMS,
     _crt_moduli,
     _cutoff_eval,
@@ -458,3 +461,77 @@ def test_expected_weight_euler_cross_check_per_prime(pair, desk):
         else:
             acc *= g_p(pair, p, 0.0, desk).real
     assert fg == pytest.approx(acc, rel=1e-3)
+
+
+def _box_weight(l_x, m_x, l_xb, m_xb, params, j, box):
+    """Sum over D of (1/D) A_x(D) A_xb(D) for D over interval j's primes,
+    each exponent at most ``box``: A(D) = sum over D = m n with
+    Omega(n) <= ell of lambda_L(m) gamma(n), gamma(n) = (-1)^Omega(n) nu(n)
+    a(n) and a(p) = lambda_M(p) w_J(p), one ordering's model coefficients.
+    """
+    primes = params.intervals[j].primes.tolist()
+    ell = params.ell[j]
+    lam = {(form.label, p, e): lambda_prime_power(form, p, e) for form in (l_x, l_xb) for p in primes for e in range(box + 1)}
+    small = [n for n in itertools.product(range(ell + 1), repeat=len(primes)) if sum(n) <= ell]
+
+    def gamma(m_form, n):
+        out = (-1.0) ** sum(n)
+        for p, e in zip(primes, n):
+            out *= (m_form.lambda_p(p) * w_weight(p, params.J, params)) ** e / math.factorial(e)
+        return out
+
+    gammas = {form.label: {n: gamma(form, n) for n in small} for form in (m_x, m_xb)}
+
+    def a_coeff(l_form, m_form, exps):
+        total = 0.0
+        for n in small:
+            if all(e_n <= e for e_n, e in zip(n, exps)):
+                term = gammas[m_form.label][n]
+                for p, e, e_n in zip(primes, exps, n):
+                    term *= lam[(l_form.label, p, e - e_n)]
+                total += term
+        return total
+
+    total = 0.0
+    for exps in itertools.product(range(box + 1), repeat=len(primes)):
+        d = math.prod(p**e for p, e in zip(primes, exps))
+        total += a_coeff(l_x, m_x, exps) * a_coeff(l_xb, m_xb, exps) / d
+    return total
+
+
+def test_interval_weights_match_exponent_box_enumeration(pair, monkeypatch):
+    # interval (q^0.1, q^0.2] = {3, 5} with ell = 6.  The box is bounded by
+    # exponents, not by D: its tail past 45 is below 1e-18, while a value
+    # cap of D <= 10^12 would still leave about 1e-7
+    params = params_desk(10007, [0.1, 0.2])
+    assert params.intervals[1].primes.tolist() == [3, 5] and params.ell[1] == 6
+    f, g = pair.f, pair.g
+    want_fg = _box_weight(f, f, g, g, params, 1, 45)
+    want_gf = _box_weight(g, f, f, g, params, 1, 45)
+    fg, gf = _interval_weights(pair, params, 1)
+    assert fg == pytest.approx(want_fg, rel=1e-12)
+    assert gf == pytest.approx(want_gf, rel=1e-12)
+    # twice the nodes change nothing beyond rounding
+    monkeypatch.setattr(hecke_rankin, "_QUADRATURE_NODES", 256)
+    fine_fg, fine_gf = _interval_weights(pair, params, 1)
+    assert fine_fg == pytest.approx(fg, rel=1e-14)
+    assert fine_gf == pytest.approx(gf, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "params, j",
+    [
+        (params_desk(10007, [0.1]), 0),  # {2} with ell = 10
+        (dataclasses.replace(params_desk(10007, [0.18, 0.25]), ell=(4, 12)), 1),  # {7} with ell = 12
+    ],
+    ids=["p2_ell10", "p7_ell12"],
+)
+def test_one_prime_interval_weight_is_g_p(pair, params, j):
+    # with one prime and ell >= 10, e_ell is the exponential to rounding, so
+    # the interval's weight is the untruncated local expectation
+    (p,) = params.intervals[j].primes.tolist()
+    assert params.ell[j] >= 10
+    fg, _ = _interval_weights(pair, params, j)
+    want = g_p(pair, p, 0.0, params)
+    assert abs(want.imag) < 1e-15
+    assert fg == pytest.approx(want.real, rel=1e-14)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from molliclt.arith import PrimeInterval, big_omega, factorize, nu, sieve_primes, smooth_integers
+from molliclt.arith import SUPPORT_BUDGET, PrimeInterval, factorize, nu, sieve_primes, smooth_integers
 from molliclt import hecke_rankin, mollifier
 from molliclt.characters import build_table
 from molliclt.mollifier import (
@@ -17,8 +17,8 @@ from molliclt.mollifier import (
     MollifierParams,
     build_dirichlet_mollifier,
     check_desk_params,
+    check_pair_budget,
     dirichlet_interval_piece,
-    hecke_interval_factor,
     largest_support_element,
     m_alpha_beta,
     m_alpha_beta_general,
@@ -154,7 +154,7 @@ def test_exact_coefficients_match_brute_force_convolution():
     maps = []
     for j in range(p.J + 1):
         piece: dict[int, Fraction] = {}
-        support = smooth_integers(p.intervals[j], p.ell[j], math.inf)
+        support = smooth_integers(p.intervals[j], p.ell[j])
         for n, om in zip(support.values.tolist(), support.omega.tolist()):
             piece[n] = Fraction(-1 if om & 1 else 1) * nu(n)
         maps.append(piece)
@@ -187,17 +187,17 @@ def test_interval_pieces_multiply_to_full_mollifier(desk_quarter):
 
 
 def test_each_interval_support_is_enumerated_once(monkeypatch):
-    """The mollifier, its pieces, the Euler route of M and the Euler-product
-    expected weight all read one Omega-capped enumeration per interval."""
+    """The mollifier, its pieces and the Euler route of M all read one
+    Omega-capped enumeration per interval; the Euler-product expected
+    weight enumerates none."""
     calls = []
     enumerate_support = mollifier.smooth_integers
 
-    def counted(interval, ell, cap, *rest):
-        calls.append((tuple(interval.primes.tolist()), ell, cap))
-        return enumerate_support(interval, ell, cap, *rest)
+    def counted(interval, ell, *rest):
+        calls.append((tuple(interval.primes.tolist()), ell))
+        return enumerate_support(interval, ell, *rest)
 
     monkeypatch.setattr(mollifier, "smooth_integers", counted)
-    monkeypatch.setattr(hecke_rankin, "smooth_integers", counted)
     p = params_desk(10007, [0.2, 0.3], c0=1.0)
     build_dirichlet_mollifier(p)
     for j in range(p.J + 1):
@@ -205,10 +205,31 @@ def test_each_interval_support_is_enumerated_once(monkeypatch):
     m_alpha_beta(p, 0.02, 0.015, "euler")
     pair = hecke_rankin.RankinSelbergPair(hecke_rankin.delta_form(), hecke_rankin.weight16_form())
     hecke_rankin.expected_weight_euler(pair, p)
-    capped = [call for call in calls if call[1] is not None]
-    assert capped == [(tuple(iv.primes.tolist()), ell, math.inf) for iv, ell in zip(p.intervals, p.ell)]
-    # the expected weight's own D-capped supports are a different set
-    assert len(calls) - len(capped) == p.J + 1
+    assert calls == [(tuple(iv.primes.tolist()), ell) for iv, ell in zip(p.intervals, p.ell)]
+
+
+def test_admitted_supports_stay_far_below_the_enumeration_guards():
+    # smooth_integers runs only for MollifierParams.supports, and of the
+    # commands only second-moment reads them (clt and random enumerate
+    # nothing, see test_cli).  second-moment's validation, check_pair_budget,
+    # counts the product support exactly (C(pi_j + ell_j, ell_j) per
+    # interval, checked below) and admits at most isqrt(_PAIR_BUDGET)
+    # elements.  Every interval's support divides into that product, so no
+    # accepted input comes near SUPPORT_BUDGET, which guards both
+    # smooth_integers and _product; nor past the pair-sum guard, which has
+    # the same budget.  Those RuntimeErrors are unreachable once validation
+    # passes, which is what keeps an oversized run an exit-2 refusal.
+    admitted = math.isqrt(mollifier._PAIR_BUDGET)
+    assert admitted == 6324
+    assert 300 * admitted < SUPPORT_BUDGET
+    mollifier._pair_budget_check(admitted)
+    with pytest.raises(RuntimeError):
+        mollifier._pair_budget_check(admitted + 1)
+    p = params_desk(10007, [0.2, 0.3])
+    check_pair_budget(p.q, p.theta, p.c0)
+    counts = [math.comb(len(iv) + ell, ell) for iv, ell in zip(p.intervals, p.ell)]
+    assert [len(s.values) for s in p.supports] == counts
+    assert len(build_dirichlet_mollifier(p).support) == math.prod(counts)
 
 
 @pytest.mark.filterwarnings("ignore:interval .* contains no primes")
@@ -391,19 +412,4 @@ def test_prime_sums_all_orthogonality_second_moment(table101):
     sums = prime_sums_all(table101, p)
     want = 1 / 2 + 1 / 3
     assert abs(np.mean(np.abs(sums) ** 2) - want) < 1e-12
-
-
-# --- Hecke-weighted variant ---------------------------------------------
-
-
-def test_hecke_interval_factor_values(desk_quarter):
-    class UnitForm:
-        def lambda_p(self, p):
-            return 1.0 / w_weight(p, desk_quarter.J, desk_quarter)
-
-    # lambda = 1 / w_J makes every a(p) one: the Dirichlet coefficients
-    factor = hecke_interval_factor(desk_quarter, 0, UnitForm())
-    for n, c in zip(factor.support.tolist(), factor.coeff.tolist()):
-        om = big_omega(n)
-        assert c == pytest.approx(float((-1) ** om * nu(n)), rel=1e-15)
 

@@ -16,6 +16,7 @@ from molliclt import random_model
 from molliclt.arith import nu, smooth_integers
 from molliclt.mollifier import DirichletPolynomial, params_desk, prime_sum_polynomial
 from molliclt.random_model import (
+    circle_expectation,
     e_trunc_exact,
     exact_expectation,
     mc_expectation,
@@ -197,6 +198,33 @@ def test_mc_matches_exact_for_prime_sum_second_moment():
     assert abs(mc.value.real - exact) < 4 * mc.standard_error
 
 
+def test_circle_expectation_of_two_truncated_exponentials():
+    # unit integrand: E[e_ell(-(c1 X1 + c2 X2)) e_ell(-(d1 conj X1 + d2 conj X2))]
+    # keeps only equal degrees, sum over a <= ell of 1/a!^2 times
+    # sum over i of C(a, i)^2 (c1 d1)^i (c2 d2)^(a - i)
+    c, d, ell = np.array([0.3, -0.7]), np.array([0.5, 1.2]), 3
+    want = sum(
+        sum(math.comb(a, i) ** 2 * (c[0] * d[0]) ** i * (c[1] * d[1]) ** (a - i) for i in range(a + 1))
+        / math.factorial(a) ** 2
+        for a in range(ell + 1)
+    )
+    got = circle_expectation(np.ones((2, 64)), c, d, ell)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("side", ["x", "xb"])
+def test_circle_expectation_reads_the_circle_moments(side):
+    # against 1/(1 - r conj X) = sum r^j conj(X)^j, e_ell(-c X) keeps its
+    # diagonal: E = e_ell(-c r); mirrored for the conjugate side
+    r, c, ell = 0.6, 1.3, 5
+    x = np.exp(2j * math.pi * (np.arange(128) + 0.5) / 128)
+    integrand = 1.0 / (1.0 - r * (np.conj(x) if side == "x" else x))
+    coeffs = (np.array([c]), np.array([0.0])) if side == "x" else (np.array([0.0]), np.array([c]))
+    got = circle_expectation(integrand[None, :], *coeffs, ell)
+    assert got == pytest.approx(float(e_trunc_exact(ell, Fraction(-c * r))), rel=1e-14)
+    assert circle_expectation(np.ones((0, 128)), np.zeros(0), np.zeros(0), ell) == 1.0
+
+
 # --- truncated exponentials -------------------------------------------------
 
 
@@ -242,7 +270,7 @@ def test_power_identity_prime_sum_vs_smooth_enumeration():
     for ell in (1, 2, 3, 4):
         lhs = sum(c.values()) ** ell
         rhs = Fraction(0)
-        support = smooth_integers(list(c), ell, math.inf)
+        support = smooth_integers(list(c), ell)
         for n, om in zip(support.values.tolist(), support.omega.tolist()):
             if om != ell:
                 continue
