@@ -17,8 +17,10 @@ character group.  Since ind(-1) = (q-1)/2, the even labels see only the
 coefficients folded onto half the group and the odd labels only their
 alternating fold, so each parity class may carry its own coefficients;
 for real coefficients both classes together take one complex transform
-of half length h = (q-1)/2.  That transform is split at the largest
-prime P of h, h = c P (the four-step FFT of Bailey, "FFTs in external or
+of half length h = (q-1)/2, and the even labels alone take one such
+transform for every two real folds (:func:`even_character_sums`).  That
+transform is split at the largest prime P of h, h = c P (the four-step
+FFT of Bailey, "FFTs in external or
 hierarchical memory", 1990): one numpy FFT of length P over c rows and
 one of length c over P columns, neither with a prime factor above P, so
 any Bluestein step is confined to length P instead of h.  When h is
@@ -43,6 +45,9 @@ __all__ = [
     "orthogonality_gram",
     "roots_residual",
     "batch_character_sums",
+    "even_fold",
+    "even_gauss_fold",
+    "even_character_sums",
     "gauss_sum",
     "gauss_sums_all",
     "root_numbers",
@@ -346,6 +351,75 @@ def batch_character_sums(
     return out
 
 
+def even_fold(table: CharacterTable, support: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """f[k] = sum of c(n) over the support entries with ind(n) = k mod h, h = m / 2.
+
+    chi_2b(n) = e(b ind(n) / h), so the even label 2b sees the coefficients
+    only through this fold: its sum is the length-h DFT of f at b
+    (:func:`even_character_sums`).  The fold is real unless a coefficient
+    has a nonzero imaginary part.  Support entries divisible by q
+    contribute nothing.
+    """
+    support = np.asarray(support, dtype=np.int64)
+    residues = support % table.q
+    keep = residues != 0
+    h = table.m // 2
+    classes = table.index[residues[keep]] % h
+    coeffs = np.asarray(coeffs)[keep]
+    fold = np.bincount(classes, weights=coeffs.real, minlength=h)
+    if np.any(np.imag(coeffs)):
+        fold = fold + 1j * np.bincount(classes, weights=coeffs.imag, minlength=h)
+    return fold
+
+
+def even_gauss_fold(table: CharacterTable) -> np.ndarray:
+    """2 cos(2 pi g^k / q), k < h: the Gauss-sum coefficients as the even
+    labels see them (see :func:`gauss_sums_all`)."""
+    return 2.0 * _gauss_phases(table).real
+
+
+def even_character_sums(table: CharacterTable, *folds: np.ndarray) -> list[np.ndarray]:
+    """S[b] = sum_k f[k] e(b k / h), b < h = m / 2, for each fold f of
+    length h (:func:`even_fold`): the character sums at the even labels 2b.
+
+    The real folds, and the real and imaginary parts of the complex ones,
+    ride two to one complex FFT of length h (:func:`_split_ifft`): with X
+    the transform of u + i v, the transforms of the real u and v are
+    (X[b] + conj(X[-b])) / 2 and (X[b] - conj(X[-b])) / (2i).  An odd row
+    out takes a transform of its own.  Only half-length arrays are formed,
+    two per transform.
+    """
+    h = table.m // 2
+    rows = [part for f in folds for part in ((f.real, f.imag) if np.iscomplexobj(f) else (f,))]
+    sums = []
+    for i in range(0, len(rows), 2):
+        x = np.empty(h, dtype=np.complex128)
+        x.real = rows[i]
+        x.imag = rows[i + 1] if i + 1 < len(rows) else 0.0
+        other = np.empty(h, dtype=np.complex128)
+        x = _split_ifft(table, x, scratch=other)
+        if i + 1 == len(rows):
+            sums.append(x)
+            break
+        other[0] = x[0].conjugate()  # conj(X[-b])
+        np.conjugate(x[:0:-1], out=other[1:])
+        np.subtract(x, other, out=other)
+        other *= 0.5  # (X - conj(X[-b])) / 2
+        x -= other  # (X + conj(X[-b])) / 2
+        other *= -1j
+        sums += [x, other]
+    # each complex fold's sum from the sums of its two parts, in place
+    out, given = [], iter(sums)
+    for f in folds:
+        total = next(given)
+        if np.iscomplexobj(f):
+            imag = next(given)
+            total.real -= imag.imag
+            total.imag += imag.real
+        out.append(total)
+    return out
+
+
 def gauss_sum(table: CharacterTable, a: int) -> complex:
     """tau(chi_a) = sum over n mod q of chi_a(n) e(n/q), computed directly."""
     if a % table.m == 0:
@@ -363,6 +437,14 @@ def gauss_sum(table: CharacterTable, a: int) -> complex:
     return complex(np.sum(terms))
 
 
+def _gauss_phases(table: CharacterTable) -> np.ndarray:
+    """e(g^k / q) for k < h = m / 2."""
+    z = 2j * np.pi * table.power[: table.m // 2]
+    z /= table.q
+    np.exp(z, out=z)
+    return z
+
+
 def gauss_sums_all(table: CharacterTable) -> np.ndarray:
     """Gauss sums for every label at once (one real half-length transform).
 
@@ -373,9 +455,7 @@ def gauss_sums_all(table: CharacterTable) -> np.ndarray:
     principal entry S[0] equals -1 (it is not a primitive Gauss sum).
     """
     h = table.m // 2
-    z = 2j * np.pi * table.power[:h]
-    z /= table.q
-    np.exp(z, out=z)
+    z = _gauss_phases(table)
     folds = np.empty(table.m)
     np.multiply(2.0, z.real, out=folds[:h])
     np.multiply(2.0, z.imag, out=folds[h:])

@@ -1,6 +1,9 @@
 """Command-line driver: configuration, caches, experiment wiring, and
 structured (atomic, reproducible) outputs.
 
+The Hecke, random-model and statistics modules are imported by the
+commands that run them, so the other commands start without them.
+
 Exit codes: 0 success, 1 an assertion suite failed, 2 invalid
 configuration.  Every JSON output embeds the effective configuration,
 its hash, and the seed; the only fields allowed to vary between reruns
@@ -35,17 +38,6 @@ from .dirichlet_l import (
     save_l_values,
     twisted_second_moment,
 )
-from .hecke_rankin import (
-    RankinSelbergPair,
-    check_euler_range,
-    delta_form,
-    expected_weight_euler,
-    f_p,
-    g_p,
-    quadrature_expectation,
-    v_cutoff,
-    weight16_form,
-)
 from .mollifier import (
     MollifierParams,
     build_dirichlet_mollifier,
@@ -56,8 +48,6 @@ from .mollifier import (
     params_desk,
     prime_sum_polynomial,
 )
-from .random_model import exact_expectation, mc_expectation, moment_identity_check
-from .stats import clt_experiment, write_charfn_csv, write_interval_csv
 
 EXIT_OK = 0
 EXIT_SUITE = 1
@@ -109,6 +99,8 @@ class RunConfig:
             raise ValueError(f"mc_samples (--mc) must be at most {_MAX_MC_SAMPLES}, got {self.mc_samples}")
         theta = check_desk_params(self.q, self.theta, self.c0)
         if command == "random":
+            from .hecke_rankin import check_euler_range
+
             check_euler_range(float(self.q) ** theta[-1])
         if command == "second-moment":
             check_even_family(self.q)
@@ -261,6 +253,8 @@ def cmd_lvalues(cfg: RunConfig) -> Outcome:
 
 
 def cmd_clt(cfg: RunConfig) -> Outcome:
+    from .stats import clt_experiment, write_charfn_csv, write_interval_csv
+
     params = cfg.mollifier_params()
     table = build_table(cfg.q)
     l_values, source = _central_values(cfg, table)
@@ -294,6 +288,12 @@ def cmd_clt(cfg: RunConfig) -> Outcome:
 
 
 def cmd_random(cfg: RunConfig) -> Outcome:
+    from .hecke_rankin import (
+        RankinSelbergPair, delta_form, expected_weight_euler, f_p, g_p, quadrature_expectation, v_cutoff,
+        weight16_form,
+    )
+    from .random_model import exact_expectation, mc_expectation, moment_identity_check
+
     table = build_table(cfg.q)
     params = cfg.mollifier_params()
     checks: dict[str, dict] = {}

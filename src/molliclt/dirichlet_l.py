@@ -30,7 +30,9 @@ import numpy as np
 
 from ._io import atomic_write
 from ._special import gamma, upper_regularized_gamma
-from .characters import CharacterTable, batch_character_sums, gauss_sum, root_numbers
+from .characters import (
+    CharacterTable, batch_character_sums, even_character_sums, even_fold, even_gauss_fold, gauss_sum, root_numbers,
+)
 from .mollifier import m_alpha_beta_general
 
 __all__ = [
@@ -166,9 +168,11 @@ def _oracle_values(table: CharacterTable, s: complex) -> np.ndarray:
     return out
 
 
-def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[complex]]:
+def _afe_terms(
+    q: int, s: complex, parities: tuple[int, ...] = (0, 1)
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[complex]]:
     """The AFE's n range 1..N (N the first n with pi n^2 / q >= TAIL_CUT),
-    per parity delta the first and dual coefficient vectors
+    per parity delta of ``parities`` the first and dual coefficient vectors
     n^-s Q((s+delta)/2, pi n^2/q) and n^(s-1) Q((1-s+delta)/2, pi n^2/q),
     and per parity the dual sum's prefactor.  Each weight vector is one
     array call of the incomplete gamma; at s = 1/2 the dual vector is the
@@ -184,7 +188,7 @@ def _afe_terms(q: int, s: complex) -> tuple[np.ndarray, list[tuple[np.ndarray, n
     power_dual = np.exp((s - 1.0) * log_n)
 
     coeffs, prefac = [], []
-    for delta in (0, 1):
+    for delta in parities:
         a1 = (s + delta) / 2.0
         a2 = (1.0 - s + delta) / 2.0
         first = power_first * upper_regularized_gamma(a1, xs)
@@ -474,37 +478,60 @@ def twisted_second_moment_empirical(
     """Average of L(1/2+alpha, chi) L(1/2+beta, chi-bar) A(chi) A(chi-bar).
 
     A(chi) is the twist sum of coeffs[n] chi(n) / sqrt(n).  The average
-    runs over the even nonprincipal labels ((q-3)/2 of them).  Both
-    L-value sets come from the smoothed functional equation.
+    runs over the even nonprincipal labels ((q-3)/2 of them), and only
+    the even half of each sum is computed: the label 2b sees every
+    coefficient folded onto ind(n) mod h, h = (q-1)/2, so each sum is a
+    length-h transform of real folds, two folds per transform
+    (:func:`even_character_sums`).  The twist rides with the Gauss sums
+    that give the even root numbers, then the first and dual sums of the
+    smoothed functional equation at 1/2 + alpha, then at 1/2 + beta.
+    Complex coefficients or shifts split into real and imaginary folds,
+    which take more transforms.
     """
-    q, m = table.q, table.m
+    q = table.q
     check_even_family(q)
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(support):
         check_twist_length(int(support[-1]), q)
-    l_alpha = l_values_afe(table, 0.5 + alpha).values
-    l_beta = l_values_afe(table, 0.5 + beta).values
-    twist = batch_character_sums(table, support, coeffs / np.sqrt(support.astype(np.float64)))
-    own = slice(2, None, 2)  # even labels 2, 4, ..., m - 2
-    conj = slice(m - 2, 0, -2)  # their conjugates m - 2, ..., 2
-    return complex(np.mean(l_alpha[own] * l_beta[conj] * twist[own] * twist[conj]))
+    twist = even_fold(table, support, coeffs / np.sqrt(support.astype(np.float64)))
+    # the Gauss fold is scaled to the root numbers tau(chi) / sqrt(q) before
+    # the transform: a fold whose sums are sqrt(q) times the twist's would
+    # swamp the twist's share of one FFT in rounding
+    gauss = even_gauss_fold(table)
+    gauss /= math.sqrt(q)
+    twist, eps = even_character_sums(table, twist, gauss)
+    del gauss
+    # labels 2b, b = 1..h-1, against their conjugates 2(h - b), read reversed
+    own, conj = slice(1, None), slice(None, 0, -1)
+    terms = twist[own] * twist[conj]
+    del twist
+    for s, here, there in ((0.5 + alpha, own, conj), (0.5 + beta, conj, own)):
+        n, weights, prefac = _afe_terms(q, s, parities=(0,))
+        first, dual = even_character_sums(table, *(even_fold(table, n, w) for w in weights[0]))
+        # L(s, chi_2b) = first[b] + eps[b] prefac dual[-b], formed in place at the labels in use
+        tail = dual[there]
+        tail *= prefac[0]
+        tail *= eps[here]
+        head = first[here]
+        head += tail
+        terms *= head
+        del first, dual, tail, head
+    return complex(np.mean(terms))
 
 
 def _twisted_main_terms(
-    alpha: complex, beta: complex, support: np.ndarray, coeffs: np.ndarray
-) -> tuple[complex, complex, complex]:
-    """The diagonal and reflected terms before the (q/pi) factor, and the M(alpha, beta) the first reads."""
-    m_direct = m_alpha_beta_general(support, coeffs, alpha, beta)
+    alpha: complex, beta: complex, m_direct: complex, m_reflect: complex
+) -> tuple[complex, complex]:
+    """The diagonal and reflected terms before the (q/pi) factor, given M(alpha, beta) and M(-beta, -alpha)."""
     term1 = zeta(1.0 + alpha + beta) * m_direct
     g_ratio = (
         gamma((0.5 - alpha) / 2.0)
         * gamma((0.5 - beta) / 2.0)
         / (gamma((0.5 + alpha) / 2.0) * gamma((0.5 + beta) / 2.0))
     )
-    m_reflect = m_alpha_beta_general(support, coeffs, -beta, -alpha)
     term2 = g_ratio * zeta(1.0 - alpha - beta) * m_reflect
-    return term1, term2, m_direct
+    return term1, term2
 
 
 def twisted_second_moment(
@@ -528,19 +555,19 @@ def twisted_second_moment(
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     emp = twisted_second_moment_empirical(table, alpha, beta, support, coeffs)
 
-    if abs(alpha + beta) < 1e-7:
-        h = _POLE_STEP
-        t1p, t2p, _ = _twisted_main_terms(alpha + h, beta, support, coeffs)
-        t1m, t2m, _ = _twisted_main_terms(alpha - h, beta, support, coeffs)
-        m_diagonal = None
-        qpi_p = (q / math.pi) ** (-(alpha + h + beta))
-        qpi_m = (q / math.pi) ** (-(alpha - h + beta))
-        term1 = (t1p + t1m) / 2.0
-        term2 = (qpi_p * t2p + qpi_m * t2m) / 2.0
-    else:
-        t1, t2, m_diagonal = _twisted_main_terms(alpha, beta, support, coeffs)
-        term1 = t1
-        term2 = (q / math.pi) ** (-(alpha + beta)) * t2
+    # on the antidiagonal, both terms at alpha +- _POLE_STEP; one gcd pass
+    # serves every M(alpha, beta) and M(-beta, -alpha) these need
+    on_pole = abs(alpha + beta) < 1e-7
+    shifts = (alpha + _POLE_STEP, alpha - _POLE_STEP) if on_pole else (alpha,)
+    m_values = m_alpha_beta_general(support, coeffs, [pair for a in shifts for pair in ((a, beta), (-beta, -a))])
+    term1 = term2 = 0.0
+    for i, a in enumerate(shifts):
+        t1, t2 = _twisted_main_terms(a, beta, m_values[2 * i], m_values[2 * i + 1])
+        term1 += t1
+        term2 += (q / math.pi) ** (-(a + beta)) * t2
+    term1 /= len(shifts)
+    term2 /= len(shifts)
+    m_diagonal = None if on_pole else m_values[0]
     predicted = term1 + term2
     scale = q**-0.5 * float(np.max(support)) if len(support) else q**-0.5
     return TwistedSecondMoment(

@@ -266,9 +266,9 @@ def lambda_table(f: HeckeForm, limit: int) -> np.ndarray:
     return multiplicative_table(limit, lambda p, e: lambda_prime_power(f, p, e), np.float64)
 
 
-def _lambda_powers(f: HeckeForm, p: int, x: complex) -> np.ndarray:
-    """lambda_f(p^j) x^j for j < _TRUNC_MAX_TERMS, by the recursion of :func:`lambda_prime_power`."""
-    lam = f.lambda_p(p)
+def _lambda_powers(lam: float, x: complex) -> np.ndarray:
+    """lambda_f(p^j) x^j for j < _TRUNC_MAX_TERMS, given lam = lambda_f(p),
+    by the recursion of :func:`lambda_prime_power`."""
     powers = [1.0, lam]
     for _ in range(_TRUNC_MAX_TERMS - 2):
         powers.append(lam * powers[-1] - powers[-2])
@@ -341,7 +341,7 @@ def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str =
         if s.real <= -0.45:
             raise ValueError("series path is unreliable below Re s = -0.45")
         x = complex(p) ** (-(2.0 * s + 1.0))
-        terms = _lambda_powers(pair.f, p, x) * _lambda_powers(pair.g, p, 1.0)
+        terms = _lambda_powers(pair.f.lambda_p(p), x) * _lambda_powers(pair.g.lambda_p(p), 1.0)
         return _series_sum(terms, f"expectation series did not settle at p={p}, s={s}")
     raise ValueError(f"unknown path {path!r}")
 
@@ -357,10 +357,19 @@ def n_coeff(p: int, s: complex, h1: HeckeForm, h2: HeckeForm, params: MollifierP
     lambda_h1(p^k1) p^(-k1 s) c^k2 / k2!, with c = -lambda_h2(p) w(p) / sqrt(p)
     and w the final-interval smoothing weight: one convolution.  Note
     ``s`` is the literal exponent: callers at offset u pass u + 1/2.
+    Each array is built once per p^(-s), lambda_h1(p) and c and kept,
+    read-only: :func:`g_p` and :func:`f_p` at one prime read the same two.
     """
     c = -h2.lambda_p(p) * w_weight(p, params.J, params) / math.sqrt(p)
+    return _n_coeff(complex(p) ** (-complex(s)), h1.lambda_p(p), c)
+
+
+@lru_cache(maxsize=8)
+def _n_coeff(x: complex, lam: float, c: float) -> np.ndarray:
     exp_terms = np.cumprod(np.concatenate(([1.0], c / np.arange(1, _TRUNC_MAX_TERMS))))
-    return np.convolve(_lambda_powers(h1, p, complex(p) ** (-complex(s))), exp_terms)[:_TRUNC_MAX_TERMS]
+    out = np.convolve(_lambda_powers(lam, x), exp_terms)[:_TRUNC_MAX_TERMS]
+    out.flags.writeable = False
+    return out
 
 
 def local_expectation(pair: RankinSelbergPair, p: int, s: complex, a: int, params: MollifierParams) -> complex:

@@ -46,6 +46,7 @@ __all__ = [
 
 _INT64_MAX = int(np.iinfo(np.int64).max)  # largest support element an int64 array holds
 _PAIR_BUDGET = 40_000_000  # n^2 term pairs of a pair sum over an n-element support
+_PAIR_BLOCK = 256  # rows of an n x n pair matrix formed at a time
 
 
 @dataclass(frozen=True)
@@ -327,22 +328,47 @@ def _pair_budget_check(n: int) -> None:
         raise RuntimeError(f"support of {n} elements is too large for the pair sum")
 
 
-def _m_direct(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
-    """Coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd.
+def _divisor_pairs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (v, k) with values[v] | values[k] of a strictly
+    ascending positive array, in row-major order.  A divisor is never
+    above its multiple, so row block R is tested against the columns from
+    R on only, _PAIR_BLOCK rows at a time.
+    """
+    rows, cols = [], []
+    for lo in range(0, len(values), _PAIR_BLOCK):
+        r, c = np.nonzero(values[None, lo:] % values[lo : lo + _PAIR_BLOCK, None] == 0)
+        rows.append(r + lo)
+        cols.append(c + lo)
+    return np.concatenate(rows), np.concatenate(cols)
 
-    Each term is [gamma(A) A^(-1-a)] [gamma(B) B^(-1-b)] h^(1+a+b); the
-    h-power array is symmetric, so each row is computed from the diagonal
-    on and copied into the matching column.
+
+def _m_direct(support: np.ndarray, gamma: np.ndarray, pairs: Sequence[tuple[complex, complex]]) -> list[complex]:
+    """Coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd,
+    at each (alpha, beta) of ``pairs``.
+
+    Each term is [gamma(A) A^(-1-a)] [gamma(B) B^(-1-b)] h^(1+a+b).  The
+    gcd matrix is symmetric, so it is built over the upper triangle only:
+    row block R against the columns from R on, _PAIR_BLOCK rows at a time
+    by ``np.gcd.outer``, and its logs serve every pair.  With H that
+    block's powers and H' their part right of the diagonal block, R adds
+    x_R . (H y) + y_R . (H' x).  The products are summed by ``np.sum``
+    (pairwise), not by BLAS: the result does not depend on the BLAS
+    thread count, and no call waits on BLAS threads.
     """
     _pair_budget_check(len(support))
     s = support.astype(np.int64)
     log_s = np.log(s.astype(np.float64))
-    x = gamma * np.exp((-1.0 - alpha) * log_s)
-    y = gamma * np.exp((-1.0 - beta) * log_s)
-    h_pow = np.empty((len(s), len(s)), dtype=np.complex128)
-    for i in range(len(s)):
-        h_pow[i, i:] = h_pow[i:, i] = np.exp((1.0 + alpha + beta) * np.log(np.gcd(s[i], s[i:]).astype(np.float64)))
-    return complex(x @ h_pow @ y)
+    xs = [gamma * np.exp((-1.0 - alpha) * log_s) for alpha, _ in pairs]
+    ys = [gamma * np.exp((-1.0 - beta) * log_s) for _, beta in pairs]
+    totals = [0.0j] * len(pairs)
+    for lo in range(0, len(s), _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, len(s))
+        log_h = np.log(np.gcd.outer(s[lo:hi], s[lo:]).astype(np.float64))
+        for i, ((alpha, beta), x, y) in enumerate(zip(pairs, xs, ys)):
+            h_pow = np.exp((1.0 + alpha + beta) * log_h)
+            totals[i] += np.sum(x[lo:hi] * np.sum(h_pow * y[lo:], axis=1))
+            totals[i] += np.sum(y[lo:hi] * np.sum(h_pow[:, hi - lo :] * x[hi:], axis=1))
+    return [complex(t) for t in totals]
 
 
 def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
@@ -350,36 +376,38 @@ def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: com
 
     sum_{hd=v} mu(d)/(h d^(2+a+b)) = (1/v) sum_{d|v} mu(d) d^(-1-a-b),
     where the squarefree d are the products of subsets of the primes of
-    v, and the m- and n-sums factor per v.  The support is
-    divisor-closed, so v ranges over the support itself.
+    v, summed here prime subset by prime subset.  The support is
+    divisor-closed, so v ranges over the support itself, and the m- and
+    n-sums of each v run over the pairs (v, vm) of the support's
+    divisibility relation.
     """
-    total = 0.0j
-    for v in (int(t) for t in support):
+    v_idx, k_idx = _divisor_pairs(support)
+    log_m = np.log((support[k_idx] // support[v_idx]).astype(np.float64))
+    g = gamma[k_idx]
+    starts = np.searchsorted(v_idx, np.arange(len(support)))  # v | v: no row is empty
+    s_alpha = np.add.reduceat(g * np.exp((-1.0 - alpha) * log_m), starts)
+    s_beta = np.add.reduceat(g * np.exp((-1.0 - beta) * log_m), starts)
+    c_v = np.empty(len(support), dtype=np.complex128)
+    for i, v in enumerate(support.tolist()):
         primes = factorize(v).primes
-        c_v = 0.0j
-        for r in range(len(primes) + 1):
-            for subset in itertools.combinations(primes, r):
-                c_v += (-1) ** r * math.prod(subset) ** complex(-1.0 - alpha - beta)
-        c_v /= v
-        # divisor-closed support: every multiple of v carrying a nonzero
-        # coefficient is itself a support element, so scan the support
-        # rather than the (possibly enormous) integer range up to max n.
-        mask = support % v == 0
-        log_m = np.log((support[mask] // v).astype(np.float64))
-        g = gamma[mask]
-        s_alpha = np.sum(g * np.exp(log_m * (-1.0 - alpha)))
-        s_beta = np.sum(g * np.exp(log_m * (-1.0 - beta)))
-        total += c_v * s_alpha * s_beta
-    return complex(total)
+        c_v[i] = sum(
+            (-1) ** r * math.prod(subset) ** complex(-1.0 - alpha - beta)
+            for r in range(len(primes) + 1)
+            for subset in itertools.combinations(primes, r)
+        )
+    c_v /= support
+    return complex(np.sum(c_v * s_alpha * s_beta))
 
 
-def m_alpha_beta_general(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
-    """M(alpha, beta) of any divisor-closed support with arbitrary complex
-    coefficients, by the direct (gcd) route; the per-interval product
-    needs the mollifier's interval structure and lives on
-    :func:`m_alpha_beta`.
+def m_alpha_beta_general(
+    support: np.ndarray, gamma: np.ndarray, pairs: Sequence[tuple[complex, complex]]
+) -> list[complex]:
+    """M(alpha, beta) at each (alpha, beta) of ``pairs``, of any
+    divisor-closed support with arbitrary complex coefficients, by the
+    direct (gcd) route in one gcd pass; the per-interval product needs
+    the mollifier's interval structure and lives on :func:`m_alpha_beta`.
     """
-    return _m_direct(np.asarray(support, dtype=np.int64), np.asarray(gamma, dtype=np.complex128), alpha, beta)
+    return _m_direct(np.asarray(support, dtype=np.int64), np.asarray(gamma, dtype=np.complex128), pairs)
 
 
 def _m_euler_interval(support: FactoredSupport, alpha: complex, beta: complex) -> complex:
@@ -394,7 +422,7 @@ def _m_euler_interval(support: FactoredSupport, alpha: complex, beta: complex) -
     """
     values = support.values
     _pair_budget_check(len(values))
-    v_idx, k_idx = np.nonzero(values[None, :] % values[:, None] == 0)  # values[v_idx] | values[k_idx]
+    v_idx, k_idx = _divisor_pairs(values)
     log_m = np.log((values[k_idx] // values[v_idx]).astype(np.float64))
     lam = support.liouville
     g = lam[v_idx] * lam[k_idx] * support.nu[k_idx]  # lambda(m) nu(vm)
@@ -427,8 +455,9 @@ def m_alpha_beta(
     if variant in ("direct", "moebius"):
         if mol is None:
             mol = build_dirichlet_mollifier(params)
-        route = _m_direct if variant == "direct" else _m_moebius
-        return route(mol.support, mol.coeff, alpha, beta)
+        if variant == "direct":
+            return _m_direct(mol.support, mol.coeff, [(alpha, beta)])[0]
+        return _m_moebius(mol.support, mol.coeff, alpha, beta)
     if variant == "euler":
         out = 1.0 + 0.0j
         for support in params.supports:

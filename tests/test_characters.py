@@ -14,6 +14,9 @@ from molliclt.characters import (
     _split_ifft,
     batch_character_sums,
     build_table,
+    even_character_sums,
+    even_fold,
+    even_gauss_fold,
     gauss_sum,
     gauss_sums_all,
     orthogonality_gram,
@@ -214,6 +217,25 @@ def test_gauss_sums_all_equals_folded_batch_sum(q):
     n = np.arange(1, q, dtype=np.int64)
     folded = batch_character_sums(t, n, np.exp(2j * np.pi * n / q))
     assert np.max(np.abs(gauss_sums_all(t) - folded)) <= 1e-13 * math.sqrt(q)
+
+
+@pytest.mark.parametrize("q", [int(p) for p in sieve_primes(2, 300).primes] + [10007, 100003])
+def test_even_character_sums_match_the_even_slots(q):
+    # h = (q - 1)/2 runs over primes, 1 and products c P; the support
+    # passes q, so some entries are multiples of q.  Two real folds share
+    # one transform; a complex fold takes one for its two parts, and the
+    # Gauss fold after it one of its own.
+    table = build_table(q)
+    rng = np.random.default_rng(q)
+    support = np.arange(1, 3 * q)
+    re, im = rng.standard_normal((2, len(support)))
+    full = batch_character_sums(table, support, re + 1j * im)
+    got_re, got_im = even_character_sums(table, even_fold(table, support, re), even_fold(table, support, im))
+    got, gauss = even_character_sums(table, even_fold(table, support, re + 1j * im), even_gauss_fold(table))
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(got_re + 1j * got_im - full[::2])) < 1e-13 * scale
+    assert np.max(np.abs(got - full[::2])) < 1e-13 * scale
+    assert np.max(np.abs(gauss - gauss_sums_all(table)[::2])) < 1e-13 * math.sqrt(q)
 
 
 def test_batch_sums_fft_vs_naive(table1009):

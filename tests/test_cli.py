@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molliclt import arith, cli, dirichlet_l, mollifier
+from molliclt import arith, cli, dirichlet_l, hecke_rankin, mollifier
 from molliclt.arith import is_prime
 from molliclt.characters import build_table
 from molliclt.cli import (
@@ -547,8 +547,9 @@ def test_second_moment_command(tmp_path, capsys):
 
 
 def test_second_moment_computes_the_direct_pair_sum_twice(tmp_path, monkeypatch, capsys):
-    # the diagonal and the reflected term; the direct variant reuses the
-    # diagonal term's M(alpha, beta) instead of summing the same pairs again
+    # the diagonal and the reflected term, both from one gcd pass; the
+    # direct variant reuses the diagonal term's M(alpha, beta) instead of
+    # summing the same pairs again
     calls = []
     direct = mollifier._m_direct
 
@@ -559,7 +560,7 @@ def test_second_moment_computes_the_direct_pair_sum_twice(tmp_path, monkeypatch,
     monkeypatch.setattr(mollifier, "_m_direct", counted)
     assert run("second-moment", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
     capsys.readouterr()
-    assert calls == [(0.02, 0.015), (-0.015, -0.02)]
+    assert calls == [([(0.02, 0.015), (-0.015, -0.02)],)]
     report = load_report(tmp_path / "second-moment_q1009.json")
     # the reused value is the direct route's, bit for bit
     params = mollifier.params_desk(1009, (0.25,))
@@ -582,6 +583,40 @@ def test_random_command_makes_one_transform(tmp_path, monkeypatch, capsys):
     # 3^4 = 81 < 101: both moments are checked, from the one transform of P
     assert "gap" in checks["moment_identity_k1"] and "gap" in checks["moment_identity_k2"]
     assert calls == [101]
+
+
+def test_random_command_builds_each_local_series_once_per_prime(tmp_path, capsys):
+    # g_p and f_p at one prime read the same n_coeff array of each form:
+    # two convolutions for each of the five checked primes, reused twice
+    hecke_rankin._n_coeff.cache_clear()
+    assert run("random", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    info = hecke_rankin._n_coeff.cache_info()
+    assert (info.misses, info.hits) == (10, 20)
+
+
+def test_second_moment_runs_three_half_length_transforms(tmp_path, monkeypatch, ifft_calls, capsys):
+    # twist with Gauss sums, then first with dual sum at each shift; a
+    # fresh table, so no root numbers are kept from an earlier run
+    monkeypatch.setattr(cli, "build_table", build_table.__wrapped__)
+    assert run("second-moment", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
+    capsys.readouterr()
+    assert ifft_calls == [504, 504, 504]
+
+
+@pytest.mark.parametrize("command", ["second-moment", "lvalues"])
+def test_command_leaves_the_hecke_random_and_stats_modules_unimported(command, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys\n"
+        "from molliclt.cli import main\n"
+        f"assert main([{command!r}, '--q', '1009', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m in ('molliclt.hecke_rankin', 'molliclt.random_model', 'molliclt.stats')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "MOLLICLT_CACHE_DIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("q, ffts", [(1009, 3), (2003, 2)])

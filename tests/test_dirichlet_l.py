@@ -31,7 +31,7 @@ from molliclt.dirichlet_l import (
     twisted_second_moment_empirical,
     zeta,
 )
-from molliclt.mollifier import params_desk
+from molliclt.mollifier import build_dirichlet_mollifier, params_desk
 from molliclt.stats import clt_experiment
 
 
@@ -350,6 +350,34 @@ def test_twisted_second_moment_empirical_pairs_each_label_with_its_conjugate(tab
     terms = [l_alpha[a] * l_beta[m - a] * twist[a] * twist[m - a] for a in range(2, m, 2)]
     got = twisted_second_moment_empirical(table101, 0.02, 0.015, support, coeffs)
     assert abs(got - np.mean(terms)) < 1e-14
+
+
+def full_length_empirical(table, alpha, beta, support, coeffs):
+    """The twisted moment from both full-length L-value sets and the full twist transform."""
+    l_alpha = l_values_afe(table, 0.5 + alpha).values
+    l_beta = l_values_afe(table, 0.5 + beta).values
+    twist = batch_character_sums(table, support, coeffs / np.sqrt(support))
+    own, conj = slice(2, None, 2), slice(table.m - 2, 0, -2)
+    return complex(np.mean(l_alpha[own] * l_beta[conj] * twist[own] * twist[conj]))
+
+
+@pytest.mark.parametrize("q", [101, 1009, 10007])
+@pytest.mark.parametrize(
+    "coeff_kind, alpha, beta",
+    [("real", 0.02, 0.015), ("complex", 0.02, 0.015), ("real", 0.02 + 0.01j, 0.015 - 0.02j),
+     ("complex", 0.02 + 0.01j, 0.015 - 0.02j)],
+    ids=["real", "complex-coefficients", "complex-shifts", "complex-both"],
+)
+def test_twisted_second_moment_empirical_matches_the_full_length_formula(q, coeff_kind, alpha, beta):
+    # the command's twist: the mollifier of (1, q^(1/4)], turned off the real axis on request
+    table = build_table(q)
+    mol = build_dirichlet_mollifier(params_desk(q, (0.25,)))
+    support, coeffs = mol.support, mol.coeff
+    if coeff_kind == "complex":
+        coeffs = coeffs * np.exp(0.7j * np.arange(len(coeffs)))
+    want = full_length_empirical(table, alpha, beta, support, coeffs)
+    got = twisted_second_moment_empirical(table, alpha, beta, support, coeffs)
+    assert abs(got - want) < 1e-13 * abs(want)
 
 
 def test_twisted_second_moment_prediction_tracks_empirical(table1009):

@@ -287,7 +287,7 @@ def test_lambda_powers_match_the_scalar_recursion():
     """The lambda-power array at x = 1 is lambda_prime_power, bit for bit, at every exponent."""
     for form in (delta_form(), weight16_form()):
         for p in (2, 3, 97, 9973):
-            powers = _lambda_powers(form, p, 1.0)
+            powers = _lambda_powers(form.lambda_p(p), 1.0)
             assert powers.tolist() == [lambda_prime_power(form, p, j) for j in range(_TRUNC_MAX_TERMS)]
 
 

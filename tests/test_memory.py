@@ -1,8 +1,8 @@
 """Memory regressions: tracemalloc peaks at q = 100003.
 
 Each per-label bound is the peak measured on a 2-core x86-64 host with
-numpy 2.4 (16.0, 48.0 and 55.5 bytes per label) plus 4 bytes per label
-of margin.  The characters check does not grow with the label count
+numpy 2.4 (16.0, 48.0, 55.5 and 40.5 bytes per label) plus 4 bytes per
+label of margin.  The characters check does not grow with the label count
 along a row, so its bound is a fixed number of MB.
 The peaks count numpy's array buffers only: pocketfft's internal
 buffers (its Bluestein plan and scratch) are not traced, so they are
@@ -16,8 +16,8 @@ import pytest
 
 from molliclt import characters
 from molliclt.characters import build_table, orthogonality_gram, roots_residual
-from molliclt.dirichlet_l import l_values_afe
-from molliclt.mollifier import params_desk
+from molliclt.dirichlet_l import l_values_afe, twisted_second_moment_empirical
+from molliclt.mollifier import build_dirichlet_mollifier, params_desk
 from molliclt.stats import clt_experiment
 
 Q = 100003
@@ -67,6 +67,16 @@ def test_clt_experiment_peak(table):
     values = l_values_afe(table, 0.5)
     params = params_desk(Q, (0.5,), c0=1.0)
     assert peak_per_label(table, lambda: clt_experiment(table, params, values)) <= 59.5
+
+
+def test_twisted_second_moment_empirical_peak(table):
+    # only half-length arrays, set by the AFE transforms: the even root
+    # numbers (8) and the running product (8) beside one transform's two
+    # real folds (8) and two buffers (16); the full-length L-value sets
+    # and twist this replaced peaked at 64.9 with the root numbers prebuilt
+    mol = build_dirichlet_mollifier(params_desk(Q, (0.25,), c0=1.0))
+    peak = peak_per_label(table, lambda: twisted_second_moment_empirical(table, 0.02, 0.015, mol.support, mol.coeff))
+    assert peak <= 44.5
 
 
 def test_characters_check_peak(table):

@@ -376,9 +376,32 @@ def test_m_alpha_beta_general_hand_case():
         + c * 2.0 ** -(1 + alpha)
         + c * c / 2.0
     )
-    got = m_alpha_beta_general(support, gamma, alpha, beta)
-    assert abs(got - want) < 1e-14
+    got = m_alpha_beta_general(support, gamma, [(alpha, beta)])
+    assert len(got) == 1 and abs(got[0] - want) < 1e-14
     assert abs(mollifier._m_moebius(support, gamma, alpha, beta) - want) < 1e-14
+
+
+def per_row_m_direct(support, gamma, alpha, beta):
+    """Reference direct route: the full gcd-power matrix, one row at a time."""
+    log_s = np.log(support.astype(np.float64))
+    h_pow = np.array([np.exp((1.0 + alpha + beta) * np.log(np.gcd(n, support).astype(np.float64))) for n in support])
+    return complex(gamma * np.exp((-1.0 - alpha) * log_s) @ h_pow @ (gamma * np.exp((-1.0 - beta) * log_s)))
+
+
+def test_blocked_pair_sums_match_the_per_row_loop():
+    # the q = 1000003 support of the second-moment command, 1365 elements:
+    # six row blocks of the direct route's gcd matrix and of the Moebius
+    # route's divisibility pairs
+    params = params_desk(1000003, (0.25,))
+    mol = build_dirichlet_mollifier(params)
+    assert len(mol.support) == 1365
+    pairs = [(0.02, 0.015), (-0.015, -0.02), (0.02 + 0.01j, 0.015 - 0.02j)]
+    got = m_alpha_beta_general(mol.support, mol.coeff, pairs)
+    for (alpha, beta), value in zip(pairs, got):
+        want = per_row_m_direct(mol.support, mol.coeff, alpha, beta)
+        assert abs(value - want) < 1e-13 * abs(want), (alpha, beta)
+        moebius = m_alpha_beta(params, alpha, beta, "moebius", mol=mol)
+        assert abs(moebius - want) < 1e-13 * abs(want), (alpha, beta)
 
 
 def test_m_alpha_beta_unknown_variant(desk_quarter):
