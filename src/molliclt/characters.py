@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 MAX_MODULUS = 10_000_000
-_ROOTS_BLOCK = 1 << 16  # table entries per block of roots_residual
+_ROOTS_BLOCK = 1 << 16  # table entries per block of roots_residual and gauss_sum
 
 
 def _smallest_generator(q: int, prime_divisors: tuple[int, ...]) -> int:
@@ -299,6 +299,20 @@ def _real_transform(table: CharacterTable, folds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_class_halves(table: CharacterTable, support: np.ndarray, coeffs: np.ndarray) -> list[np.ndarray]:
+    """z[k] and z[k + h], k < h = m / 2, z[k] the sum of the real ``coeffs``
+    over the support entries n with ind(n) = k (q | n contributes nothing).
+    The even labels see the fold z[k] + z[k + h], the odd ones z[k] - z[k + h]."""
+    residues = np.asarray(support, dtype=np.int64) % table.q
+    keep = residues != 0
+    logs = table.index[residues[keep]]
+    coeffs = np.asarray(coeffs)[keep]
+    h = table.m // 2
+    upper = logs >= h
+    classes = ((logs[~upper], ~upper), (logs[upper] - h, upper))
+    return [np.bincount(ks, weights=coeffs[side], minlength=h) for ks, side in classes]
+
+
 def batch_character_sums(
     table: CharacterTable,
     support: np.ndarray,
@@ -311,36 +325,25 @@ def batch_character_sums(
     same ``coeffs``) on odd labels.  Support entries divisible by q
     contribute nothing (chi vanishes there).
 
-    With z the coefficients folded onto log classes, S[a] is the DFT
-    sum_k z[k] e(a k / m), m = q - 1.  Real coefficients take one
-    half-length FFT (:func:`_real_transform`); an imaginary part, where
-    one is nonzero, takes a second.
+    With z the coefficients folded onto log classes (:func:`_log_class_halves`),
+    S[a] is the DFT sum_k z[k] e(a k / m), m = q - 1.  Real coefficients take
+    one half-length FFT (:func:`_real_transform`); a nonzero imaginary part
+    takes a second.
     """
     support = np.asarray(support, dtype=np.int64)
     coeffs = np.asarray(coeffs)
     odd = coeffs if odd_coeffs is None else np.asarray(odd_coeffs)
     if support.shape != coeffs.shape or support.shape != odd.shape:
         raise ValueError("support and coeffs must have matching shapes")
-    residues = support % table.q
-    keep = residues != 0
-    logs = table.index[residues[keep]]
     h = table.m // 2
-    # each support entry's log class, k < h or k + h, in support order
-    upper = logs >= h
-    classes = ((logs[~upper], ~upper), (logs[upper] - h, upper))
-
-    def halves(c: np.ndarray) -> list[np.ndarray]:
-        # z[k] and z[k + h], z[k] the sum of c(n) over ind(n) = k
-        c = c[keep]
-        return [np.bincount(ks, weights=c[side], minlength=h) for ks, side in classes]
 
     def transform(part) -> np.ndarray:
         # the parity folds z[k] + z[k + h] and z_odd[k] - z_odd[k + h], side by side
         folds = np.empty(table.m)
-        low, high = halves(part(coeffs))
+        low, high = _log_class_halves(table, support, part(coeffs))
         np.add(low, high, out=folds[:h])
         if odd_coeffs is not None:
-            low, high = halves(part(odd))
+            low, high = _log_class_halves(table, support, part(odd))
         np.subtract(low, high, out=folds[h:])
         del low, high
         return _real_transform(table, folds)
@@ -356,19 +359,14 @@ def even_fold(table: CharacterTable, support: np.ndarray, coeffs: np.ndarray) ->
 
     chi_2b(n) = e(b ind(n) / h), so the even label 2b sees the coefficients
     only through this fold: its sum is the length-h DFT of f at b
-    (:func:`even_character_sums`).  The fold is real unless a coefficient
-    has a nonzero imaginary part.  Support entries divisible by q
-    contribute nothing.
+    (:func:`even_character_sums`).  The fold is the sum of the two
+    log-class halves (:func:`_log_class_halves`), real unless a
+    coefficient has a nonzero imaginary part.
     """
-    support = np.asarray(support, dtype=np.int64)
-    residues = support % table.q
-    keep = residues != 0
-    h = table.m // 2
-    classes = table.index[residues[keep]] % h
-    coeffs = np.asarray(coeffs)[keep]
-    fold = np.bincount(classes, weights=coeffs.real, minlength=h)
+    coeffs = np.asarray(coeffs)
+    fold = np.add(*_log_class_halves(table, support, coeffs.real))
     if np.any(np.imag(coeffs)):
-        fold = fold + 1j * np.bincount(classes, weights=coeffs.imag, minlength=h)
+        fold = fold + 1j * np.add(*_log_class_halves(table, support, coeffs.imag))
     return fold
 
 
@@ -421,20 +419,17 @@ def even_character_sums(table: CharacterTable, *folds: np.ndarray) -> list[np.nd
 
 
 def gauss_sum(table: CharacterTable, a: int) -> complex:
-    """tau(chi_a) = sum over n mod q of chi_a(n) e(n/q), computed directly."""
+    """tau(chi_a) = sum over n mod q of chi_a(n) e(n/q), computed directly,
+    ``_ROOTS_BLOCK`` terms at a time."""
     if a % table.m == 0:
         raise ValueError("Gauss sum is defined here for primitive labels only (a != 0)")
-    # chi_a(n) = roots[a ind(n) mod m] for n = 1..q-1, times e(n/q) in place
-    logs = table.index[1:].astype(np.int64)
-    logs *= a
-    logs %= table.m
-    chi = table.roots[logs]
-    del logs
-    terms = 2j * np.pi * np.arange(1, table.q, dtype=np.int64)
-    terms /= table.q
-    np.exp(terms, out=terms)
-    terms *= chi
-    return complex(np.sum(terms))
+    total = 0j
+    for start in range(1, table.q, _ROOTS_BLOCK):
+        stop = min(start + _ROOTS_BLOCK, table.q)
+        # chi_a(n) = roots[a ind(n) mod m] (a ind(n) reaches q^2, past int32), times e(n/q)
+        chi = table.roots[table.index[start:stop].astype(np.int64) * a % table.m]
+        total += np.sum(chi * np.exp(np.arange(start, stop) * (2j * np.pi / table.q)))
+    return complex(total)
 
 
 def _gauss_phases(table: CharacterTable) -> np.ndarray:

@@ -198,6 +198,16 @@ def _afe_terms(
     return n, coeffs, prefac
 
 
+def _assemble(first: np.ndarray, dual: np.ndarray, eps: np.ndarray, prefac: complex | list[complex]) -> np.ndarray:
+    """L = first + eps (prefac dual), formed in place in ``dual`` and returned.
+
+    ``dual`` is already read at the conjugate labels, so the caller picks the
+    labels covered: all of them, the even half or one."""
+    dual *= prefac
+    np.multiply(eps, dual, out=dual)
+    return np.add(first, dual, out=dual)
+
+
 def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
     # the root numbers first, so their transform's buffers are gone before
     # the sums are live
@@ -211,13 +221,10 @@ def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
     dual_sums = first_sums if central else batch_character_sums(table, n, *dual)
 
     # slot a reads label m - a, the conjugate character (parity is preserved),
-    # and takes the prefactor of its parity; the terms combine in place
+    # and takes the prefactor of its parity through the (even, odd) pairs view
     out = np.concatenate((dual_sums[:1], dual_sums[:0:-1]))
     del dual_sums
-    pairs = out.reshape(-1, 2)  # a view: (even, odd) labels side by side
-    pairs *= prefac
-    np.multiply(eps, out, out=out)
-    np.add(first_sums, out, out=out)
+    _assemble(*(x.reshape(-1, 2) for x in (first_sums, out, eps)), prefac)
     out[0] = complex("nan")
     return out
 
@@ -268,9 +275,10 @@ def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
     dropped.  One batch transform per sum, the parity-0 and parity-1
     weights riding as one pair; at s = 1/2 the two sums coincide and one
     transform serves both.  The chi-bar sum is read off by the label flip
-    a -> m - a, and the root numbers come from the table.  Valid in a
-    small disc around the central point.  At s = 1/2 the set carries its
-    functional-equation residual statistics; elsewhere they are None.
+    a -> m - a, the root numbers come from the table, and :func:`_assemble`
+    forms the values.  Valid in a small disc around the central point (the
+    even-half moment's full-length reference off it).  At s = 1/2 the set
+    carries its functional-equation residual statistics; else they are None.
     """
     s = complex(s)
     values = _afe_values(table, s)
@@ -281,9 +289,10 @@ def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
 def afe_l_value(table: CharacterTable, a: int, s: complex) -> complex:
     """L(s, chi_a) for a single nonprincipal label, from the batch's terms.
 
-    Direct O(sqrt(q)) character sums and the label's own root number: a
-    spot check on the batch transforms, the label flip a -> m - a and the
-    table's root numbers without building the whole set.
+    Direct O(sqrt(q)) character sums and the label's own root number,
+    combined by the batch's assembly (:func:`_assemble`): a spot check on
+    the batch transforms, the label flip a -> m - a and the table's root
+    numbers without building the whole set.
     """
     s = complex(s)
     if a % table.m == 0:
@@ -293,8 +302,8 @@ def afe_l_value(table: CharacterTable, a: int, s: complex) -> complex:
     delta = table.delta(a)
     first, dual = coeffs[delta]
     own = np.sum(table.chi_values(a, n) * first)
-    conj = np.sum(table.chi_values(table.conjugate_label(a), n) * dual)
-    return complex(own + root_number(table, a) * prefac[delta] * conj)
+    conj = np.sum(table.chi_values(table.conjugate_label(a), n) * dual, keepdims=True)
+    return complex(_assemble(own, conj, root_number(table, a), prefac[delta])[0])
 
 
 def root_number(table: CharacterTable, a: int) -> complex:
@@ -480,13 +489,14 @@ def twisted_second_moment_empirical(
     A(chi) is the twist sum of coeffs[n] chi(n) / sqrt(n).  The average
     runs over the even nonprincipal labels ((q-3)/2 of them), and only
     the even half of each sum is computed: the label 2b sees every
-    coefficient folded onto ind(n) mod h, h = (q-1)/2, so each sum is a
-    length-h transform of real folds, two folds per transform
-    (:func:`even_character_sums`).  The twist rides with the Gauss sums
-    that give the even root numbers, then the first and dual sums of the
-    smoothed functional equation at 1/2 + alpha, then at 1/2 + beta.
-    Complex coefficients or shifts split into real and imaginary folds,
-    which take more transforms.
+    coefficient folded onto ind(n) mod h, h = (q-1)/2 (:func:`even_fold`,
+    the batch transform's fold), so each sum is a length-h transform of real
+    folds, two folds per transform (:func:`even_character_sums`).  The twist
+    rides with the Gauss sums that give the even root numbers, then the
+    first and dual sums of the smoothed functional equation at 1/2 + alpha,
+    then at 1/2 + beta, each pair formed into L on the even-half views by
+    :func:`_assemble`.  Complex coefficients or shifts split into real and
+    imaginary folds, which take more transforms.
     """
     q = table.q
     check_even_family(q)
@@ -498,10 +508,7 @@ def twisted_second_moment_empirical(
     # the Gauss fold is scaled to the root numbers tau(chi) / sqrt(q) before
     # the transform: a fold whose sums are sqrt(q) times the twist's would
     # swamp the twist's share of one FFT in rounding
-    gauss = even_gauss_fold(table)
-    gauss /= math.sqrt(q)
-    twist, eps = even_character_sums(table, twist, gauss)
-    del gauss
+    twist, eps = even_character_sums(table, twist, even_gauss_fold(table) / math.sqrt(q))
     # labels 2b, b = 1..h-1, against their conjugates 2(h - b), read reversed
     own, conj = slice(1, None), slice(None, 0, -1)
     terms = twist[own] * twist[conj]
@@ -509,14 +516,8 @@ def twisted_second_moment_empirical(
     for s, here, there in ((0.5 + alpha, own, conj), (0.5 + beta, conj, own)):
         n, weights, prefac = _afe_terms(q, s, parities=(0,))
         first, dual = even_character_sums(table, *(even_fold(table, n, w) for w in weights[0]))
-        # L(s, chi_2b) = first[b] + eps[b] prefac dual[-b], formed in place at the labels in use
-        tail = dual[there]
-        tail *= prefac[0]
-        tail *= eps[here]
-        head = first[here]
-        head += tail
-        terms *= head
-        del first, dual, tail, head
+        terms *= _assemble(first[here], dual[there], eps[here], prefac[0])
+        del first, dual
     return complex(np.mean(terms))
 
 

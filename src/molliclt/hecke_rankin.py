@@ -463,8 +463,8 @@ def _cutoff_eval(xis: np.ndarray, contour_re: float, nodes: int) -> np.ndarray:
     s, fw = _cutoff_node_data(contour_re, 14.0, nodes)
     log_xi = np.log(xis)
     phase = np.exp(-np.outer(log_xi, s))
-    # conjugate symmetry folds the full vertical line onto t >= 0
-    return (phase @ fw).real * (1.0 / math.pi)
+    # conjugate symmetry folds the full vertical line onto t >= 0; einsum keeps the sum out of BLAS
+    return np.einsum("xs,s->x", phase, fw).real * (1.0 / math.pi)
 
 
 # Line used for xi < 1/2 once the simple pole at s = 0 (residue 1) is

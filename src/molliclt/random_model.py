@@ -152,7 +152,7 @@ def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray,
     n = integrand.shape[1]
     d = np.arange(-ell, ell + 1)
     nodes = np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
-    moments = integrand @ nodes[:, None] ** d / n  # (primes, 2 ell + 1)
+    moments = np.einsum("pk,kd->pd", integrand, nodes[:, None] ** d) / n  # (primes, 2 ell + 1), no BLAS
     k = np.arange(ell + 1)
     fact = np.cumprod(np.maximum(k, 1)).astype(np.float64)
     u, v = ((-c)[:, None] ** k / fact for c in (c_x, c_xb))

@@ -201,10 +201,11 @@ def test_gauss_sum_quadratic_character_q3():
 
 
 def test_gauss_sums_all_matches_singletons(table101):
-    t = table101
-    batch = gauss_sums_all(t)
-    for a in (1, 2, 17, 63, 99):
-        assert abs(batch[a] - gauss_sum(t, a)) < 1e-11
+    # at q = 100003 the single-label sum walks two blocks, the second ragged
+    for t in (table101, build_table(100003)):
+        batch = gauss_sums_all(t)
+        for a in (1, 2, 17, 63, 99):
+            assert abs(batch[a] - gauss_sum(t, a)) < 1e-11
 
 
 @pytest.mark.parametrize("q", [3, 101, 10007])
@@ -383,6 +384,42 @@ def test_batch_sums_drop_multiples_of_q(table101):
     batch = batch_character_sums(t, support, coeffs)
     only2 = batch_character_sums(t, np.array([2]), np.array([1.0]))
     assert np.max(np.abs(batch - only2)) < 1e-12
+
+
+def per_class_folds(table, support, coeffs):
+    """Reference parity folds, summed class by class in support order:
+    c(n) onto ind(n) mod h, with the sign (-1)^[ind(n) >= h] on the odd fold."""
+    h = table.m // 2
+    even, odd = [0.0] * h, [0.0] * h
+    for n, c in zip(support.tolist(), coeffs.tolist()):
+        if n % table.q:
+            k = int(table.index[n % table.q])
+            even[k % h] += c
+            odd[k % h] += c if k < h else -c
+    return np.array(even), np.array(odd)
+
+
+def test_log_class_fold_matches_a_per_class_sum(table101):
+    # n and q - n lie in one class, one in each half (ind(-1) = h); the
+    # support holds 20 such pairs, 10 unpaired entries and two multiples of q
+    t = table101
+    rng = np.random.default_rng(101)
+    n = rng.permutation(np.arange(1, 51))[:30]
+    support = rng.permutation(np.concatenate([n, t.q - n[:20], [t.q, 2 * t.q]]))
+    re, im, odd_re, odd_im = rng.standard_normal((4, len(support)))
+    low, high = characters._log_class_halves(t, support, re)
+    even, odd = per_class_folds(t, support, re)
+    assert np.array_equal(low + high, even)
+    assert np.array_equal(low - high, odd)
+    assert np.array_equal(even_fold(t, support, re), even)
+    assert np.array_equal(even_fold(t, support, re + 1j * im), even + 1j * per_class_folds(t, support, im)[0])
+    # the batch transform's parity folds come from the same halves
+    batch = batch_character_sums(t, support, re + 1j * im, odd_re + 1j * odd_im)
+    direct = np.array([
+        np.sum(t.chi_values(a, support) * (re + 1j * im if a % 2 == 0 else odd_re + 1j * odd_im))
+        for a in range(t.m)
+    ])
+    assert np.max(np.abs(batch - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
 def test_root_numbers_unimodular(table101):

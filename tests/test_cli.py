@@ -457,17 +457,18 @@ def test_characters_fails_on_a_root_the_gram_does_not_read(tmp_path, monkeypatch
     assert abs(report["roots_residual"] - 2 * math.sin(0.05)) < 1e-12
 
 
-def test_characters_report_is_independent_of_blas_threads(tmp_path):
+@pytest.mark.parametrize("command", ["characters", "random"])
+def test_characters_report_is_independent_of_blas_threads(command, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     reports = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-m", "molliclt.cli", "characters", "--q", "10007", "--out", str(tmp_path)],
+            [sys.executable, "-m", "molliclt.cli", command, "--q", "10007", "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        text = (tmp_path / "characters_q10007.json").read_text()
+        text = (tmp_path / f"{command}_q10007.json").read_text()
         reports.append([line for line in text.splitlines() if '"timestamp"' not in line and '"wall_time"' not in line])
     assert reports[0] == reports[1]
 
