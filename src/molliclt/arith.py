@@ -40,14 +40,13 @@ _MAX_SIEVE_SPAN = 50_000_000
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """An integer together with its prime factorization.
+    """The prime factorization of an integer.
 
     ``primes`` and ``exponents`` are parallel tuples with the primes in
     increasing order.  ``big_omega`` counts prime factors with
     multiplicity.
     """
 
-    n: int
     primes: tuple[int, ...]
     exponents: tuple[int, ...]
 
@@ -249,7 +248,7 @@ def factorize(n: int) -> FactoredInteger:
         stack.append(d)
         stack.append(m // d)
     primes = tuple(sorted(factors))
-    return FactoredInteger(n, primes, tuple(factors[p] for p in primes))
+    return FactoredInteger(primes, tuple(factors[p] for p in primes))
 
 
 def big_omega(n: int) -> int:
@@ -329,17 +328,13 @@ class FactoredSupport:
         return (1 / self.nu_denominators).astype(np.float64)
 
 
-def smooth_integers(
-    interval: PrimeInterval | np.ndarray | list[int],
-    ell: int,
-    max_count: int = SUPPORT_BUDGET,
-) -> FactoredSupport:
+def smooth_integers(interval: PrimeInterval | np.ndarray | list[int], ell: int) -> FactoredSupport:
     """Integers with at most ``ell`` prime factors (with multiplicity), all in the interval.
 
     Returns them ascending, starting with 1, with the factorization of
     each over the interval's primes (see :class:`FactoredSupport`).
     Depth-first over the prime list.  Enumerations larger than
-    ``max_count`` raise :class:`RuntimeError`.
+    ``SUPPORT_BUDGET`` raise :class:`RuntimeError`.
     """
     primes = interval.primes if isinstance(interval, PrimeInterval) else interval
     plist = sorted(int(p) for p in np.asarray(primes, dtype=np.int64))
@@ -352,9 +347,9 @@ def smooth_integers(
         values.append(value)
         sizes.append(len(path))
         paths.extend(path)
-        if len(values) > max_count:
+        if len(values) > SUPPORT_BUDGET:
             raise RuntimeError(
-                f"smooth enumeration exceeded {max_count} values: {len(plist)} primes "
+                f"smooth enumeration exceeded {SUPPORT_BUDGET} values: {len(plist)} primes "
                 f"from {plist[0]} to {plist[-1]}, Omega cap {ell}"
             )
         if len(path) >= ell:

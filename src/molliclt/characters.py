@@ -104,13 +104,6 @@ class CharacterTable:
     def conjugate_label(self, a: int) -> int:
         return (self.m - a) % self.m
 
-    def chi(self, a: int, n: int) -> complex:
-        """chi_a(n) for a single argument."""
-        n %= self.q
-        if n == 0:
-            return 0.0j
-        return complex(self.roots[(a * int(self.index[n])) % self.m])
-
     def chi_values(self, a: int, ns: np.ndarray) -> np.ndarray:
         """chi_a evaluated at an integer array (entries divisible by q give 0)."""
         ns = np.asarray(ns, dtype=np.int64) % self.q

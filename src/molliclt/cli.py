@@ -345,8 +345,8 @@ def cmd_random(cfg: RunConfig) -> Outcome:
     v_small = v_cutoff(1e-8)
     slope = (math.log(v_cutoff(400.0)) - math.log(v_cutoff(50.0))) / (math.log(400.0) - math.log(50.0))
     shift_gap = abs(v_cutoff(1.0, contour_re=2.0) - v_cutoff(1.0, contour_re=2.2))
-    # slope is reported but not gated: the exact cutoff decays like
-    # xi^(-1.5) in this range, steepening only far beyond it
+    # the slope gate asks only for decay faster than 1/xi: the exact
+    # cutoff decays like xi^(-1.5) in this range, steepening only far beyond it
     record("cutoff", 0.999 <= v_small <= 1.001 and slope < -1.0 and shift_gap < 1e-10,
            v_at_1e8=v_small, loglog_slope=slope, contour_shift_gap=shift_gap)
 

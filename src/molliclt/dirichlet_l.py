@@ -155,7 +155,6 @@ class CentralValueSet:
     q: int
     s: complex
     values: np.ndarray
-    method: str  # "oracle" | "afe"
     residual_stats: dict[str, float] | None = None
 
 
@@ -229,7 +228,7 @@ def _afe_values(table: CharacterTable, s: complex) -> np.ndarray:
     return out
 
 
-def fe_residual_stats(table: CharacterTable, s: complex, values: np.ndarray) -> dict[str, float]:
+def fe_residual_stats(table: CharacterTable, values: np.ndarray) -> dict[str, float]:
     """Relative functional-equation residuals at s = 1/2 over all nonprincipal labels.
 
     For each label the residual is |L(1/2, chi) - eps(chi) L(1/2, chi-bar)|
@@ -237,11 +236,10 @@ def fe_residual_stats(table: CharacterTable, s: complex, values: np.ndarray) -> 
     multiplies L(1/2, chi) by (q/pi)^((1/2+delta)/2) Gamma((1/2+delta)/2);
     chi and chi-bar have the same parity delta, so that factor is the
     same positive number on both sides and cancels in the relative
-    residual, and the values are compared as they are.  Off the central
-    point the reflection pairs s with 1 - s and ``s`` is rejected.
+    residual, and the values are compared as they are.  ``values`` must
+    be taken at s = 1/2: off the central point the reflection pairs s with
+    1 - s.
     """
-    if abs(complex(s) - 0.5) > 1e-12:
-        raise ValueError(f"functional-equation residuals are taken at s = 1/2 only, got s = {s}")
     values = np.asarray(values, dtype=np.complex128)
     # labels 1..m-1 against their conjugates m-1..1; the conjugate side's
     # buffer then takes the difference
@@ -264,7 +262,7 @@ def l_values_oracle(table: CharacterTable, s: complex) -> CentralValueSet:
     1 s at q = 1000003 on two cores.
     """
     s = complex(s)
-    return CentralValueSet(q=table.q, s=s, values=_oracle_values(table, s), method="oracle")
+    return CentralValueSet(q=table.q, s=s, values=_oracle_values(table, s))
 
 
 def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
@@ -282,8 +280,8 @@ def l_values_afe(table: CharacterTable, s: complex) -> CentralValueSet:
     """
     s = complex(s)
     values = _afe_values(table, s)
-    stats = fe_residual_stats(table, s, values) if s == 0.5 else None
-    return CentralValueSet(q=table.q, s=s, values=values, method="afe", residual_stats=stats)
+    stats = fe_residual_stats(table, values) if s == 0.5 else None
+    return CentralValueSet(q=table.q, s=s, values=values, residual_stats=stats)
 
 
 def afe_l_value(table: CharacterTable, a: int, s: complex) -> complex:
@@ -439,7 +437,7 @@ def cached_afe_values(path: str, table: CharacterTable, s: complex) -> CentralVa
     if not _in_order(labels):
         return None
     stats = {"max": head.fe_residual_max, "mean": head.fe_residual_mean}
-    return CentralValueSet(q=table.q, s=head.s, values=values, method="afe", residual_stats=stats)
+    return CentralValueSet(q=table.q, s=head.s, values=values, residual_stats=stats)
 
 
 _POLE_STEP = 1e-4  # half-width of the alpha average across the alpha + beta = 0 pole

@@ -55,6 +55,7 @@ _TRUNC_MAX_TERMS = 400
 _QUADRATURE_NODES = 128
 _EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 _CUTOFF_WEIGHTS = (12, 16)  # the cutoff's archimedean factor is that of the shipped pair
+_CUTOFF_T_MAX = 14  # the cutoff contour's end; its integrand decays like e^(-5 pi t)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +436,17 @@ def quadrature_expectation(
 # the smooth Mellin cutoff
 
 @lru_cache(maxsize=64)
-def _cutoff_node_data(contour_re: float, t_max: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integration nodes s = c + it on [0, t_max] and F(s) * GL-weight at each.
+def _cutoff_node_data(contour_re: float, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integration nodes s = c + it on [0, _CUTOFF_T_MAX], one Gauss-Legendre
+    panel per unit of t, and F(s) * GL-weight at each.
 
     F is the archimedean ratio (2 pi)^(-2s) Gamma(s + k1/2) Gamma(s + k2/2)
     / (Gamma(k1/2) Gamma(k2/2)) times (cos(pi s/12))^(-48) / s.
     """
     k1, k2 = _CUTOFF_WEIGHTS
     base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    panels = int(math.ceil(t_max))
-    ts = np.concatenate([(base_x + 1.0) / 2.0 + lo for lo in range(panels)])
-    ws = np.tile(base_w / 2.0, panels)
+    ts = np.concatenate([(base_x + 1.0) / 2.0 + lo for lo in range(_CUTOFF_T_MAX)])
+    ws = np.tile(base_w / 2.0, _CUTOFF_T_MAX)
     s = contour_re + 1j * ts
     norm = gamma(0.5 * k1) * gamma(0.5 * k2)
     f = (
@@ -460,7 +461,7 @@ def _cutoff_node_data(contour_re: float, t_max: float, nodes_per_panel: int) -> 
 
 
 def _cutoff_eval(xis: np.ndarray, contour_re: float, nodes: int) -> np.ndarray:
-    s, fw = _cutoff_node_data(contour_re, 14.0, nodes)
+    s, fw = _cutoff_node_data(contour_re, nodes)
     log_xi = np.log(xis)
     phase = np.exp(-np.outer(log_xi, s))
     # conjugate symmetry folds the full vertical line onto t >= 0; einsum keeps the sum out of BLAS

@@ -53,25 +53,35 @@ _PAIR_BLOCK = 256  # rows of an n x n pair matrix formed at a time
 class MollifierParams:
     """Interval decomposition (c0, y], (q^theta_0, q^theta_1], ... with Omega caps.
 
-    ``theta`` has length J+1 and is strictly increasing; ``ell[j]`` caps
-    Omega on interval j; ``y = q**theta[0]`` and ``x = q**theta[J]``
-    bound the whole mollifier range.
+    ``theta`` is strictly increasing and ``ell[j]`` caps Omega on
+    interval j; :attr:`y` = q^theta_0 and :attr:`x` = q^theta_J bound
+    the whole mollifier range.
     """
 
     q: int
     c0: float
-    J: int
     theta: tuple[float, ...]
     ell: tuple[int, ...]
-    y: float
-    x: float
     intervals: tuple[PrimeInterval, ...]
 
     def __post_init__(self) -> None:
-        if len(self.theta) != self.J + 1 or len(self.ell) != self.J + 1:
-            raise ValueError("theta and ell must both have length J+1")
+        if len(self.ell) != len(self.theta):
+            raise ValueError("theta and ell must have the same length")
         if any(b <= a for a, b in zip(self.theta, self.theta[1:])):
             raise ValueError("theta must be strictly increasing")
+
+    @property
+    def J(self) -> int:
+        """Index of the last interval."""
+        return len(self.theta) - 1
+
+    @property
+    def y(self) -> float:
+        return float(self.q) ** self.theta[0]
+
+    @property
+    def x(self) -> float:
+        return float(self.q) ** self.theta[-1]
 
     @cached_property
     def supports(self) -> tuple[FactoredSupport, ...]:
@@ -83,8 +93,13 @@ def _ell_from_theta(theta: float) -> int:
     return 2 * math.floor(theta ** (-0.75))
 
 
+def _interval_bounds(q: int, theta: tuple[float, ...], c0: float) -> list[float]:
+    """c0, q^theta_0, ..., q^theta_J: interval j is (bounds[j], bounds[j + 1]]."""
+    return [c0] + [float(q) ** t for t in theta]
+
+
 def _build_intervals(q: int, c0: float, theta: tuple[float, ...]) -> tuple[PrimeInterval, ...]:
-    bounds = [c0] + [q**t for t in theta]
+    bounds = _interval_bounds(q, theta, c0)
     intervals = []
     for j in range(len(theta)):
         iv = sieve_primes(bounds[j], bounds[j + 1])
@@ -109,10 +124,9 @@ def check_desk_params(q: int, theta_list: Iterable[float], c0: float) -> tuple[f
         raise ValueError(f"theta exponents must be positive and finite, got {theta}")
     if not all(b > a for a, b in zip(theta, theta[1:])):
         raise ValueError(f"theta exponents must be strictly increasing, got {theta}")
-    y = float(q) ** theta[0]
-    if not 1 <= c0 < y:
-        raise ValueError(f"c0 must lie in [1, q^theta_0) = [1, {y:.6g}), got {c0}")
-    bounds = (c0,) + tuple(float(q) ** t for t in theta)
+    bounds = _interval_bounds(q, theta, c0)
+    if not 1 <= c0 < bounds[1]:
+        raise ValueError(f"c0 must lie in [1, q^theta_0) = [1, {bounds[1]:.6g}), got {c0}")
     for lo, hi in zip(bounds, bounds[1:]):
         check_sieve_limits(lo, hi)
     return theta
@@ -126,12 +140,8 @@ def params_desk(q: int, theta_list: Iterable[float], c0: float = 1.0) -> Mollifi
     a warning.
     """
     theta = check_desk_params(q, theta_list, c0)
-    J = len(theta) - 1
     ell = tuple(_ell_from_theta(t) for t in theta)
-    return MollifierParams(
-        q=q, c0=c0, J=J, theta=theta, ell=ell,
-        y=float(q) ** theta[0], x=float(q) ** theta[J], intervals=_build_intervals(q, c0, theta),
-    )
+    return MollifierParams(q=q, c0=c0, theta=theta, ell=ell, intervals=_build_intervals(q, c0, theta))
 
 
 def largest_support_element(q: int, theta: tuple[float, ...], c0: float) -> int:
@@ -143,7 +153,7 @@ def largest_support_element(q: int, theta: tuple[float, ...], c0: float) -> int:
     downward :func:`is_prime` search from the interval's upper end.
     ``theta`` and ``c0`` must pass :func:`check_desk_params`.
     """
-    bounds = [c0] + [q**t for t in theta]
+    bounds = _interval_bounds(q, theta, c0)
     largest = 1
     for lo, hi, t in zip(bounds, bounds[1:], theta):
         n = math.floor(hi)
@@ -165,7 +175,7 @@ def check_pair_budget(q: int, theta: tuple[float, ...], c0: float) -> None:
     :func:`check_twist_length` admits: each of their largest primes is
     then below sqrt(q).
     """
-    bounds = [c0] + [q**t for t in theta]
+    bounds = _interval_bounds(q, theta, c0)
     count = 1
     for lo, hi, t in zip(bounds, bounds[1:], theta):
         if ell := _ell_from_theta(t):
@@ -342,35 +352,6 @@ def _divisor_pairs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _m_direct(support: np.ndarray, gamma: np.ndarray, pairs: Sequence[tuple[complex, complex]]) -> list[complex]:
-    """Coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd,
-    at each (alpha, beta) of ``pairs``.
-
-    Each term is [gamma(A) A^(-1-a)] [gamma(B) B^(-1-b)] h^(1+a+b).  The
-    gcd matrix is symmetric, so it is built over the upper triangle only:
-    row block R against the columns from R on, _PAIR_BLOCK rows at a time
-    by ``np.gcd.outer``, and its logs serve every pair.  With H that
-    block's powers and H' their part right of the diagonal block, R adds
-    x_R . (H y) + y_R . (H' x).  The products are summed by ``np.sum``
-    (pairwise), not by BLAS: the result does not depend on the BLAS
-    thread count, and no call waits on BLAS threads.
-    """
-    _pair_budget_check(len(support))
-    s = support.astype(np.int64)
-    log_s = np.log(s.astype(np.float64))
-    xs = [gamma * np.exp((-1.0 - alpha) * log_s) for alpha, _ in pairs]
-    ys = [gamma * np.exp((-1.0 - beta) * log_s) for _, beta in pairs]
-    totals = [0.0j] * len(pairs)
-    for lo in range(0, len(s), _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, len(s))
-        log_h = np.log(np.gcd.outer(s[lo:hi], s[lo:]).astype(np.float64))
-        for i, ((alpha, beta), x, y) in enumerate(zip(pairs, xs, ys)):
-            h_pow = np.exp((1.0 + alpha + beta) * log_h)
-            totals[i] += np.sum(x[lo:hi] * np.sum(h_pow * y[lo:], axis=1))
-            totals[i] += np.sum(y[lo:hi] * np.sum(h_pow[:, hi - lo :] * x[hi:], axis=1))
-    return [complex(t) for t in totals]
-
-
 def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: complex) -> complex:
     """Quadruple sum over (h, d, m, n), regrouped by v = hd.
 
@@ -403,11 +384,35 @@ def m_alpha_beta_general(
     support: np.ndarray, gamma: np.ndarray, pairs: Sequence[tuple[complex, complex]]
 ) -> list[complex]:
     """M(alpha, beta) at each (alpha, beta) of ``pairs``, of any
-    divisor-closed support with arbitrary complex coefficients, by the
-    direct (gcd) route in one gcd pass; the per-interval product needs
-    the mollifier's interval structure and lives on :func:`m_alpha_beta`.
+    divisor-closed support with arbitrary complex coefficients: the
+    coprime double sum via the gcd bijection (A,B) = (hm, hn), h = gcd,
+    in one gcd pass.  The per-interval product needs the mollifier's
+    interval structure and lives on :func:`m_alpha_beta`.
+
+    Each term is [gamma(A) A^(-1-a)] [gamma(B) B^(-1-b)] h^(1+a+b).  The
+    gcd matrix is symmetric, so it is built over the upper triangle only:
+    row block R against the columns from R on, _PAIR_BLOCK rows at a time
+    by ``np.gcd.outer``, and its logs serve every pair.  With H that
+    block's powers and H' their part right of the diagonal block, R adds
+    x_R . (H y) + y_R . (H' x).  The products are summed by ``np.sum``
+    (pairwise), not by BLAS: the result does not depend on the BLAS
+    thread count, and no call waits on BLAS threads.
     """
-    return _m_direct(np.asarray(support, dtype=np.int64), np.asarray(gamma, dtype=np.complex128), pairs)
+    s = np.asarray(support, dtype=np.int64)
+    gamma = np.asarray(gamma, dtype=np.complex128)
+    _pair_budget_check(len(s))
+    log_s = np.log(s.astype(np.float64))
+    xs = [gamma * np.exp((-1.0 - alpha) * log_s) for alpha, _ in pairs]
+    ys = [gamma * np.exp((-1.0 - beta) * log_s) for _, beta in pairs]
+    totals = [0.0j] * len(pairs)
+    for lo in range(0, len(s), _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, len(s))
+        log_h = np.log(np.gcd.outer(s[lo:hi], s[lo:]).astype(np.float64))
+        for i, ((alpha, beta), x, y) in enumerate(zip(pairs, xs, ys)):
+            h_pow = np.exp((1.0 + alpha + beta) * log_h)
+            totals[i] += np.sum(x[lo:hi] * np.sum(h_pow * y[lo:], axis=1))
+            totals[i] += np.sum(y[lo:hi] * np.sum(h_pow[:, hi - lo :] * x[hi:], axis=1))
+    return [complex(t) for t in totals]
 
 
 def _m_euler_interval(support: FactoredSupport, alpha: complex, beta: complex) -> complex:
@@ -456,7 +461,7 @@ def m_alpha_beta(
         if mol is None:
             mol = build_dirichlet_mollifier(params)
         if variant == "direct":
-            return _m_direct(mol.support, mol.coeff, [(alpha, beta)])[0]
+            return m_alpha_beta_general(mol.support, mol.coeff, [(alpha, beta)])[0]
         return _m_moebius(mol.support, mol.coeff, alpha, beta)
     if variant == "euler":
         out = 1.0 + 0.0j

@@ -97,11 +97,9 @@ def sample(prime_list: Iterable[int] | np.ndarray, seed: int, index: int) -> Ran
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """An expectation over the model, tagged with the route that produced it."""
+    """An expectation over the model; a Monte Carlo estimate carries its standard error."""
 
     value: complex
-    method: str  # "exact" | "mc"
-    n_samples: int | None = None
     standard_error: float | None = None
 
 
@@ -136,7 +134,7 @@ def exact_expectation(product_spec: list[tuple[DirichletPolynomial, bool]]) -> E
         other = large.get(n)
         if other is not None:
             total += (c * other.conjugate()) if small is a else (other * c.conjugate())
-    return ExpectationResult(value=complex(total), method="exact")
+    return ExpectationResult(value=complex(total))
 
 
 def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray, ell: int) -> complex:
@@ -198,7 +196,7 @@ def mc_expectation(
     mean = complex(values.mean())
     resid = values - mean
     se = math.sqrt((np.abs(resid) ** 2).mean() / max(n_samples - 1, 1))
-    return ExpectationResult(value=mean, method="mc", n_samples=n_samples, standard_error=se)
+    return ExpectationResult(value=mean, standard_error=se)
 
 
 def e_trunc_exact(ell: int, t: Fraction) -> Fraction:
@@ -226,7 +224,6 @@ class MomentIdentity:
     char_side: float
     random_side: float
     bound: float
-    k: int
 
 
 def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int) -> MomentIdentity:
@@ -243,6 +240,11 @@ def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int)
     into at most 2k interval primes, p_max^(2k) < q suffices and is
     enforced in integer arithmetic.  Both sides are capped by
     k! (sum w^2/p)^k.
+
+    Binomially, (Re P)^(2k) = 4^(-k) sum_j C(2k, j) P^j conj(P)^(2k-j).
+    A term with j != k pairs products of j primes against products of
+    2k - j primes, which never coincide, so its expectation is 0 and the
+    model side is the j = k term alone.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -255,13 +257,9 @@ def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int)
 
     char_side = float(np.mean(values.real ** (2 * k)))
 
-    random_side = 0.0
-    for j in range(2 * k + 1):
-        spec = [(poly, False)] * j + [(poly, True)] * (2 * k - j)
-        e_val = exact_expectation(spec).value
-        random_side += math.comb(2 * k, j) * e_val.real
-    random_side *= 2.0 ** (-2 * k)
+    e_val = exact_expectation([(poly, False)] * k + [(poly, True)] * k).value
+    random_side = math.comb(2 * k, k) * e_val.real * 2.0 ** (-2 * k)
 
     w = poly.coeff.real
     bound = math.factorial(k) * float(np.sum(w**2 / poly.support)) ** k
-    return MomentIdentity(char_side=char_side, random_side=random_side, bound=bound, k=k)
+    return MomentIdentity(char_side=char_side, random_side=random_side, bound=bound)

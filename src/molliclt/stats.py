@@ -62,6 +62,9 @@ def gauss_cdf(t):
     return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
 
 
+_KS_TARGET = gauss_cdf(_KS_GRID)  # the standard normal CDF on _KS_GRID, every KS distance's target
+
+
 def _ks_cells(obs: np.ndarray) -> np.ndarray:
     """The number of _KS_GRID points below each observation, as
     ``np.searchsorted(_KS_GRID, obs, side="left")`` gives it, by arithmetic.
@@ -96,7 +99,6 @@ def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray | None]) -> list[floa
     """
     cell = _ks_cells(obs)
     cells = len(_KS_GRID) + 1
-    target = gauss_cdf(_KS_GRID)
     dists = []
     for row in rows:
         if row is None:
@@ -107,7 +109,7 @@ def ks_distance(obs: np.ndarray, rows: Sequence[np.ndarray | None]) -> list[floa
                 mass = mass + 1j * np.bincount(cell, weights=row.imag, minlength=cells)
         if total == 0:
             raise ValueError("zero total weight")
-        dists.append(float(np.max(np.abs(np.cumsum(mass[:-1]) / total - target))))
+        dists.append(float(np.max(np.abs(np.cumsum(mass[:-1]) / total - _KS_TARGET))))
     return dists
 
 
@@ -224,14 +226,13 @@ def beurling_B(x) -> np.ndarray:
 class SelbergFunction:
     """Band-limited minorant of the indicator of [a, b] at bandwidth delta.
 
-    ``narrow`` flags delta * (b - a) < 1, where the construction is
-    still valid but the minorant dips badly below the indicator.
+    Where delta * (b - a) < 1 the construction is still valid, but the
+    minorant dips badly below the indicator.
     """
 
     a: float
     b: float
     delta: float
-    narrow: bool
 
     def minorant(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -270,7 +271,7 @@ def selberg_minorant(interval: tuple[float, float], delta: float) -> SelbergFunc
         raise ValueError("bandwidth must be positive")
     if not a < b:
         raise ValueError("interval must have positive length")
-    return SelbergFunction(a=a, b=b, delta=delta, narrow=delta * (b - a) < 1.0)
+    return SelbergFunction(a=a, b=b, delta=delta)
 
 
 # ---------------------------------------------------------------------------

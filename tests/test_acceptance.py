@@ -85,7 +85,7 @@ def test_criterion_03_l_value_trust_anchor(table101, table1009, table10007):
         oracle = l_values_oracle(table, 0.5)
         gap = float(np.max(np.abs(afe.values[1:] - oracle.values[1:])))
         assert gap < 1e-8, table.q
-        residuals = fe_residual_stats(table, 0.5, afe.values)
+        residuals = fe_residual_stats(table, afe.values)
         assert residuals["max"] < 1e-8, table.q
     assert time.perf_counter() - start < 60.0
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molliclt import arith
 from molliclt.arith import (
     PrimeInterval,
     big_omega,
@@ -135,9 +136,10 @@ def test_smooth_integers_support_is_divisor_closed():
             assert d in values
 
 
-def test_smooth_integers_guards():
+def test_smooth_integers_guards(monkeypatch):
+    monkeypatch.setattr(arith, "SUPPORT_BUDGET", 100)
     with pytest.raises(RuntimeError):
-        smooth_integers(sieve_primes(1, 100), 4, max_count=100)
+        smooth_integers(sieve_primes(1, 100), 4)
 
 
 def _factored_support_cases():

@@ -552,13 +552,14 @@ def test_second_moment_computes_the_direct_pair_sum_twice(tmp_path, monkeypatch,
     # direct variant reuses the diagonal term's M(alpha, beta) instead of
     # summing the same pairs again
     calls = []
-    direct = mollifier._m_direct
+    direct = mollifier.m_alpha_beta_general
 
     def counted(*args):
         calls.append(args[2:])
         return direct(*args)
 
-    monkeypatch.setattr(mollifier, "_m_direct", counted)
+    monkeypatch.setattr(mollifier, "m_alpha_beta_general", counted)
+    monkeypatch.setattr(dirichlet_l, "m_alpha_beta_general", counted)
     assert run("second-moment", "--q", "1009", "--out", str(tmp_path)) == EXIT_OK
     capsys.readouterr()
     assert calls == [([(0.02, 0.015), (-0.015, -0.02)],)]
@@ -714,7 +715,7 @@ def test_clt_cache_hit_does_not_recompute(cached_1009, monkeypatch, capsys):
 def _resave(path, q=1009):
     """Rewrite the cache at ``path`` with its own values and zero residual statistics."""
     _, _, _, values = load_l_values(path)
-    save_l_values(path, CentralValueSet(q=q, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
+    save_l_values(path, CentralValueSet(q=q, s=0.5, values=values, residual_stats={"max": 0.0, "mean": 0.0}))
 
 
 def _wrong_q(path):

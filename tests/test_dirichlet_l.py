@@ -97,14 +97,8 @@ def test_tail_cut_is_read_by_every_afe_route(table1009, tmp_path, monkeypatch):
 
 def test_functional_equation_residuals_q101(table101):
     vals = l_values_afe(table101, 0.5)
-    stats = fe_residual_stats(table101, 0.5, vals.values)
+    stats = fe_residual_stats(table101, vals.values)
     assert stats["max"] < 1e-8
-
-
-def test_fe_residuals_off_center_raise(table101):
-    vals = l_values_afe(table101, 0.6)
-    with pytest.raises(ValueError):
-        fe_residual_stats(table101, 0.6, vals.values)
 
 
 def test_afe_rejects_s_outside_its_disc(table101):
@@ -161,7 +155,7 @@ def test_afe_singleton_matches_batch_at_labels_near_m():
 
 def test_afe_value_set_carries_residuals_exactly_at_the_center(table1009):
     vals = l_values_afe(table1009, 0.5)
-    assert vals.residual_stats == fe_residual_stats(table1009, 0.5, vals.values)
+    assert vals.residual_stats == fe_residual_stats(table1009, vals.values)
     assert l_values_afe(table1009, 0.52).residual_stats is None
 
 
@@ -177,7 +171,7 @@ def test_root_numbers_computed_once_per_table(monkeypatch):
     monkeypatch.setattr(characters, "gauss_sums_all", counted)
     t = build_table.__wrapped__(1009)  # a fresh table, outside the build cache
     vals = l_values_afe(t, 0.5)
-    stats = fe_residual_stats(t, 0.5, vals.values)
+    stats = fe_residual_stats(t, vals.values)
     clt_experiment(t, params_desk(1009, [0.5], c0=1.0), vals)
     assert calls == [1009]
     assert stats["max"] < 1e-8
@@ -237,7 +231,7 @@ def test_cache_roundtrip_keeps_signed_zeros_and_non_finite_parts(tmp_path):
     values.real = np.repeat(parts, len(parts))
     values.imag = np.tile(parts, len(parts))
     path = str(tmp_path / "cache.bin")
-    save_l_values(path, CentralValueSet(q=101, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
+    save_l_values(path, CentralValueSet(q=101, s=0.5, values=values, residual_stats={"max": 0.0, "mean": 0.0}))
     _, _, _, loaded = load_l_values(path)
     assert loaded.tobytes() == values.tobytes()
 
@@ -261,7 +255,7 @@ def test_cached_afe_values_equal_a_computation(tmp_path, table101):
     save_l_values(str(path), vals)
     hit = cached_afe_values(str(path), table101, 0.5)
     assert hit.values.tobytes() == vals.values.tobytes()
-    assert (hit.q, hit.s, hit.method, hit.residual_stats) == (vals.q, vals.s, vals.method, vals.residual_stats)
+    assert (hit.q, hit.s, hit.residual_stats) == (vals.q, vals.s, vals.residual_stats)
     assert cached_afe_values(str(path), table101, 0.55) is None
     assert cached_afe_values(str(path), build_table(103), 0.5) is None
     # the same values under permuted labels are not the run's values
@@ -282,7 +276,7 @@ def test_streamed_cache_read_checks_every_chunk(tmp_path, monkeypatch, q, chunk)
     rng = np.random.default_rng(q)
     values = rng.standard_normal(t.m) + 1j * rng.standard_normal(t.m)
     path = tmp_path / "cache.bin"
-    save_l_values(str(path), CentralValueSet(q=q, s=0.5, values=values, method="afe", residual_stats={"max": 0.0, "mean": 0.0}))
+    save_l_values(str(path), CentralValueSet(q=q, s=0.5, values=values, residual_stats={"max": 0.0, "mean": 0.0}))
     _, _, labels, loaded = load_l_values(str(path))
     assert np.array_equal(labels, np.arange(t.m)) and loaded.tobytes() == values.tobytes()
     assert cached_afe_values(str(path), t, 0.5).values.tobytes() == values.tobytes()

@@ -299,7 +299,7 @@ def test_evaluate_matches_direct_character_sum(table101):
     mol = build_dirichlet_mollifier(p)
     for a in (1, 17, 60):
         direct = sum(
-            mol.coefficient(int(n)) * table101.chi(a, int(n)) / math.sqrt(int(n))
+            mol.coefficient(int(n)) * table101.chi_values(a, [int(n)])[0] / math.sqrt(int(n))
             for n in mol.support
         )
         assert abs(mol.evaluate(table101, a) - direct) < 1e-13
@@ -346,10 +346,7 @@ def interval_configs(draw):
     ell = tuple(draw(st.integers(2, 4)) for _ in groups)
     intervals = tuple(PrimeInterval(g[0] - 0.5, g[-1], np.array(g, dtype=np.int64)) for g in groups)
     theta = tuple(0.1 * (j + 1) for j in range(len(groups)))
-    params = MollifierParams(
-        q=10007, c0=1.0, J=len(groups) - 1, theta=theta, ell=ell,
-        y=float(groups[0][-1]), x=float(groups[-1][-1]), intervals=intervals,
-    )
+    params = MollifierParams(q=10007, c0=1.0, theta=theta, ell=ell, intervals=intervals)
     shift = st.complex_numbers(max_magnitude=0.05, allow_nan=False, allow_infinity=False)
     return params, draw(shift), draw(shift)
 
@@ -417,7 +414,7 @@ def test_prime_sum_matches_naive(table101):
     primes = [int(v) for v in p.intervals[0].primes]
     assert primes == [2, 3]
     for a in (1, 9, 42):
-        naive = sum(table101.chi(a, v) / math.sqrt(v) for v in primes)
+        naive = sum(table101.chi_values(a, [v])[0] / math.sqrt(v) for v in primes)
         assert abs(prime_sum_polynomial(p).evaluate(table101, a) - naive) < 1e-14
 
 

@@ -1,13 +1,14 @@
 """Names other code depends on: each module's ``__all__``, the targets
 the benchmark tracer (``perfbench/traced.py``) wraps, and the L-value
 check of the benchmark runner (``perfbench/run.py``); the names each
-module imports; and a reader for every exported name.
+module imports; and a reader for every exported name and for every
+field and method of a dataclass.
 
 A deletion that leaves a stale ``__all__`` entry, removes a function
 the tracer patches, changes a signature the benchmark's output check
 calls, or leaves an import nothing reads fails here rather than only in
 the benchmark's own runs (the project has no linter).  So does an
-exported name that only the tests read.
+exported name, a record field or a method that only the tests read.
 """
 
 import ast
@@ -35,6 +36,17 @@ KEPT_WITHOUT_READER = {
     "e_trunc_exact": "Keep every function an acceptance criterion reads: e_trunc_exact",
     "expectation_local_L": "Keep every function an acceptance criterion reads: ... expectation_local_L",
     "selberg_minorant": "Keep every function an acceptance criterion reads: selberg_minorant",
+}
+# dataclass fields and methods no production path reads, each with the
+# reason it stays
+KEPT_MEMBERS_WITHOUT_READER = {
+    "HeckeForm.weight": "ROADMAP item 8(a): the twisted values need the gamma order k/2",
+    "CLTReport.total_weight": "criterion 12 compares it across reruns",
+    "SelbergFunction.majorant": "criterion 10 checks the sandwich from above",
+    "SelbergFunction.fourier": "criterion 10 checks the minorant's band limit",
+    "DirichletPolynomial.coefficient": "Some oracles are kept on purpose: DirichletPolynomial.evaluate and coefficient",
+    "DirichletPolynomial.evaluate": "Some oracles are kept on purpose: DirichletPolynomial.evaluate and coefficient",
+    "FactoredInteger.divisors": "Some oracles are kept on purpose: FactoredInteger.divisors",
 }
 
 
@@ -75,7 +87,7 @@ def test_benchmark_l_value_check_reads_an_lvalues_cache(tmp_path, monkeypatch):
     _, s, _, values = load_l_values(str(cache))
     values[50] += 1e-6
     stats = {"max": head.fe_residual_max, "mean": head.fe_residual_mean}
-    save_l_values(str(cache), CentralValueSet(q=101, s=s, values=values, method="afe", residual_stats=stats))
+    save_l_values(str(cache), CentralValueSet(q=101, s=s, values=values, residual_stats=stats))
     assert "chi_50" in check_l_values(cache, 101, labels)
 
 
@@ -132,3 +144,44 @@ def test_every_exported_name_has_a_reader():
     allowed = read | set(KEPT_WITHOUT_READER)
     assert [f"{stem}.{name}" for stem, name in exported if name not in allowed] == []
     assert set(KEPT_WITHOUT_READER) <= {name for _, name in exported}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list)
+
+
+def _reads_own_fields(node: ast.ClassDef) -> bool:
+    """Whether the class walks its fields by ``dataclasses.fields``, so every field is read."""
+    return any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", None) == "fields" for call in ast.walk(node)
+    )
+
+
+def _members(node: ast.ClassDef) -> list[str]:
+    """The fields and non-dunder methods (properties included) of a class body."""
+    names = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+    names += [item.name for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    return names
+
+
+def test_every_dataclass_member_has_a_reader():
+    # a reader is an attribute load in src/ or the benchmark; constructing a
+    # record or reading it in the tests does not count.  Names match by
+    # spelling, as for the exported names.
+    src = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    trees = src + [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    members = [
+        f"{node.name}.{name}"
+        for tree in src
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and not _reads_own_fields(node)
+        for name in _members(node)
+    ]
+    unread = {member for member in members if member.split(".")[1] not in read}
+    assert sorted(unread - set(KEPT_MEMBERS_WITHOUT_READER)) == []
+    # every allowance still names a member without a reader
+    assert sorted(set(KEPT_MEMBERS_WITHOUT_READER) - unread) == []

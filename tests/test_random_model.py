@@ -114,7 +114,6 @@ def test_exact_expectation_hand_case():
     out = exact_expectation([(a, False), (b, True)])
     # orthogonality leaves the diagonal: 1*conj(1) + 0.5*conj(0.25j)
     assert out.value == pytest.approx(1.0 - 0.125j, abs=1e-15)
-    assert out.method == "exact"
 
 
 def test_exact_expectation_no_conjugate_side():
@@ -310,6 +309,28 @@ def test_moment_identity_weighted(table101):
     out = moment_identity_check(poly.evaluate_all(table101), poly, 1)
     assert out.char_side == pytest.approx(out.random_side, abs=1e-14)
     assert out.bound == pytest.approx(sum(p**-3 for p in (2, 3)), rel=1e-12)
+
+
+def test_moment_identity_takes_one_model_expectation(table101, monkeypatch):
+    # of the 2k + 1 binomial terms of (Re P)^(2k) only P^k conj(P)^k has a
+    # nonzero expectation, so one exact expectation per k gives the whole
+    # binomial sum, bit for bit
+    calls = []
+    exact = random_model.exact_expectation
+
+    def counted(spec):
+        calls.append([conj for _, conj in spec])
+        return exact(spec)
+
+    monkeypatch.setattr(random_model, "exact_expectation", counted)
+    poly = prime_sum_polynomial(params_desk(101, [0.25]))
+    values = poly.evaluate_all(table101)
+    for k in (1, 2):
+        calls.clear()
+        out = moment_identity_check(values, poly, k)
+        assert calls == [[False] * k + [True] * k]
+        terms = [exact([(poly, False)] * j + [(poly, True)] * (2 * k - j)).value.real for j in range(2 * k + 1)]
+        assert out.random_side == sum(math.comb(2 * k, j) * t for j, t in enumerate(terms)) * 2.0 ** (-2 * k)
 
 
 def test_moment_identity_validates_k(table101):

@@ -63,7 +63,7 @@ GAMMA_POINTS = (
 # the cutoff's archimedean factor reads gamma at s + 6 and s + 8 on its
 # 20- and 28-node contours at Re s = -1 (shifted), 2 and 2.2
 CUTOFF_POINTS = np.concatenate([
-    _cutoff_node_data(c, 14.0, nodes)[0] + shift
+    _cutoff_node_data(c, nodes)[0] + shift
     for c in (-1.0, 2.0, 2.2) for nodes in (20, 28) for shift in (6, 8)
 ])
 

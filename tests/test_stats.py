@@ -300,8 +300,6 @@ def fejer_pair(s, xs):
 def test_selberg_constructor_and_guards():
     s = selberg_minorant((0.0, 0.5), 1.0)
     assert isinstance(s, SelbergFunction)
-    assert s.narrow  # delta * length = 0.5 < 1
-    assert not selberg_minorant((0.0, 2.0), 1.0).narrow
     with pytest.raises(ValueError, match="bandwidth"):
         selberg_minorant((0.0, 1.0), 0.0)
     with pytest.raises(ValueError, match="positive length"):
@@ -433,7 +431,7 @@ def test_clt_rejects_l_values_of_another_run(table1009, table101, report1009):
         clt_experiment(table1009, params, l_values=l_values_afe(table101, 0.5))
     with pytest.raises(ValueError, match=r"s \(0.55\+0j\) where the run needs 0.5"):
         clt_experiment(table1009, params, l_values=l_values_afe(table1009, 0.55))
-    short = CentralValueSet(q=1009, s=0.5, values=lv.values[:-1], method="afe")
+    short = CentralValueSet(q=1009, s=0.5, values=lv.values[:-1])
     with pytest.raises(ValueError, match="length 1007 where the run needs 1008"):
         clt_experiment(table1009, params, l_values=short)
 
