@@ -42,6 +42,7 @@ from .mollifier import (
     MollifierParams,
     build_dirichlet_mollifier,
     check_desk_params,
+    check_first_interval,
     check_pair_budget,
     largest_support_element,
     m_alpha_beta,
@@ -98,6 +99,8 @@ class RunConfig:
         if self.mc_samples > _MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples (--mc) must be at most {_MAX_MC_SAMPLES}, got {self.mc_samples}")
         theta = check_desk_params(self.q, self.theta, self.c0)
+        if command in ("clt", "random"):
+            check_first_interval(self.q, theta, self.c0)
         if command == "random":
             from .hecke_rankin import check_euler_range
 
@@ -294,7 +297,6 @@ def cmd_random(cfg: RunConfig) -> Outcome:
     )
     from .random_model import exact_expectation, mc_expectation, moment_identity_check
 
-    table = build_table(cfg.q)
     params = cfg.mollifier_params()
     checks: dict[str, dict] = {}
 
@@ -303,8 +305,9 @@ def cmd_random(cfg: RunConfig) -> Outcome:
 
     poly = prime_sum_polynomial(params)
     p_max = int(poly.support[-1])
-    # one transform serves both moments; k = 2 is checked only where k = 1 is
-    p_all = poly.evaluate_all(table) if p_max**2 < cfg.q else None
+    # one transform serves both moments; k = 2 is checked only where k = 1
+    # is, and without k = 1 no table is built
+    p_all = poly.evaluate_all(build_table(cfg.q)) if p_max**2 < cfg.q else None
     for k in (1, 2):
         if p_max ** (2 * k) >= cfg.q:
             record(f"moment_identity_k{k}", True, skipped="support reaches q")
@@ -318,7 +321,7 @@ def cmd_random(cfg: RunConfig) -> Outcome:
             bound=ident.bound, gap=gap,
         )
 
-    exact = exact_expectation([(poly, False), (poly, True)]).value.real
+    exact = exact_expectation(poly, 1)
     coeffs = poly.scaled_coeff
 
     def second_moment(x: np.ndarray) -> np.ndarray:

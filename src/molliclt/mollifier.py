@@ -32,6 +32,7 @@ __all__ = [
     "DirichletPolynomial",
     "params_desk",
     "check_desk_params",
+    "check_first_interval",
     "largest_support_element",
     "check_pair_budget",
     "w_weight",
@@ -54,8 +55,7 @@ class MollifierParams:
     """Interval decomposition (c0, y], (q^theta_0, q^theta_1], ... with Omega caps.
 
     ``theta`` is strictly increasing and ``ell[j]`` caps Omega on
-    interval j; :attr:`y` = q^theta_0 and :attr:`x` = q^theta_J bound
-    the whole mollifier range.
+    interval j; :attr:`x` = q^theta_J bounds the whole mollifier range.
     """
 
     q: int
@@ -74,10 +74,6 @@ class MollifierParams:
     def J(self) -> int:
         """Index of the last interval."""
         return len(self.theta) - 1
-
-    @property
-    def y(self) -> float:
-        return float(self.q) ** self.theta[0]
 
     @property
     def x(self) -> float:
@@ -144,23 +140,38 @@ def params_desk(q: int, theta_list: Iterable[float], c0: float = 1.0) -> Mollifi
     return MollifierParams(q=q, c0=c0, theta=theta, ell=ell, intervals=_build_intervals(q, c0, theta))
 
 
+def _largest_prime(lo: float, hi: float) -> int:
+    """The largest prime in (lo, hi], or 1 when there is none, by a downward
+    :func:`is_prime` search from hi."""
+    n = math.floor(hi)
+    while n > lo and not is_prime(n):
+        n -= 1
+    return n if n > lo else 1
+
+
+def check_first_interval(q: int, theta: tuple[float, ...], c0: float) -> None:
+    """Raise ValueError when the first interval (c0, q^theta_0] holds no prime,
+    without sieving: every statistic built on its prime sum needs one."""
+    y = _interval_bounds(q, theta, c0)[1]
+    if _largest_prime(c0, y) == 1:
+        raise ValueError(
+            f"the first mollifier interval (c0, q^theta_0] = ({c0:.4g}, {y:.4g}] "
+            "contains no primes; raise theta_0 or lower c0"
+        )
+
+
 def largest_support_element(q: int, theta: tuple[float, ...], c0: float) -> int:
     """The largest element of the product mollifier's support, without sieving.
 
     Interval j's support tops out at its largest prime raised to its
     Omega cap (at 1 when the interval holds no prime), and the product
-    support at the product of these.  Each largest prime is found by a
-    downward :func:`is_prime` search from the interval's upper end.
-    ``theta`` and ``c0`` must pass :func:`check_desk_params`.
+    support at the product of these.  ``theta`` and ``c0`` must pass
+    :func:`check_desk_params`.
     """
     bounds = _interval_bounds(q, theta, c0)
     largest = 1
     for lo, hi, t in zip(bounds, bounds[1:], theta):
-        n = math.floor(hi)
-        while n > lo and not is_prime(n):
-            n -= 1
-        if n > lo:
-            largest *= n ** _ell_from_theta(t)
+        largest *= _largest_prime(lo, hi) ** _ell_from_theta(t)
     return largest
 
 
@@ -299,15 +310,11 @@ def prime_sum_polynomial(params: MollifierParams, j: int = 0) -> DirichletPolyno
     interval j (c0 < p <= y for the first).
 
     A weighted prime sum is ``DirichletPolynomial(primes, w)``.  A first
-    interval without primes raises ValueError: every statistic built on
-    its prime sum needs one.
+    interval without primes raises ValueError (:func:`check_first_interval`).
     """
     primes = params.intervals[j].primes
-    if j == 0 and len(primes) == 0:
-        raise ValueError(
-            f"the first mollifier interval (c0, q^theta_0] = ({params.c0:.4g}, {params.y:.4g}] "
-            "contains no primes; raise theta_0 or lower c0"
-        )
+    if j == 0:
+        check_first_interval(params.q, params.theta, params.c0)
     return DirichletPolynomial(primes, np.ones(len(primes), dtype=np.complex128))
 
 

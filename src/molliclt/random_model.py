@@ -7,12 +7,12 @@ runs and machines, no RNG state threading, and a whole block of sample
 indices is one uint64 array computation.  Not cryptographic, and makes
 no claim to be.
 
-Expectations of products of short Dirichlet polynomials in the model
-are computed exactly from the orthogonality E[X(m) conj(X(n))] = [m=n],
-with a Monte Carlo route kept alongside as an independent check; over
-one interval, :func:`circle_expectation` is the circle-quadrature engine.
-The truncated exponential and the moment identity that ties the
-character average to the model live here too.
+The X_p are independent and uniform on the circle, so E|P|^(2k) of a
+prime sum P = sum c_p X_p is a power series product over the primes
+(:func:`exact_expectation`), with a Monte Carlo route kept alongside as
+an independent check; over one interval, :func:`circle_expectation` is
+the circle-quadrature engine.  The truncated exponential and the moment
+identity that ties the character average to the model live here too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .arith import is_prime
 from .mollifier import DirichletPolynomial
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 _MASK = (1 << 64) - 1
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK_VALUES = 1 << 16  # unit values drawn per Monte Carlo block
-_PAIR_BUDGET = 10_000_000  # term pairs one exact_expectation convolution step may take
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -97,44 +97,31 @@ def sample(prime_list: Iterable[int] | np.ndarray, seed: int, index: int) -> Ran
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """An expectation over the model; a Monte Carlo estimate carries its standard error."""
+    """A Monte Carlo estimate of an expectation over the model, with its standard error."""
 
     value: complex
-    standard_error: float | None = None
+    standard_error: float
 
 
-def _convolve(polys: list[DirichletPolynomial]) -> dict[int, complex]:
-    """Coefficient map of the product of the factors, with each 1/sqrt(n) folded in."""
-    acc: dict[int, complex] = {1: 1.0 + 0.0j}
-    for poly in polys:
-        if len(acc) * len(poly.support) > _PAIR_BUDGET:
-            raise RuntimeError("exact expectation pair budget exceeded")
-        terms = list(zip(poly.support.tolist(), poly.scaled_coeff.tolist()))
-        nxt: dict[int, complex] = {}
-        for n1, c1 in acc.items():
-            for n2, c2 in terms:
-                key = n1 * n2
-                nxt[key] = nxt.get(key, 0.0j) + c1 * c2
-        acc = nxt
-    return acc
+def exact_expectation(poly: DirichletPolynomial, k: int) -> float:
+    """E|P|^(2k) over the model for P = sum over primes p of c_p X_p, c_p = ``poly.scaled_coeff``.
 
-
-def exact_expectation(product_spec: list[tuple[DirichletPolynomial, bool]]) -> ExpectationResult:
-    """E over the model of a product of polynomial factors.
-
-    Each entry is (factor, conjugated).  Unconjugated factors convolve
-    into one map A, conjugated ones into B, and orthogonality collapses
-    the expectation to sum over m of A(m) conj(B(m)).
+    By the multinomial theorem and E[X^a conj(X)^b] = [a = b] for each of
+    the independent X_p, E|P|^(2k) = sum over exponent vectors e with
+    |e| = k of (k! / prod e_p!)^2 prod |c_p|^(2 e_p): (k!)^2 times the
+    t^k coefficient of the product over p of sum_{e <= k} |c_p|^(2e) t^e / e!^2.
+    The independence needs a prime support, so any other raises ValueError.
     """
-    a = _convolve([poly for poly, conj in product_spec if not conj])
-    b = _convolve([poly for poly, conj in product_spec if conj])
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    total = 0.0j
-    for n, c in small.items():
-        other = large.get(n)
-        if other is not None:
-            total += (c * other.conjugate()) if small is a else (other * c.conjugate())
-    return ExpectationResult(value=complex(total))
+    composite = [n for n in poly.support.tolist() if not is_prime(n)]
+    if composite:
+        raise ValueError(f"exact_expectation needs a prime support; {composite[0]} is not prime")
+    e = np.arange(k + 1)
+    fact = np.cumprod(np.maximum(e, 1)).astype(np.float64)
+    series = np.zeros(k + 1)
+    series[0] = 1.0
+    for factor in (np.abs(poly.scaled_coeff) ** 2)[:, None] ** e / fact**2:
+        series = np.convolve(series, factor)[: k + 1]
+    return float(fact[k] ** 2 * series[k])
 
 
 def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray, ell: int) -> complex:
@@ -244,7 +231,7 @@ def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int)
     Binomially, (Re P)^(2k) = 4^(-k) sum_j C(2k, j) P^j conj(P)^(2k-j).
     A term with j != k pairs products of j primes against products of
     2k - j primes, which never coincide, so its expectation is 0 and the
-    model side is the j = k term alone.
+    model side is C(2k, k) 4^(-k) E|P|^(2k) (:func:`exact_expectation`).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -257,8 +244,7 @@ def moment_identity_check(values: np.ndarray, poly: DirichletPolynomial, k: int)
 
     char_side = float(np.mean(values.real ** (2 * k)))
 
-    e_val = exact_expectation([(poly, False)] * k + [(poly, True)] * k).value
-    random_side = math.comb(2 * k, k) * e_val.real * 2.0 ** (-2 * k)
+    random_side = math.comb(2 * k, k) * exact_expectation(poly, k) * 2.0 ** (-2 * k)
 
     w = poly.coeff.real
     bound = math.factorial(k) * float(np.sum(w**2 / poly.support)) ** k

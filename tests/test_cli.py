@@ -250,16 +250,36 @@ def test_invalid_settings_exit_config_without_a_report(command, bad, via_file):
         assert not os.path.exists(out_dir)
 
 
-@pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")
 @pytest.mark.parametrize("command", ["random", "clt"])
-def test_empty_first_interval_is_a_run_failure_naming_it(command, tmp_path, capsys):
-    # 101^0.01 = 1.047: the first interval (1, 1.047] holds no prime
+def test_empty_first_interval_is_a_run_failure_naming_it(command, tmp_path, capsys, monkeypatch):
+    # 101^0.01 = 1.047: the first interval (1, 1.047] holds no prime, which
+    # validation finds before any table build or sieve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for a refused configuration")
+
+    monkeypatch.setattr(cli, "build_table", forbidden)
+    monkeypatch.setattr(mollifier, "sieve_primes", forbidden)
     code = run(command, "--q", "101", "--theta", "0.01", "--out", str(tmp_path))
-    assert code == EXIT_SUITE
+    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "run failed: the first mollifier interval (c0, q^theta_0] = (1, 1.047] contains no primes" in err
+    assert err.startswith(
+        "invalid configuration: the first mollifier interval (c0, q^theta_0] = (1, 1.047] contains no primes"
+    )
     assert "Traceback" not in err
     assert not (tmp_path / f"{command}_q101.json").exists()
+
+
+def test_random_builds_no_table_when_both_identities_are_skipped(tmp_path, capsys, monkeypatch):
+    # 101^0.6 = 15.9: the first interval reaches 13, and 13^2 >= 101
+    def forbidden(*args, **kwargs):
+        raise AssertionError("random built a character table it does not read")
+
+    monkeypatch.setattr(cli, "build_table", forbidden)
+    code = run("random", "--q", "101", "--theta", "0.6", "--out", str(tmp_path))
+    capsys.readouterr()
+    checks = load_report(tmp_path / "random_q101.json")["checks"]
+    assert code == EXIT_OK
+    assert [checks[f"moment_identity_k{k}"] for k in (1, 2)] == [{"passed": True, "skipped": "support reaches q"}] * 2
 
 
 @pytest.mark.filterwarnings("ignore:interval 0 = .* contains no primes")

@@ -37,8 +37,7 @@ def test_params_desk_basic_shape(desk_quarter):
     p = desk_quarter
     assert p.J == 0
     assert p.ell == (4,)  # 2*floor(0.25^(-3/4))
-    assert math.isclose(p.y, 10007**0.25)
-    assert p.x == p.y
+    assert math.isclose(p.x, 10007**0.25)
     assert list(p.intervals[0].primes) == [2, 3, 5, 7]
 
 

@@ -103,32 +103,37 @@ def test_sample_seed_space_no_collision_with_neighbor(seed):
 # --- expectations ----------------------------------------------------------
 
 
-def _poly(coeffs):
-    return DirichletPolynomial(np.array(list(coeffs), dtype=np.int64), np.array(list(coeffs.values()), dtype=np.complex128))
+def _power_coefficients(c, k):
+    """Coefficients of (sum_i c_i X_i)^k keyed by exponent vector, by k plain multiplications."""
+    acc = {(0,) * len(c): 1.0}
+    for _ in range(k):
+        nxt = {}
+        for e, v in acc.items():
+            for i, ci in enumerate(c):
+                f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                nxt[f] = nxt.get(f, 0.0) + v * ci
+        acc = nxt
+    return acc
 
 
-def test_exact_expectation_hand_case():
-    # support {1, 4}: the 1/sqrt(n) scaling halves the coefficient at 4
-    a = _poly({1: 1.0, 4: 1.0})
-    b = _poly({1: 1.0, 4: 0.5j})
-    out = exact_expectation([(a, False), (b, True)])
-    # orthogonality leaves the diagonal: 1*conj(1) + 0.5*conj(0.25j)
-    assert out.value == pytest.approx(1.0 - 0.125j, abs=1e-15)
+def _mixed_moment(c, j, k):
+    """E[P^j conj(P)^k] by orthogonality over the exponent box: monomials pair only with themselves."""
+    a, b = _power_coefficients(c, j), _power_coefficients(c, k)
+    return sum(v * np.conj(b[e]) for e, v in a.items() if e in b)
 
 
-def test_exact_expectation_no_conjugate_side():
-    out = exact_expectation([(_poly({2: 1.0}), False)])
-    assert out.value == 0  # E X(2) = 0: only m = 1 pairs with the empty conjugate side
-    out2 = exact_expectation([(_poly({1: 3.0}), False)])
-    assert out2.value == pytest.approx(3.0)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_expectation_matches_the_exponent_box(k):
+    poly = DirichletPolynomial(np.array([2, 3, 5]), np.array([0.7, -1.3, 2.1], dtype=np.complex128))
+    want = _mixed_moment(poly.scaled_coeff, k, k)
+    assert exact_expectation(poly, k) == pytest.approx(want.real, rel=1e-14)
 
 
-def test_exact_expectation_budget():
-    big = _poly({n: 1.0 for n in range(1, 4001)})
-    # the second step would take 4000 * 4000 term pairs, past the budget
-    assert 4000 * 4000 > random_model._PAIR_BUDGET
-    with pytest.raises(RuntimeError, match="pair budget"):
-        exact_expectation([(big, False), (big, False), (big, True)])
+@pytest.mark.parametrize("support", [[2, 4], [1, 3], [3, 9, 11]])
+def test_exact_expectation_refuses_a_support_that_is_not_prime(support):
+    poly = DirichletPolynomial(np.array(support), np.ones(len(support), dtype=np.complex128))
+    with pytest.raises(ValueError, match="needs a prime support"):
+        exact_expectation(poly, 1)
 
 
 def test_mc_expectation_reproducible_and_unbiased():
@@ -187,7 +192,7 @@ def test_mc_expectation_names_a_bad_index_in_a_later_block():
 def test_mc_matches_exact_for_prime_sum_second_moment():
     """E|P|^2 for P = sum X(p)/sqrt(p) equals sum 1/p; MC lands within 4 SE."""
     poly = DirichletPolynomial(SMALL_PRIMES, np.ones(len(SMALL_PRIMES), dtype=np.complex128))
-    exact = exact_expectation([(poly, False), (poly, True)]).value.real
+    exact = exact_expectation(poly, 1)
     assert exact == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, rel=1e-12)
 
     def ev(x):
@@ -314,13 +319,13 @@ def test_moment_identity_weighted(table101):
 def test_moment_identity_takes_one_model_expectation(table101, monkeypatch):
     # of the 2k + 1 binomial terms of (Re P)^(2k) only P^k conj(P)^k has a
     # nonzero expectation, so one exact expectation per k gives the whole
-    # binomial sum, bit for bit
+    # binomial sum
     calls = []
     exact = random_model.exact_expectation
 
-    def counted(spec):
-        calls.append([conj for _, conj in spec])
-        return exact(spec)
+    def counted(poly, k):
+        calls.append(k)
+        return exact(poly, k)
 
     monkeypatch.setattr(random_model, "exact_expectation", counted)
     poly = prime_sum_polynomial(params_desk(101, [0.25]))
@@ -328,9 +333,12 @@ def test_moment_identity_takes_one_model_expectation(table101, monkeypatch):
     for k in (1, 2):
         calls.clear()
         out = moment_identity_check(values, poly, k)
-        assert calls == [[False] * k + [True] * k]
-        terms = [exact([(poly, False)] * j + [(poly, True)] * (2 * k - j)).value.real for j in range(2 * k + 1)]
-        assert out.random_side == sum(math.comb(2 * k, j) * t for j, t in enumerate(terms)) * 2.0 ** (-2 * k)
+        assert calls == [k]
+        assert out.random_side == math.comb(2 * k, k) * exact(poly, k) * 2.0 ** (-2 * k)
+        terms = [_mixed_moment(poly.scaled_coeff, j, 2 * k - j).real for j in range(2 * k + 1)]
+        assert out.random_side == pytest.approx(
+            sum(math.comb(2 * k, j) * t for j, t in enumerate(terms)) * 2.0 ** (-2 * k), rel=1e-14
+        )
 
 
 def test_moment_identity_validates_k(table101):
