@@ -13,7 +13,11 @@ is one float64 FFT, exact while limit (m - 1)^2 < 2^44, so a limit past
 262272 is refused.  Only the values at the primes are lifted; they do
 not fit in 64 bits and are kept as Python ints.
 
-Every truncated local series reads one array of lambda(p^j) x^j."""
+At level 1 the two Satake roots at p have sum lambda(p) and product 1,
+so every local factor is a polynomial in lambda(p): 1 - lambda z + z^2
+for one form (:func:`_hecke_factor`), a quartic for the convolution
+(:func:`_rs_quartic`).  Every truncated local series reads one array of
+lambda(p^j) x^j."""
 
 from __future__ import annotations
 
@@ -25,14 +29,12 @@ import numpy as np
 from ._special import gamma, gamma_array
 from .arith import multiplicative_table, sieve_primes
 from .mollifier import MollifierParams, w_weight
-from .random_model import circle_expectation
+from .random_model import circle_expectation, circle_nodes
 
 __all__ = [
     "HeckeForm",
     "delta_form",
     "weight16_form",
-    "SatakeParams",
-    "satake",
     "lambda_prime_power",
     "lambda_table",
     "RankinSelbergPair",
@@ -48,12 +50,11 @@ __all__ = [
     "expected_weight_euler",
 ]
 
-_EIGEN_LIMIT = 10_000
+_EIGEN_LIMIT = 10_000  # forms are built to here, and the Euler product's tail runs up to here
 _TRUNC_TOL = 1e-16
 _TRUNC_LOOKAHEAD = 10
 _TRUNC_MAX_TERMS = 400
 _QUADRATURE_NODES = 128
-_EULER_TAIL_LIMIT = 10_000  # its Euler product runs over the primes up to here
 _CUTOFF_WEIGHTS = (12, 16)  # the cutoff's archimedean factor is that of the shipped pair
 _CUTOFF_T_MAX = 14  # the cutoff contour's end; its integrand decays like e^(-5 pi t)
 
@@ -229,24 +230,13 @@ def weight16_form(limit: int = _EIGEN_LIMIT) -> HeckeForm:
 
 
 # ---------------------------------------------------------------------------
-# Satake parameters and prime-power eigenvalues
+# prime-power eigenvalues and local factors
 
-@dataclass(frozen=True)
-class SatakeParams:
-    """Roots of X^2 - lambda X + 1: unit-circle conjugates when |lambda| <= 2."""
-
-    alpha1: complex
-    alpha2: complex
-
-
-def satake(lam: float) -> SatakeParams:
-    lam = float(lam)
-    disc = lam * lam - 4.0
-    if disc <= 0.0:
-        root = complex(lam / 2.0, math.sqrt(-disc) / 2.0)
-        return SatakeParams(root, root.conjugate())
-    r = math.sqrt(disc)
-    return SatakeParams(complex((lam + r) / 2.0), complex((lam - r) / 2.0))
+def _hecke_factor(lam, z):
+    """The local factor 1 / (1 - lambda z + z^2) of one form, elementwise:
+    the two Satake factors 1 / (1 - alpha z), whose roots have sum lambda
+    and product 1."""
+    return 1.0 / (1.0 - lam * z + z * z)
 
 
 def lambda_prime_power(f: HeckeForm, p: int, a: int) -> float:
@@ -296,13 +286,18 @@ class RankinSelbergPair:
     g: HeckeForm
 
 
-def _satake_pairs(pair: RankinSelbergPair, p: int) -> tuple[SatakeParams, SatakeParams]:
-    return satake(pair.f.lambda_p(p)), satake(pair.g.lambda_p(p))
+def _rs_quartic(a, b, x):
+    """The product of the four factors 1 - alpha_f alpha_g x, elementwise,
+    given a = lambda_f(p) and b = lambda_g(p): 1 - ab x + (a^2 + b^2 - 2) x^2
+    - ab x^3 + x^4, both root pairs having product 1."""
+    ab = a * b
+    return 1.0 + x * (-ab + x * (a * a + b * b - 2.0 + x * (-ab + x)))
 
 
 def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex) -> complex:
     """Local factor of the convolution L-function at p: the product of the
-    four Satake factors 1 / (1 - alpha_f alpha_g p^(-s)).
+    four Satake factors 1 / (1 - alpha_f alpha_g p^(-s)), one over
+    :func:`_rs_quartic`.
 
     Its series form, sum over j of lambda_f(p^j) lambda_g(p^j) p^(-js)
     over the level-one local zeta correction (1 - p^(-2s)), is
@@ -312,16 +307,10 @@ def rs_local_factor(pair: RankinSelbergPair, p: int, s: complex) -> complex:
     s = complex(s)
     if s.real <= 0:
         raise ValueError("local factor needs Re s > 0")
-    x = complex(p) ** (-s)
-    sf, sg = _satake_pairs(pair, p)
-    out = 1.0 + 0.0j
-    for af in (sf.alpha1, sf.alpha2):
-        for ag in (sg.alpha1, sg.alpha2):
-            d = 1.0 - af * ag * x
-            if abs(d) < 1e-12:
-                raise ValueError(f"local factor pole at p={p}, s={s}")
-            out /= d
-    return out
+    quartic = _rs_quartic(pair.f.lambda_p(p), pair.g.lambda_p(p), complex(p) ** (-s))
+    if abs(quartic) < 1e-12:
+        raise ValueError(f"local factor pole at p={p}, s={s}")
+    return 1.0 / quartic
 
 
 def expectation_local_L(pair: RankinSelbergPair, p: int, s: complex, path: str = "formula") -> complex:
@@ -408,26 +397,19 @@ def quadrature_expectation(
     and averages.  The periodic rule is exact for trigonometric content
     below the node count; the content above it decays like p^(-k/2), so
     the aliasing error is about p^(-N/2) for N nodes: 2^-64 at p = 2,
-    below double rounding.  No series coefficients
-    are reused: the local factors are evaluated as Satake products and
-    a literal exponential.  f's L-factor rides X, g's its conjugate.
+    below double rounding.  No series coefficients are reused: the local
+    factors are evaluated in closed form by :func:`_hecke_factor`, and the
+    exponential literally.  f's L-factor rides X, g's its conjugate.
     """
-    sigma = complex(s) + 0.5
-    theta = 2.0 * math.pi * (np.arange(_QUADRATURE_NODES) + 0.5) / _QUADRATURE_NODES
-    x = np.exp(1j * theta)
+    x = circle_nodes(_QUADRATURE_NODES)
     xb = np.conj(x)
-    ps = complex(p) ** (-sigma)
-    s1 = satake(pair.f.lambda_p(p))
-    s2 = satake(pair.g.lambda_p(p))
-    vals = np.ones(_QUADRATURE_NODES, dtype=np.complex128)
-    for al in (s1.alpha1, s1.alpha2):
-        vals /= 1.0 - al * x * ps
-    for al in (s2.alpha1, s2.alpha2):
-        vals /= 1.0 - al * xb * ps
+    ps = complex(p) ** (-(complex(s) + 0.5))
+    lam_f, lam_g = pair.f.lambda_p(p), pair.g.lambda_p(p)
     w = w_weight(p, params.J, params)
     root_p = math.sqrt(p)
-    vals *= np.exp(-pair.f.lambda_p(p) * w * x / root_p)
-    vals *= np.exp(-pair.g.lambda_p(p) * w * xb / root_p)
+    vals = _hecke_factor(lam_f, x * ps) * _hecke_factor(lam_g, xb * ps)
+    vals *= np.exp(-lam_f * w * x / root_p)
+    vals *= np.exp(-lam_g * w * xb / root_p)
     vals *= x**a
     return complex(vals.mean())
 
@@ -518,24 +500,8 @@ def v_cutoff(xi: float, contour_re: float = 2.0) -> float:
 def check_euler_range(x: float) -> None:
     """Raise ValueError when the mollifier range x = q^theta_J passes the
     eigenvalue limit of :func:`expected_weight_euler`."""
-    if x > _EULER_TAIL_LIMIT:
-        raise ValueError(f"the mollifier range x = q^theta_J = {x:.6g} passes the eigenvalue limit {_EULER_TAIL_LIMIT}")
-
-
-def _central_local_expectations(pair: RankinSelbergPair, primes: np.ndarray) -> np.ndarray:
-    """:func:`expectation_local_L` at s = 0 for each of ``primes``, as one array.
-
-    With a = lambda_f(p), b = lambda_g(p) and x = 1/p, the four Satake
-    factors of the convolution at s = 1 multiply out (both root pairs
-    have product 1) to 1 - ab x + (a^2 + b^2 - 2) x^2 - ab x^3 + x^4,
-    so the expectation is (1 - x^2) over that quartic.
-    """
-    a = np.array([pair.f.lambda_p(p) for p in primes.tolist()])
-    b = np.array([pair.g.lambda_p(p) for p in primes.tolist()])
-    x = 1.0 / primes
-    ab = a * b
-    quartic = 1.0 + x * (-ab + x * (a * a + b * b - 2.0 + x * (-ab + x)))
-    return (1.0 - x * x) / quartic
+    if x > _EIGEN_LIMIT:
+        raise ValueError(f"the mollifier range x = q^theta_J = {x:.6g} passes the eigenvalue limit {_EIGEN_LIMIT}")
 
 
 def _interval_weights(pair: RankinSelbergPair, params: MollifierParams, j: int) -> tuple[float, float]:
@@ -543,10 +509,9 @@ def _interval_weights(pair: RankinSelbergPair, params: MollifierParams, j: int) 
     with mollifier coefficients c(p) = lambda(p) w_J(p)/sqrt(p)."""
     primes = params.intervals[j].primes
     lam_f, lam_g = (np.array([form.lambda_p(p) for p in primes.tolist()]) for form in (pair.f, pair.g))
-    # the Satake roots have product 1, so at z = X/sqrt(p) the local factor
-    # is 1/(1 - lambda z + z^2); lambda is real, so L(conj X) = conj L(X)
-    z = np.exp(2j * math.pi * (np.arange(_QUADRATURE_NODES) + 0.5) / _QUADRATURE_NODES) / np.sqrt(primes)[:, None]
-    l_f, l_g = (1.0 / (1.0 - lam[:, None] * z + z * z) for lam in (lam_f, lam_g))
+    # the local factors at z = X/sqrt(p); lambda is real, so L(conj X) = conj L(X)
+    z = circle_nodes(_QUADRATURE_NODES) / np.sqrt(primes)[:, None]
+    l_f, l_g = (_hecke_factor(lam[:, None], z) for lam in (lam_f, lam_g))
     scale = w_weight(primes, params.J, params) / np.sqrt(primes)
     fg = circle_expectation(l_f * np.conj(l_g), lam_f * scale, lam_g * scale, params.ell[j])
     gf = circle_expectation(l_g * np.conj(l_f), lam_f * scale, lam_g * scale, params.ell[j])
@@ -557,19 +522,23 @@ def expected_weight_euler(pair: RankinSelbergPair, params: MollifierParams) -> t
     """E(random central L x random mollifier) for both form orderings.
 
     Euler product in three zones: bare local expectations below the
-    mollifier range and on the tail above it (truncated at
-    _EULER_TAIL_LIMIT), and inside each interval the exact model value
-    of L_f(X) L_g(conj X) M_f(X) M_g(conj X), M the interval's Omega-capped
-    mollifier factor, by :func:`circle_expectation`.  The mollifier slots
+    mollifier range and on the tail above it (truncated at _EIGEN_LIMIT),
+    each (1 - x^2) / :func:`_rs_quartic` at x = 1/p, and inside each
+    interval the exact model value of L_f(X) L_g(conj X) M_f(X) M_g(conj X),
+    M the interval's Omega-capped mollifier factor, by
+    :func:`circle_expectation`.  The mollifier slots
     are fixed (f with X, g with the conjugate); the orderings swap only
     which L-factor rides which side.  The cutoff is taken at its central
     value 1.  Real output; equal labels are permitted here.  Raises
-    ValueError when x = q^theta_J passes _EULER_TAIL_LIMIT.
+    ValueError when x = q^theta_J passes _EIGEN_LIMIT.
     """
     check_euler_range(params.x)
     small = sieve_primes(1.0, params.c0).primes
-    tail = sieve_primes(params.x, float(_EULER_TAIL_LIMIT)).primes
-    outer = float(np.prod(_central_local_expectations(pair, np.concatenate([small, tail]))))
+    tail = sieve_primes(params.x, float(_EIGEN_LIMIT)).primes
+    primes = np.concatenate([small, tail])
+    a, b = (np.array([form.lambda_p(p) for p in primes.tolist()]) for form in (pair.f, pair.g))
+    x = 1.0 / primes
+    outer = float(np.prod((1.0 - x * x) / _rs_quartic(a, b, x)))
 
     fg_total, gf_total = outer, outer
     for j in range(params.J + 1):

@@ -369,6 +369,7 @@ def _m_moebius(support: np.ndarray, gamma: np.ndarray, alpha: complex, beta: com
     n-sums of each v run over the pairs (v, vm) of the support's
     divisibility relation.
     """
+    _pair_budget_check(len(support))
     v_idx, k_idx = _divisor_pairs(support)
     log_m = np.log((support[k_idx] // support[v_idx]).astype(np.float64))
     g = gamma[k_idx]

@@ -32,6 +32,7 @@ __all__ = [
     "sample",
     "ExpectationResult",
     "exact_expectation",
+    "circle_nodes",
     "circle_expectation",
     "mc_expectation",
     "e_trunc_exact",
@@ -110,8 +111,11 @@ def exact_expectation(poly: DirichletPolynomial, k: int) -> float:
     the independent X_p, E|P|^(2k) = sum over exponent vectors e with
     |e| = k of (k! / prod e_p!)^2 prod |c_p|^(2 e_p): (k!)^2 times the
     t^k coefficient of the product over p of sum_{e <= k} |c_p|^(2e) t^e / e!^2.
-    The independence needs a prime support, so any other raises ValueError.
+    The independence needs a prime support, so any other raises
+    ValueError, as does a negative k.
     """
+    if k < 0:
+        raise ValueError(f"the moment order k must be nonnegative, got k = {k}")
     composite = [n for n in poly.support.tolist() if not is_prime(n)]
     if composite:
         raise ValueError(f"exact_expectation needs a prime support; {composite[0]} is not prime")
@@ -124,11 +128,16 @@ def exact_expectation(poly: DirichletPolynomial, k: int) -> float:
     return float(fact[k] ** 2 * series[k])
 
 
+def circle_nodes(n: int) -> np.ndarray:
+    """The n trapezoid nodes exp(2 pi i (k + 1/2) / n), k < n, of every circle average."""
+    return np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
+
+
 def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray, ell: int) -> complex:
     """E[prod_p f_p(X_p) e_ell(-sum_p c_x(p) X_p) e_ell(-sum_p c_xb(p) conj(X_p))].
 
-    Row i of ``integrand`` is the i-th prime's f_p at the N trapezoid
-    nodes exp(2 pi i (k + 1/2) / N), N = ``integrand.shape[1]``.  The X_p
+    Row i of ``integrand`` is the i-th prime's f_p at the N nodes
+    ``circle_nodes(N)``, N = ``integrand.shape[1]``.  The X_p
     are independent, so the expectation is the sum of the coefficients of
     degree <= ell in s and in t of the product over the primes of
     E[f_p(X) exp(-s c_x X - t c_xb conj X)], whose s^a t^b coefficient is
@@ -136,7 +145,7 @@ def circle_expectation(integrand: np.ndarray, c_x: np.ndarray, c_xb: np.ndarray,
     """
     n = integrand.shape[1]
     d = np.arange(-ell, ell + 1)
-    nodes = np.exp(2j * math.pi * (np.arange(n) + 0.5) / n)
+    nodes = circle_nodes(n)
     moments = np.einsum("pk,kd->pd", integrand, nodes[:, None] ** d) / n  # (primes, 2 ell + 1), no BLAS
     k = np.arange(ell + 1)
     fact = np.cumprod(np.maximum(k, 1)).astype(np.float64)

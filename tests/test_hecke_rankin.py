@@ -1,4 +1,4 @@
-"""Hecke eigenforms and the Rankin-Selberg random model: tau, Satake, cutoffs."""
+"""Hecke eigenforms and the Rankin-Selberg random model: tau, local factors from lambda(p), cutoffs."""
 
 import dataclasses
 import functools
@@ -23,7 +23,6 @@ from molliclt.hecke_rankin import (
     local_expectation,
     n_coeff,
     quadrature_expectation,
-    satake,
     v_cutoff,
     weight16_form,
 )
@@ -35,9 +34,11 @@ from molliclt.hecke_rankin import (
     _cutoff_eval,
     _eta_cube,
     _fft_size,
+    _hecke_factor,
     _lambda_powers,
     _mulmod,
     _prime_coefficients,
+    _rs_quartic,
     _sigma3,
 )
 from molliclt.mollifier import params_desk, w_weight
@@ -241,21 +242,18 @@ def test_lambda_p_beyond_cache_names_remedy():
         d.lambda_p(10)
 
 
-# --- Satake parameters and prime powers ---------------------------------
+# --- prime powers and local factors -------------------------------------
 
 
-def test_satake_unit_circle_within_deligne_range():
-    for lam in (-1.9, -0.5, 0.0, 1.3, 2.0):
-        s = satake(lam)
-        assert abs(s.alpha1 * s.alpha2 - 1) < 1e-14
-        assert abs(s.alpha1 + s.alpha2 - lam) < 1e-14
-        assert abs(abs(s.alpha1) - 1.0) < 1e-12
-
-
-def test_satake_real_branch():
-    s = satake(2.5)
-    assert s.alpha1.imag == 0 and s.alpha2.imag == 0
-    assert s.alpha1.real > 1 > s.alpha2.real > 0
+@pytest.mark.parametrize("a, b", [(-1.9, 0.0), (-0.5, 1.3), (2.0, -2.0), (2.5, 0.7)])
+def test_local_factors_are_the_satake_products(a, b):
+    # the roots of X^2 - lambda X + 1, unit-circle conjugates for |lambda| <= 2
+    # and real past it, multiplied out factor by factor
+    alpha, beta = np.roots([1.0, -a, 1.0]), np.roots([1.0, -b, 1.0])
+    for z in (0.3, 0.2 - 0.5j, 0.7j):
+        assert _hecke_factor(a, z) == pytest.approx(1.0 / np.prod(1.0 - alpha * z), rel=1e-13)
+        want = np.prod([1.0 - al * be * z for al in alpha for be in beta])
+        assert _rs_quartic(a, b, z) == pytest.approx(want, rel=1e-13)
 
 
 def test_lambda_prime_power_recursion():
@@ -289,15 +287,6 @@ def test_lambda_powers_match_the_scalar_recursion():
         for p in (2, 3, 97, 9973):
             powers = _lambda_powers(form.lambda_p(p), 1.0)
             assert powers.tolist() == [lambda_prime_power(form, p, j) for j in range(_TRUNC_MAX_TERMS)]
-
-
-def test_satake_prime_power_sum():
-    # lambda(p^a) = sum of alpha1^i alpha2^(a-i): geometric check via Satake
-    d = delta_form()
-    s = satake(d.lambda_p(5))
-    for a in (1, 2, 5):
-        want = sum(s.alpha1**i * s.alpha2 ** (a - i) for i in range(a + 1))
-        assert lambda_prime_power(d, 5, a) == pytest.approx(want.real, rel=1e-12)
 
 
 # --- local factors ------------------------------------------------------
@@ -450,7 +439,9 @@ def test_expected_weight_euler_orderings(pair, desk):
 
 
 def test_expected_weight_euler_cross_check_per_prime(pair, desk):
-    """Independent route: one local factor per prime, no shared code path."""
+    """One local factor per prime.  Outside the intervals both sides read
+    :func:`_rs_quartic`, which criterion 06 pins against the series; inside,
+    g_p's series stands against the circle quadrature."""
     fg, _ = expected_weight_euler(pair, desk)
     acc = 1.0
     x = desk.intervals[-1].hi

@@ -231,6 +231,18 @@ def test_admitted_supports_stay_far_below_the_enumeration_guards():
     assert len(build_dirichlet_mollifier(p).support) == math.prod(counts)
 
 
+def test_moebius_route_refuses_a_support_past_the_pair_budget(monkeypatch):
+    # like the direct and euler routes, before any O(n^2) divisor-pair work
+    def no_pairs(values):
+        raise AssertionError("divisor pairs formed")
+
+    monkeypatch.setattr(mollifier, "_divisor_pairs", no_pairs)
+    support = np.arange(1, math.isqrt(mollifier._PAIR_BUDGET) + 2, dtype=np.int64)
+    assert len(support) == 6325
+    with pytest.raises(RuntimeError, match="support of 6325 elements is too large"):
+        mollifier._m_moebius(support, np.ones(len(support)), 0.1, 0.2)
+
+
 @pytest.mark.filterwarnings("ignore:interval .* contains no primes")
 @pytest.mark.parametrize("q", [101, 1009, 10007, 100003])
 @pytest.mark.parametrize("theta, c0", [

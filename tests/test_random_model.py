@@ -136,6 +136,13 @@ def test_exact_expectation_refuses_a_support_that_is_not_prime(support):
         exact_expectation(poly, 1)
 
 
+def test_exact_expectation_order_zero_and_negative():
+    poly = DirichletPolynomial(np.array([2, 3]), np.array([0.7, -1.3], dtype=np.complex128))
+    assert exact_expectation(poly, 0) == 1.0
+    with pytest.raises(ValueError, match="k = -1"):
+        exact_expectation(poly, -1)
+
+
 def test_mc_expectation_reproducible_and_unbiased():
     ev = lambda x: x[:, 0]  # X(2)
     out1 = mc_expectation(ev, SMALL_PRIMES, 400, seed=11)
