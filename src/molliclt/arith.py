@@ -83,25 +83,22 @@ class PrimeInterval:
         return float(np.sum(1.0 / self.primes.astype(np.float64)))
 
 
-@lru_cache(maxsize=1)
-def _base_sieve() -> bytearray:
-    """Odd-only composite marks up to _BASE_LIMIT (index i <-> 2i+1)."""
-    half = _BASE_LIMIT // 2
-    marks = bytearray(half)
-    for i in range(1, (math.isqrt(_BASE_LIMIT) - 1) // 2 + 1):
-        if not marks[i]:
+@lru_cache(maxsize=None)
+def _primes_below(bits: int) -> np.ndarray:
+    """The primes below 2**bits (bits >= 2), ascending, by an odd-only sieve.
+
+    A caller that needs every prime up to a bound asks for
+    ``bound.bit_length()`` bits: the next power of two above the bound,
+    so at most twice the sieve it needs, and one cached array per power.
+    """
+    top = 1 << bits
+    odd = np.ones(top // 2, dtype=bool)  # index i <-> 2i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(top - 1) - 1) // 2 + 1):
+        if odd[i]:
             p = 2 * i + 1
-            start = (p * p - 1) // 2
-            marks[start::p] = b"\x01" * len(range(start, half, p))
-    return marks
-
-
-@lru_cache(maxsize=1)
-def _base_primes() -> np.ndarray:
-    marks = _base_sieve()
-    odds = np.frombuffer(bytes(marks), dtype=np.uint8)
-    primes = 2 * np.nonzero(odds == 0)[0][1:] + 1  # skip index 0 (=1)
-    return np.concatenate(([2], primes)).astype(np.int64)
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
 
 
 def check_sieve_limits(lo: float, hi: float) -> None:
@@ -131,13 +128,13 @@ def sieve_primes(lo: float, hi: float) -> PrimeInterval:
         return PrimeInterval(lo, hi, np.empty(0, dtype=np.int64))
     first = max(first, 2)
     if last <= _BASE_LIMIT:
-        base = _base_primes()
+        base = _primes_below(last.bit_length())
         i0 = int(np.searchsorted(base, first, side="left"))
         i1 = int(np.searchsorted(base, last, side="right"))
         return PrimeInterval(lo, hi, base[i0:i1].copy())
     span = last - first + 1
     composite = np.zeros(span, dtype=bool)
-    for p in _base_primes():
+    for p in _primes_below(math.isqrt(last).bit_length()):
         p = int(p)
         if p * p > last:
             break
@@ -210,9 +207,9 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> FactoredInteger:
     """Full prime factorization.
 
-    Trial division by the cached small primes, then Miller-Rabin plus
-    Brent-Pollard rho on whatever survives.  Handles any positive
-    ``n < 2**63``.
+    Trial division by the primes up to min(sqrt(n), 10**6), then
+    Miller-Rabin plus Brent-Pollard rho on whatever survives.  Handles
+    any positive ``n < 2**63``.
     """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
@@ -226,7 +223,7 @@ def factorize(n: int) -> FactoredInteger:
             m //= p
     if m > 1:
         limit = math.isqrt(m)
-        for p in _base_primes()[3:]:
+        for p in _primes_below(min(limit, _BASE_LIMIT).bit_length())[3:]:
             p = int(p)
             if p > limit:
                 break

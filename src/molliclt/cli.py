@@ -13,7 +13,6 @@ of one configuration are the timestamp and wall-time lines.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -21,6 +20,18 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Callable
+
+# the interpreter's own SHA-256, where hashlib would load OpenSSL (3.6 MB of RSS)
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+# no command calls BLAS, so its worker threads would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -122,7 +133,7 @@ class RunConfig:
 
     def digest(self) -> str:
         lines = "\n".join(f"{k}={v!r}" for k, v in sorted(self.as_dict().items()))
-        return hashlib.sha256(lines.encode()).hexdigest()
+        return sha256(lines.encode()).hexdigest()
 
 
 def _parse_config_file(path: str) -> dict[str, str]:

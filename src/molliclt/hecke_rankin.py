@@ -126,18 +126,19 @@ def _eta_cube(length: int, mod: int) -> np.ndarray:
 
 
 def _sigma3(length: int) -> np.ndarray:
-    """sigma_3(n) for n < length (slot 0 set to 0): d^3 added at every multiple of d, in one pass.
+    """sigma_3(n) for n < length (slot 0 set to 0), one strided slice per divisor d <= sqrt(n).
 
-    The sums stay in int64: at the largest limit they pass 2^53, where a
-    float64 ``bincount`` would round them.
+    Each divisor pair d <= k of n = d k adds d^3 + k^3 at n; the square
+    d^2 takes d^3 back, having counted it twice.  The sums stay in int64:
+    at the largest limit they pass 2^53, where float64 would round them.
     """
-    d = np.arange(1, length, dtype=np.int64)
-    counts = (length - 1) // d
-    divisors = np.repeat(d, counts)
-    # the k-th multiple of each divisor, k = 1..counts
-    k = np.arange(1, len(divisors) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     out = np.zeros(length, dtype=np.int64)
-    np.add.at(out, divisors * k, divisors**3)
+    for d in range(1, math.isqrt(max(length - 1, 0)) + 1):
+        k = np.arange(d, (length - 1) // d + 1, dtype=np.int64)
+        k **= 3
+        k += d**3
+        out[d * d :: d] += k
+        out[d * d] -= d**3
     return out
 
 

@@ -40,11 +40,13 @@ def test_sieve_primes_rejects_reversed_interval():
 
 
 def test_sieve_matches_dense_sieve_on_segment():
-    lo, hi = 10_000, 11_000
-    seg = sieve_primes(lo, hi).primes
-    # trial division, independent of both sieves
-    dense = [n for n in range(lo + 1, hi + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-    assert list(seg) == dense
+    # besides (10^4, 1.1 10^4]: straddling 2^10 and 2^11, where the cached
+    # sieve's length doubles, and 10^6, where the segmented sieve takes over
+    for lo, hi in [(10_000, 11_000), (1000, 1030), (2040, 2060), (999_000, 1_001_000)]:
+        seg = sieve_primes(lo, hi).primes
+        # trial division, independent of the sieve
+        dense = [n for n in range(lo + 1, hi + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert list(seg) == dense, (lo, hi)
 
 
 def test_reciprocal_sum_anchor():
@@ -73,6 +75,18 @@ def test_factorize_one():
     f = factorize(1)
     assert len(f.primes) == 0
     assert f.divisors() == [1]
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    # 65521 and 1048573 are the largest primes below 2^16 and 2^20, the last
+    # entries of the sieve that the trial division reads
+    [(65521, 65537), (65521, 65521), (1048573, 1048583)],
+)
+def test_factorize_smallest_factor_below_a_power_of_two(p, q):
+    f = factorize(p * q)
+    assert f.primes == tuple(sorted({p, q}))
+    assert f.exponents == ((2,) if p == q else (1, 1))
 
 
 def test_factorize_semiprime_needs_rho():

@@ -100,6 +100,41 @@ def test_digest_tracks_every_field():
     assert base.digest() != RunConfig(q=101, seed=2).digest()
 
 
+def test_digest_is_the_sha256_of_the_sorted_settings():
+    import hashlib
+
+    cfg = RunConfig(q=101, theta=(0.25, 0.5), out="elsewhere")
+    lines = "\n".join(f"{k}={v!r}" for k, v in sorted(cfg.as_dict().items()))
+    assert cfg.digest() == hashlib.sha256(lines.encode()).hexdigest()
+    assert RunConfig(q=101).digest() == "a88315af648f8e11eeb80fae51e54f72d75b8d5839269783edf58fa0dac939c4"
+
+
+def python_with_src(code: str, *args: str, **env: str) -> str:
+    """Stdout of a fresh interpreter that runs ``code`` with molliclt on its path.
+
+    ``env`` entries override the inherited environment; an empty value
+    removes the variable.  The run must exit 0.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    full = {k: v for k, v in {**os.environ, "PYTHONPATH": src, **env}.items() if v}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=full, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_run_leaves_openssl_unloaded(tmp_path):
+    code = "import sys; from molliclt.cli import main; main(sys.argv[1:]); print('_hashlib' in sys.modules)"
+    out = python_with_src(code, "characters", "--q", "101", "--out", str(tmp_path))
+    assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_threads():
+    code = "import os, molliclt.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    assert python_with_src(code, OPENBLAS_NUM_THREADS="").split() == ["1", "1"]
+    assert python_with_src(code, OPENBLAS_NUM_THREADS="2").split()[1] == "2"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -477,17 +512,12 @@ def test_characters_fails_on_a_root_the_gram_does_not_read(tmp_path, monkeypatch
     assert abs(report["roots_residual"] - 2 * math.sin(0.05)) < 1e-12
 
 
-@pytest.mark.parametrize("command", ["characters", "random"])
+@pytest.mark.parametrize("command", ["characters", "random", "lvalues", "clt", "second-moment"])
 def test_characters_report_is_independent_of_blas_threads(command, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     reports = []
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "molliclt.cli", command, "--q", "10007", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
+        code = "import sys; from molliclt.cli import main; sys.exit(main(sys.argv[1:]))"
+        python_with_src(code, command, "--q", "10007", "--out", str(tmp_path), OPENBLAS_NUM_THREADS=threads)
         text = (tmp_path / f"{command}_q10007.json").read_text()
         reports.append([line for line in text.splitlines() if '"timestamp"' not in line and '"wall_time"' not in line])
     assert reports[0] == reports[1]

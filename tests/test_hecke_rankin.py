@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from molliclt import hecke_rankin
-from molliclt.arith import sieve_primes
+from molliclt.arith import factorize, sieve_primes
 from molliclt.hecke_rankin import (
     RankinSelbergPair,
     delta_form,
@@ -130,6 +130,14 @@ def test_sigma3_matches_the_divisor_sums():
     want = [0] + [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(1, 2000)]
     for length in range(2001):
         assert _sigma3(length).tolist() == want[:length], length
+
+
+def test_sigma3_is_exact_at_the_top_of_its_range():
+    """The last sums pass 2^53, where only int64 arithmetic stays exact."""
+    top = _sigma3(_MAX_LIMIT + 1)[-50:].tolist()
+    want = [sum(d**3 for d in factorize(n).divisors()) for n in range(_MAX_LIMIT - 49, _MAX_LIMIT + 1)]
+    assert top == want
+    assert max(want) > 2**53
 
 
 def test_mulmod_raises_past_its_bound():

@@ -1,4 +1,5 @@
-"""Memory regressions: tracemalloc peaks at q = 100003.
+"""Memory regressions: tracemalloc peaks at q = 100003, and the fixed costs
+of the integer helpers every command runs.
 
 Each per-label bound is the peak measured on a 2-core x86-64 host with
 numpy 2.4 (16.0, 48.0, 55.5 and 40.5 bytes per label) plus 4 bytes per
@@ -14,9 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from molliclt import characters
+from molliclt import arith, characters
 from molliclt.characters import build_table, gauss_sum, orthogonality_gram, roots_residual
 from molliclt.dirichlet_l import l_values_afe, twisted_second_moment_empirical
+from molliclt.hecke_rankin import _MAX_LIMIT, _sigma3
 from molliclt.mollifier import build_dirichlet_mollifier, params_desk
 from molliclt.stats import clt_experiment
 
@@ -96,3 +98,19 @@ def test_gauss_sum_peak():
     # for the three length-q arrays of the unblocked sum
     table = build_table(1000003)
     assert traced_peak(lambda: gauss_sum(table, 12345)) <= 4_000_000
+
+
+def test_factorize_sieves_only_to_the_root():
+    # measured 0.002 MB: 9999990 = 2 3^3 5 7 11 13 37 leaves 37037 after the
+    # primes 2, 3 and 5, so trial division reads the primes below 2^8; the
+    # fixed sieve to 10^6 this replaced cost 2.9 MB
+    for helper in vars(arith).values():
+        if hasattr(helper, "cache_clear"):
+            helper.cache_clear()
+    assert traced_peak(lambda: arith.factorize(9999990)) <= 100_000
+
+
+def test_sigma3_peak_at_the_top_of_its_range():
+    # measured 5.2 MB: the output and one slice's cubes, 2.1 MB each, against
+    # 112 MB for the N log N index arrays of the one-pass sum this replaced
+    assert traced_peak(lambda: _sigma3(_MAX_LIMIT + 1)) <= 8_000_000
