@@ -1,6 +1,11 @@
 """Integer arithmetic helpers: sieves, factorization, and the small
 multiplicative weights used throughout the mollifier machinery.
 
+Every prime comes from one cached odd-only sieve: interval sieves cross
+off by its primes, and factorization and primality are trial division by
+them.  The primes below 2**20 settle every n < 2**40, and any n < 2**63
+whose cofactor after them is below 2**40; a larger cofactor raises.
+
 Everything here is exact.  Weights that are rational numbers are returned
 as :class:`fractions.Fraction`, or for a whole smooth support as exact
 integer denominators beside correctly rounded floats.
@@ -33,7 +38,7 @@ __all__ = [
 ]
 
 SUPPORT_BUDGET = 2_000_000  # enumeration budget: count of support integers
-_BASE_LIMIT = 1_000_000
+_TRIAL_BITS = 20  # factorize divides by the primes below 2**20
 _MAX_SIEVE_HI = 1_000_000_000
 _MAX_SIEVE_SPAN = 50_000_000
 
@@ -114,27 +119,22 @@ def check_sieve_limits(lo: float, hi: float) -> None:
 
 
 def sieve_primes(lo: float, hi: float) -> PrimeInterval:
-    """Primes in ``(lo, hi]`` via a segmented sieve, within :func:`check_sieve_limits`.
+    """Primes in ``(lo, hi]``, within :func:`check_sieve_limits`.
 
-    The bounds may be non-integral (interval endpoints like ``q**theta``
-    rarely are).
+    One segmented sieve for every interval, crossed off by the cached
+    primes up to sqrt(hi) (:func:`factorize` divides by the same cached
+    primes, those below 2**20, which settle every n < 2**40).  The bounds
+    may be non-integral (interval endpoints like ``q**theta`` rarely are).
     """
     if hi < lo:
         raise ValueError(f"empty interval: ({lo}, {hi}]")
     check_sieve_limits(lo, hi)
-    first = math.floor(lo) + 1  # smallest integer > lo
+    first = max(math.floor(lo) + 1, 2)  # smallest integer > lo
     last = math.floor(hi)  # largest integer <= hi
-    if last < first or last < 2:
+    if last < first:
         return PrimeInterval(lo, hi, np.empty(0, dtype=np.int64))
-    first = max(first, 2)
-    if last <= _BASE_LIMIT:
-        base = _primes_below(last.bit_length())
-        i0 = int(np.searchsorted(base, first, side="left"))
-        i1 = int(np.searchsorted(base, last, side="right"))
-        return PrimeInterval(lo, hi, base[i0:i1].copy())
-    span = last - first + 1
-    composite = np.zeros(span, dtype=bool)
-    for p in _primes_below(math.isqrt(last).bit_length()):
+    composite = np.zeros(last - first + 1, dtype=bool)
+    for p in _primes_below(max(math.isqrt(last).bit_length(), 2)):
         p = int(p)
         if p * p > last:
             break
@@ -145,107 +145,42 @@ def sieve_primes(lo: float, hi: float) -> PrimeInterval:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all ``n < 2**64``."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # Witness set proven sufficient below 3.3 * 10**24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd ``n`` (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        y, c, m = seed % n, (2 * seed + 1) % n, 128
-        if c == 0:
-            c = 1
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        seed += 1
+    """Whether ``n`` is prime, by :func:`factorize`: settled for every
+    ``n < 2**40``.  Above that, a prime, or a cofactor >= 2**40 left by
+    the primes below 2**20, raises ValueError."""
+    return n >= 2 and factorize(n).primes == (n,)
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Full prime factorization.
+    """Full prime factorization of ``1 <= n < 2**63``, by trial division.
 
-    Trial division by the primes up to min(sqrt(n), 10**6), then
-    Miller-Rabin plus Brent-Pollard rho on whatever survives.  Handles
-    any positive ``n < 2**63``.
+    The cached primes below 2**min(bit_length(isqrt(n)), 20) divide ``n``
+    in ascending order until p**2 exceeds what is left.  The cofactor
+    left is 1, or a prime when it is below 2**40, so every ``n < 2**40``
+    is settled.  A cofactor of 2**40 or more has no prime factor below
+    2**20, and trial division cannot settle it: ValueError names it.
     """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
     if n >= 2**63:
         raise ValueError(f"{n} out of supported range (< 2**63)")
     m = n
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    factors: dict[int, int] = {}  # ascending, as found
+    for p in _primes_below(max(min(math.isqrt(n).bit_length(), _TRIAL_BITS), 2)):
+        p = int(p)
+        if p * p > m:
+            break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
+    if m >= 1 << (2 * _TRIAL_BITS):
+        raise ValueError(
+            f"cannot factorize {n}: cofactor {m} >= 2**{2 * _TRIAL_BITS} has no prime factor "
+            f"below the trial-division bound 2**{_TRIAL_BITS}"
+        )
     if m > 1:
-        limit = math.isqrt(m)
-        for p in _primes_below(min(limit, _BASE_LIMIT).bit_length())[3:]:
-            p = int(p)
-            if p > limit:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    e += 1
-                    m //= p
-                factors[p] = e
-                limit = math.isqrt(m)
-    # m is now 1, prime, or a composite with no factor below 10**6.
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    primes = tuple(sorted(factors))
-    return FactoredInteger(primes, tuple(factors[p] for p in primes))
+        factors[m] = 1
+    return FactoredInteger(tuple(factors), tuple(factors.values()))
 
 
 def big_omega(n: int) -> int:

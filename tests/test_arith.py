@@ -41,7 +41,7 @@ def test_sieve_primes_rejects_reversed_interval():
 
 def test_sieve_matches_dense_sieve_on_segment():
     # besides (10^4, 1.1 10^4]: straddling 2^10 and 2^11, where the cached
-    # sieve's length doubles, and 10^6, where the segmented sieve takes over
+    # base sieve's length doubles, and around 10^6, whose base primes reach 2^10
     for lo, hi in [(10_000, 11_000), (1000, 1030), (2040, 2060), (999_000, 1_001_000)]:
         seg = sieve_primes(lo, hi).primes
         # trial division, independent of the sieve
@@ -59,7 +59,11 @@ def test_is_prime_small_and_carmichael():
     assert not is_prime(561)  # Carmichael number, catches weak Fermat tests
     assert not is_prime(1)
     assert is_prime(10007)
-    assert is_prime(2305843009213693951)  # 2^61 - 1
+    assert is_prime(2**40 - 87)  # the largest prime below 2^40, settled by trial division
+    # 2^61 - 1 is prime, but no prime below 2^20 divides it and it is not
+    # below 2^40, so trial division cannot settle it
+    with pytest.raises(ValueError, match=r"2\*\*20"):
+        is_prime(2**61 - 1)
 
 
 def test_factorize_anchors():
@@ -90,10 +94,29 @@ def test_factorize_smallest_factor_below_a_power_of_two(p, q):
 
 
 def test_factorize_semiprime_needs_rho():
-    # both factors beyond the trial-division base sieve
+    # both factors above 10^6, yet the product is below 2^40: trial division
+    # by the primes below 2^20 finds 1000003 and leaves the prime 1000033
     p, q = 1_000_003, 1_000_033
     f = factorize(p * q)
     assert sorted(f.primes) == [p, q]
+
+
+def test_factorize_refuses_a_cofactor_it_cannot_settle():
+    # 1048583 and 1048589 are the two smallest primes above 2^20, and their
+    # product is above 2^40
+    with pytest.raises(ValueError, match=r"1099532599387.*2\*\*20"):
+        factorize(1048583 * 1048589)
+
+
+@pytest.mark.parametrize("n, primes, exponents", [(59**4 * 53**4, (53, 59), (4, 4)), (2**62, (2,), (62,))])
+def test_factorize_settles_smooth_integers_above_2_40(n, primes, exponents):
+    f = factorize(n)
+    assert (f.primes, f.exponents) == (primes, exponents)
+
+
+@pytest.mark.parametrize("lo, hi", [(2**20 - 500, 2**20 + 500), (10**9 - 2000, 10**9)])
+def test_is_prime_agrees_with_the_sieve(lo, hi):
+    assert [n for n in range(lo + 1, hi + 1) if is_prime(n)] == sieve_primes(lo, hi).primes.tolist()
 
 
 @given(st.integers(min_value=2, max_value=10**9))
